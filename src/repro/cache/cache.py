@@ -17,7 +17,7 @@ from typing import Optional
 __all__ = ["CacheLine", "CacheStats", "Eviction", "OverflowRegion", "SetAssocCache"]
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheLine:
     """One resident line.  ``addr`` is the block-aligned byte address."""
 
@@ -26,7 +26,6 @@ class CacheLine:
     dirty: bool = False
     alias: bool = False
     was_uncompressed: bool = False
-    last_use: int = 0
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,11 @@ class OverflowRegion:
 
 
 class SetAssocCache:
-    """LRU set-associative cache keyed by block-aligned byte addresses."""
+    """LRU set-associative cache keyed by block-aligned byte addresses.
+
+    Each set is a dict in LRU order: a hit or refill moves its line to the
+    end, so the victim is the first line that is not a pinned alias.
+    """
 
     def __init__(
         self,
@@ -112,35 +115,21 @@ class SetAssocCache:
         if self.num_sets < 1:
             raise ValueError("cache must have at least one set")
         self.name = name
-        self._sets: list[list[CacheLine]] = [[] for _ in range(self.num_sets)]
-        #: addr -> line shadow of ``_sets`` (excluding overflow) so lookups
-        #: are O(1) instead of scanning the ways.
-        self._index: dict[int, CacheLine] = {}
+        self._sets: list[dict[int, CacheLine]] = [
+            {} for _ in range(self.num_sets)
+        ]
         self.overflow = OverflowRegion()
         self.stats = CacheStats()
-        self._tick = 0
-
-    # -- indexing ------------------------------------------------------------
-
-    def _set_index(self, addr: int) -> int:
-        return (addr // self.line_bytes) % self.num_sets
-
-    def _align(self, addr: int) -> int:
-        return addr - (addr % self.line_bytes)
-
-    def _now(self) -> int:
-        self._tick += 1
-        return self._tick
 
     # -- operations ----------------------------------------------------------
 
     def lookup(self, addr: int) -> Optional[CacheLine]:
         """Return the line holding ``addr`` (updating LRU), or None."""
         addr -= addr % self.line_bytes
-        line = self._index.get(addr)
+        cache_set = self._sets[(addr // self.line_bytes) % self.num_sets]
+        line = cache_set.pop(addr, None)
         if line is not None:
-            self._tick += 1
-            line.last_use = self._tick
+            cache_set[addr] = line  # now the most recently used
             self.stats.hits += 1
             return line
         spilled = (
@@ -159,7 +148,7 @@ class SetAssocCache:
     def peek(self, addr: int) -> Optional[CacheLine]:
         """Lookup without touching LRU state or stats."""
         addr -= addr % self.line_bytes
-        line = self._index.get(addr)
+        line = self._sets[(addr // self.line_bytes) % self.num_sets].get(addr)
         if line is not None:
             return line
         return self.overflow.lookup(addr)
@@ -183,42 +172,37 @@ class SetAssocCache:
         stats = self.stats
         if alias:
             stats.alias_pins += 1
-        existing = self._index.get(addr)
-        if existing is None and self.overflow.blocks:
+        cache_set = self._sets[(addr // self.line_bytes) % self.num_sets]
+        existing = cache_set.pop(addr, None)
+        if existing is not None:
+            cache_set[addr] = existing  # now the most recently used
+        elif self.overflow.blocks:
             existing = self.overflow.blocks.get(addr)
         if existing is not None:
             existing.data = data
             existing.dirty = existing.dirty or dirty
             existing.alias = alias
             existing.was_uncompressed = was_uncompressed
-            existing.last_use = self._now()
             return None
 
-        new_line = CacheLine(
-            addr, data, dirty, alias, was_uncompressed, self._now()
-        )
-        cache_set = self._sets[(addr // self.line_bytes) % self.num_sets]
+        new_line = CacheLine(addr, data, dirty, alias, was_uncompressed)
         if len(cache_set) < self.ways:
-            cache_set.append(new_line)
-            self._index[addr] = new_line
+            cache_set[addr] = new_line
             return None
 
         victim: Optional[CacheLine] = None
-        for line in cache_set:
-            if not line.alias and (
-                victim is None or line.last_use < victim.last_use
-            ):
+        for line in cache_set.values():
+            if not line.alias:
                 victim = line
+                break
         if victim is None:
             # Every way pinned by incompressible aliases: spill the new line
             # (clean insertion order keeps resident aliases untouched).
             stats.overflow_spills += 1
             self.overflow.insert(new_line)
             return None
-        cache_set.remove(victim)
-        del self._index[victim.addr]
-        cache_set.append(new_line)
-        self._index[addr] = new_line
+        del cache_set[victim.addr]
+        cache_set[addr] = new_line
         stats.evictions += 1
         if victim.dirty:
             stats.writebacks += 1
@@ -226,16 +210,15 @@ class SetAssocCache:
 
     def invalidate(self, addr: int) -> Optional[CacheLine]:
         """Drop a line without writeback; returns it if it was resident."""
-        addr = self._align(addr)
-        line = self._index.pop(addr, None)
+        addr -= addr % self.line_bytes
+        line = self._sets[(addr // self.line_bytes) % self.num_sets].pop(addr, None)
         if line is not None:
-            self._sets[self._set_index(addr)].remove(line)
             return line
         return self.overflow.remove(addr)
 
     def resident_lines(self) -> list[CacheLine]:
         """All lines currently held (including overflow), unordered."""
-        lines = [line for cache_set in self._sets for line in cache_set]
+        lines = [line for cache_set in self._sets for line in cache_set.values()]
         lines.extend(self.overflow.blocks.values())
         return lines
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -14,7 +15,7 @@ from repro.simulation.config import SCALED_SYSTEM, SystemConfig
 from repro.simulation.system import MultiCoreSystem, PerfResult
 from repro.workloads.blocks import BlockSource
 from repro.workloads.profiles import PROFILES, PARSEC, BenchmarkProfile
-from repro.workloads.tracegen import TraceGenerator
+from repro.workloads.tracegen import EpochArrays, TraceGenerator
 
 __all__ = ["SimOutcome", "run_benchmark", "run_mix", "epochs_for"]
 
@@ -33,6 +34,29 @@ class SimOutcome:
 
 def epochs_for(scale: Scale) -> int:
     return scale.pick(smoke=60, small=600, full=6000)
+
+
+@functools.lru_cache(maxsize=8)
+def _trace_arrays(
+    profile: BenchmarkProfile,
+    seed: int,
+    footprint_blocks: int,
+    base_addr: int,
+    epochs: int,
+) -> EpochArrays:
+    """One core's trace in array form, generated once and shared read-only.
+
+    A trace is a pure function of its arguments, so the jobs that replay
+    one benchmark under each protection mode reuse it.  The bound holds
+    the cores of one or two benchmarks: a sweep's next benchmark evicts
+    them, so no trace outlives the sweep that made it.
+    """
+    trace = TraceGenerator(
+        profile, seed=seed, footprint_blocks=footprint_blocks, base_addr=base_addr
+    ).epoch_arrays(epochs)
+    for array in (trace.instructions, trace.starts, trace.addrs, trace.is_store):
+        array.flags.writeable = False
+    return trace
 
 
 def run_benchmark(
@@ -72,18 +96,13 @@ def run_benchmark(
     for core in range(cores):
         base = 0 if shared_space else core * _CORE_STRIDE
         content_seed = seed if shared_space else seed * 1000 + core
-        generator = TraceGenerator(
-            profile,
-            seed=seed * 1000 + core,
-            footprint_blocks=footprint_blocks,
-            base_addr=base,
-        )
+        trace_args = (profile, seed * 1000 + core, footprint_blocks, base)
         # The batch engine takes the trace pre-flattened; the scalar loop
         # streams Epoch objects.  Both draw the same RNG sequence.
         traces.append(
-            generator.epoch_arrays(epoch_count)
+            _trace_arrays(*trace_args, epoch_count)
             if system.use_batch
-            else generator.epochs(epoch_count)
+            else TraceGenerator(*trace_args).epochs(epoch_count)
         )
         sources.append(BlockSource(profile, seed=content_seed))
         ipcs.append(profile.perfect_ipc)
@@ -128,16 +147,13 @@ def run_mix(
             2048,
             profile.footprint_mb * (1 << 20) // 64 // system.footprint_divider,
         )
-        generator = TraceGenerator(
-            profile,
-            seed=seed * 100 + core,
-            footprint_blocks=footprint,
-            base_addr=core * _CORE_STRIDE,
+        trace_args = (
+            profile, seed * 100 + core, footprint, core * _CORE_STRIDE
         )
         traces.append(
-            generator.epoch_arrays(epochs_for(scale))
+            _trace_arrays(*trace_args, epochs_for(scale))
             if system.use_batch
-            else generator.epochs(epochs_for(scale))
+            else TraceGenerator(*trace_args).epochs(epochs_for(scale))
         )
         sources.append(BlockSource(profile, seed=seed * 100 + core))
         ipcs.append(profile.perfect_ipc)

@@ -83,11 +83,6 @@ class AddressMapper:
             raise ValueError(f"order must name each field once, got {order}")
         self.order = order
         self._sizes = sizes
-        #: ``(name, size)`` pairs least significant first — the exact
-        #: iteration order of :meth:`map`, precomputed for hot loops.
-        self.field_spec = tuple(
-            (name, sizes[name]) for name in reversed(order)
-        )
 
     def map(self, addr: int) -> MappedAddress:
         """Decompose a byte address (block aligned or not)."""
@@ -115,26 +110,6 @@ class AddressMapper:
             size = self._sizes[name]
             fields[name] = block % size
             block = block // size
-        return fields
-
-    def map_lists(self, addrs: list[int]) -> dict[str, list[int]]:
-        """Pure-Python :meth:`map_arrays`: same fields as plain lists.
-
-        Identical integer arithmetic to :meth:`map`; preferable to the
-        numpy path for short address lists (an MSHR wave), where array
-        setup costs more than the loop.
-        """
-        block_bytes = self.geometry.block_bytes
-        total = self.geometry.total_blocks
-        order = tuple(reversed(self.order))  # least significant first
-        sizes = tuple(self._sizes[name] for name in order)
-        fields: dict[str, list[int]] = {name: [] for name in order}
-        appends = tuple(fields[name].append for name in order)
-        for addr in addrs:
-            block = (addr // block_bytes) % total
-            for size, append in zip(sizes, appends):
-                append(block % size)
-                block //= size
         return fields
 
     def compose(self, mapped: MappedAddress) -> int:

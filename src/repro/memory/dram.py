@@ -3,10 +3,10 @@
 The model tracks, per bank, the open row, the earliest time the bank can
 accept a new column/row command, and the last activate time (to honour
 tRAS before a precharge).  Each channel serialises data bursts on its bus.
-Requests are processed in arrival order; :meth:`DRAMSystem.access_batch`
-applies FR-FCFS-style reordering inside a batch of simultaneously ready
-requests (row hits first), which is where scheduling matters for the
-interval performance model.
+Requests are processed in arrival order, which is what both simulation
+engines use; :meth:`DRAMSystem.access_batch` offers FR-FCFS-style
+reordering inside a batch of simultaneously ready requests (row hits
+first) to callers that want it.
 
 All times are nanoseconds.  Defaults model DDR3-1600 (tCK = 1.25 ns,
 11-11-11-28, BL8) per Table 1.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -159,12 +159,14 @@ class DRAMStats:
 
 
 class _Bank:
-    __slots__ = ("open_row", "ready_ns", "act_ns")
+    __slots__ = ("open_row", "ready_ns", "act_ns", "coords")
 
-    def __init__(self) -> None:
+    def __init__(self, coords: tuple[int, int, int]) -> None:
         self.open_row: Optional[int] = None
         self.ready_ns = 0.0
         self.act_ns = 0.0
+        #: ``(channel, rank, bank)``, the key of per-bank statistics.
+        self.coords = coords
 
 
 class DRAMSystem:
@@ -178,25 +180,23 @@ class DRAMSystem:
         geometry = config.geometry
         self._banks = [
             [
-                [_Bank() for _ in range(geometry.banks_per_rank)]
-                for _ in range(geometry.ranks_per_channel)
+                [_Bank((ch, rank, bank)) for bank in range(geometry.banks_per_rank)]
+                for rank in range(geometry.ranks_per_channel)
             ]
-            for _ in range(geometry.channels)
-        ]
-        #: Flat view of the same bank objects, indexed by
-        #: ``(channel * ranks + rank) * banks + bank`` — the wave kernel's
-        #: vectorised address decomposition lands directly on this.
-        self._flat_banks = [
-            bank
-            for channel in self._banks
-            for rank in channel
-            for bank in rank
+            for ch in range(geometry.channels)
         ]
         self._bus_free_ns = [0.0] * geometry.channels
         #: Rolling activate history per (channel, rank) for tFAW.
-        self._act_history: dict[tuple[int, int], list[float]] = {}
-        # Wave-kernel constants, hoisted once (config is frozen): timing
-        # conversions and the positional address-decompose plan.
+        self._act_history: dict[tuple[int, int], list[float]] = {
+            (ch, rank): []
+            for ch in range(geometry.channels)
+            for rank in range(geometry.ranks_per_channel)
+        }
+        #: addr -> ``(row, channel, bank, tFAW history)``: everything the
+        #: wave kernel needs that depends only on the address, filled in
+        #: bulk by :meth:`premap` and lazily for addresses it never saw.
+        self._locations: dict[int, tuple[int, int, _Bank, list[float]]] = {}
+        # Wave-kernel timing conversions, hoisted once (config is frozen).
         timing = config.timing
         self._wave_consts = (
             timing.ns(timing.cl),
@@ -209,15 +209,6 @@ class DRAMSystem:
             timing.ns(timing.tfaw),
             timing.trefi_ns,
             timing.trefi_ns - timing.trfc_ns,
-        )
-        spec = self.mapper.field_spec
-        self._wave_sizes = tuple(size for _, size in spec)
-        names = [name for name, _ in spec]
-        self._wave_pos = (
-            names.index("channel"),
-            names.index("rank"),
-            names.index("bank"),
-            names.index("row"),
         )
         self.stats = DRAMStats()
         self.obs = obs if obs is not None else NULL_OBS
@@ -270,8 +261,7 @@ class DRAMSystem:
                 t += timing.ns(timing.trp)
             # tFAW: at most four activates per rank per rolling window.
             if timing.tfaw:
-                key = (loc.channel, loc.rank)
-                history = self._act_history.setdefault(key, [])
+                history = self._act_history[loc.channel, loc.rank]
                 if len(history) >= 4:
                     t = max(t, history[-4] + timing.ns(timing.tfaw))
                 history.append(t)
@@ -304,9 +294,7 @@ class DRAMSystem:
         else:
             self.stats.row_misses += 1
         if self._track_banks:
-            entry = self.stats.per_bank.setdefault(
-                (loc.channel, loc.rank, loc.bank), [0, 0]
-            )
+            entry = self.stats.per_bank.setdefault(bank.coords, [0, 0])
             entry[0 if row_hit else 1] += 1
         return AccessTiming(start, complete, row_hit)
 
@@ -326,6 +314,55 @@ class DRAMSystem:
 
     # -- batched access (the wave kernel) ----------------------------------
 
+    def premap(self, addrs: Iterable[int]) -> None:
+        """Decompose ``addrs`` into the location table in one array pass.
+
+        A replay calls this once with the set of its trace's addresses,
+        so :meth:`service_wave` never decomposes an address per request.
+        The table is sized for ``addrs`` up front and keeps their int
+        objects as keys, and addresses in one row of one bank share one
+        entry tuple, so the table costs little more than its dict slots.
+        """
+        table: dict = dict.fromkeys(addrs)
+        geometry = self.config.geometry
+        fields = self.mapper.map_arrays(
+            np.fromiter(table, dtype=np.int64, count=len(table))
+        )
+        bank_rows = (
+            (fields["row"] * geometry.channels + fields["channel"])
+            * geometry.ranks_per_channel
+            + fields["rank"]
+        ) * geometry.banks_per_rank + fields["bank"]
+        _, first, inverse = np.unique(
+            bank_rows, return_index=True, return_inverse=True
+        )
+        banks = self._banks
+        history = self._act_history
+        entries = [
+            (row, ch, banks[ch][rank][bank], history[ch, rank])
+            for row, ch, rank, bank in zip(
+                *(
+                    fields[name][first].tolist()
+                    for name in ("row", "channel", "rank", "bank")
+                )
+            )
+        ]
+        for addr, index in zip(table, inverse.tolist()):
+            table[addr] = entries[index]
+        table.update(self._locations)
+        self._locations = table
+
+    def _locate(self, addr: int) -> tuple[int, int, _Bank, list[float]]:
+        """Location-table entry for an address :meth:`premap` never saw."""
+        loc = self.mapper.map(addr)
+        entry = self._locations[addr] = (
+            loc.row,
+            loc.channel,
+            self._banks[loc.channel][loc.rank][loc.bank],
+            self._act_history[loc.channel, loc.rank],
+        )
+        return entry
+
     def service_wave(
         self, requests: Sequence[tuple[int, bool]], now_ns: float
     ) -> tuple[list[float], list[float], list[bool]]:
@@ -333,63 +370,15 @@ class DRAMSystem:
 
         Bit-exact replacement for calling :meth:`access` once per request
         at the same ``now_ns`` (same float operations in the same order,
-        same bank/bus/stats mutations), but with the address decomposition
-        vectorised up front and the command-timing recurrence run as one
-        tight loop over pre-resolved bank state.  Returns per-request
-        ``(start_ns, complete_ns, row_hit)`` as three parallel lists.
+        same bank/bus/stats mutations), run as one tight loop over the
+        location table.  Returns per-request ``(start_ns, complete_ns,
+        row_hit)`` as three parallel lists.
 
         The serial recurrence is irreducible — each request's start time
         depends on the bank/bus state its predecessors left behind — so
         this is a kernel over a *wave*, carrying bank state across calls
         exactly like the scalar path does.
         """
-        n = len(requests)
-        if n == 0:
-            return [], [], []
-        geometry = self.config.geometry
-        if n <= 24:
-            # A short wave (one MSHR group): the pure-Python decomposition
-            # beats the numpy path's array setup.  Same integer arithmetic
-            # either way — see AddressMapper.map_lists.
-            block_bytes = geometry.block_bytes
-            total_blocks = geometry.total_blocks
-            sizes = self._wave_sizes
-            ch_pos, rank_pos, bank_pos, row_pos = self._wave_pos
-            channels = []
-            rows = []
-            ranks = []
-            flat_index = []
-            rpc = geometry.ranks_per_channel
-            bpr = geometry.banks_per_rank
-            vals = [0] * len(sizes)
-            for request in requests:
-                block = (request[0] // block_bytes) % total_blocks
-                for j, size in enumerate(sizes):
-                    vals[j] = block % size
-                    block //= size
-                ch = vals[ch_pos]
-                rank = vals[rank_pos]
-                channels.append(ch)
-                rows.append(vals[row_pos])
-                ranks.append(rank)
-                flat_index.append(
-                    (ch * rpc + rank) * bpr + vals[bank_pos]
-                )
-        else:
-            addrs = np.fromiter(
-                (request[0] for request in requests), dtype=np.int64, count=n
-            )
-            fields = self.mapper.map_arrays(addrs)
-            channel = fields["channel"]
-            rows = fields["row"].tolist()
-            flat_index = (
-                (channel * geometry.ranks_per_channel + fields["rank"])
-                * geometry.banks_per_rank
-                + fields["bank"]
-            ).tolist()
-            channels = channel.tolist()
-            ranks = fields["rank"].tolist()
-
         (
             cl_ns,
             trp_ns,
@@ -403,21 +392,21 @@ class DRAMSystem:
             refresh_edge,
         ) = self._wave_consts
         closed = self.config.page_policy is PagePolicy.CLOSED
-        flat_banks = self._flat_banks
+        table = self._locations
         bus = self._bus_free_ns
-        history_map = self._act_history
         track = self._track_banks
         per_bank = self.stats.per_bank
 
         busy_ns = self.stats.busy_ns
-        reads = writes = row_hits = row_misses = 0
+        writes = row_hits = 0
         starts: list[float] = []
         completes: list[float] = []
         hits: list[bool] = []
-        for request, row, ch, rank, flat in zip(
-            requests, rows, channels, ranks, flat_index
-        ):
-            bank = flat_banks[flat]
+        for addr, is_write in requests:
+            loc = table.get(addr)
+            if loc is None:
+                loc = self._locate(addr)
+            row, ch, bank, history = loc
             start = now_ns if now_ns > bank.ready_ns else bank.ready_ns
             if trefi > 0:
                 position = start % trefi
@@ -425,6 +414,7 @@ class DRAMSystem:
                     start = start - position + trefi
             if bank.open_row == row:
                 row_hit = True
+                row_hits += 1
                 data_ready = start + cl_ns
             else:
                 row_hit = False
@@ -435,10 +425,6 @@ class DRAMSystem:
                         t = after_ras
                     t += trp_ns
                 if tfaw:
-                    key = (ch, rank)
-                    history = history_map.get(key)
-                    if history is None:
-                        history = history_map[key] = []
                     if len(history) >= 4:
                         window = history[-4] + tfaw_ns
                         if window > t:
@@ -462,19 +448,10 @@ class DRAMSystem:
                 )
                 bank.open_row = None
             busy_ns += complete - start
-            if request[1]:
+            if is_write:
                 writes += 1
-            else:
-                reads += 1
-            if row_hit:
-                row_hits += 1
-            else:
-                row_misses += 1
             if track:
-                entry = per_bank.setdefault(
-                    (ch, rank, flat % geometry.banks_per_rank),
-                    [0, 0],
-                )
+                entry = per_bank.setdefault(bank.coords, [0, 0])
                 entry[0 if row_hit else 1] += 1
             starts.append(start)
             completes.append(complete)
@@ -482,10 +459,10 @@ class DRAMSystem:
 
         stats = self.stats
         stats.busy_ns = busy_ns
-        stats.reads += reads
+        stats.reads += len(starts) - writes
         stats.writes += writes
         stats.row_hits += row_hits
-        stats.row_misses += row_misses
+        stats.row_misses += len(starts) - row_hits
         return starts, completes, hits
 
     def access_batch(

@@ -13,10 +13,12 @@ Wave-deferred DRAM timing
     ``stall_until`` does.  So the replay does all cache and controller
     bookkeeping inline (in exact scalar order), merely *recording* the
     DRAM requests, and services the whole wave at the wave boundary
-    through :meth:`~repro.memory.dram.DRAMSystem.service_wave` — the
-    vectorised FR-FCFS kernel that carries bank state across waves.
-    Trace events are buffered in scalar order and flushed after timing
-    resolves, so deferral never reorders or re-times an event.
+    through :meth:`~repro.memory.dram.DRAMSystem.service_wave`, which
+    serves it in arrival order and carries bank state across waves.  The
+    replay premaps its trace addresses into the DRAM location table
+    first, so no request decomposes its address.  Trace events are
+    buffered in scalar order and flushed after timing resolves, so
+    deferral never reorders or re-times an event.
 
 Content-free fault-free accesses
     On the fault-free path ``decode(encode(x)) == x``: stored payload
@@ -58,6 +60,9 @@ _CONTENT_MODES = frozenset(
 
 #: Stand-in line payload; the batch path never reads cached bytes back.
 _PLACEHOLDER = bytes(64)
+
+#: ``(compressible, alias)`` of every block in a mode that never classifies.
+_UNCLASSIFIED = (False, False)
 
 #: Process-level classification store shared by every oracle.  Content is
 #: a pure function of ``(profile, seed, addr, version)`` and a
@@ -158,7 +163,7 @@ class ContentOracle:
         construction.
         """
         if not self._active:
-            return (False, False)
+            return _UNCLASSIFIED
         store = self._stores[core_index]
         key = (addr, version)
         entry = store.get(key)
@@ -238,6 +243,7 @@ class BatchReplay:
         self._cycle_ns = self.config.cycle_ns
         #: Only COP-ER's entry allocation ever consumes raw bytes.
         self._need_content = self.memory.mode is ProtectionMode.COP_ER
+        self._classify = self.oracle.active
         self._obs_enabled = self.obs.enabled
 
     # -- main loop ---------------------------------------------------------
@@ -264,6 +270,7 @@ class BatchReplay:
                 )
                 for epochs in arrays
             ]
+            self.dram.premap(set().union(*(plan[2] for plan in plans)))
             cursors = [0] * len(cores)
             heap = [(0.0, i) for i in range(len(cores))]
             heapq.heapify(heap)
@@ -403,7 +410,11 @@ class BatchReplay:
         memory = self.memory
         need_content = self._need_content
         version = versions.setdefault(addr, 0)
-        compressible, alias = oracle.kind(core_index, addr, version)
+        compressible, alias = (
+            oracle.kind(core_index, addr, version)
+            if self._classify
+            else _UNCLASSIFIED
+        )
         result = memory.fast_write(
             addr,
             compressible,
@@ -441,7 +452,11 @@ class BatchReplay:
         addr = victim.addr
         version = self._versions.get(addr, 0)
         writer = self._writer.get(addr, core_index)
-        compressible, alias = self.oracle.kind(writer, addr, version)
+        compressible, alias = (
+            self.oracle.kind(writer, addr, version)
+            if self._classify
+            else _UNCLASSIFIED
+        )
         result = memory.fast_write(
             addr,
             compressible,

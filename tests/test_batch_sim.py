@@ -9,6 +9,7 @@ and the trace-event stream (wall-clock fields excluded — two runs of
 *anything* disagree on those).
 """
 
+import inspect
 import io
 import json
 from dataclasses import asdict, replace
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.controller import ProtectedMemory, ProtectionMode
+from repro.experiments import simruns
 from repro.experiments.common import Scale
 from repro.experiments.simruns import run_benchmark, run_mix
 from repro.obs import Observability
@@ -157,6 +159,64 @@ class TestBenchmarkParity:
         batch_metrics, batch_events = run(BATCH_SYSTEM)
         assert scalar_metrics == batch_metrics
         assert scalar_events == batch_events
+
+
+class TestTraceReuse:
+    """The mode jobs of one benchmark share one read-only trace per core."""
+
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        """The trace lists ``run_benchmark`` hands the simulator."""
+        seen = []
+        real = simruns.MultiCoreSystem
+
+        def capture(memory, traces, *args, **kwargs):
+            seen.append(list(traces))
+            return real(memory, traces, *args, **kwargs)
+
+        monkeypatch.setattr(simruns, "MultiCoreSystem", capture)
+        simruns._trace_arrays.cache_clear()
+        return seen
+
+    def test_modes_get_equal_traces(self, captured):
+        for mode in (ProtectionMode.COP, ProtectionMode.ECC_REGION):
+            run_benchmark(
+                "mcf", mode, scale=Scale.SMOKE, cores=2, system=BATCH_SYSTEM
+            )
+        first, second = captured
+        for a, b in zip(first, second):
+            for name in ("instructions", "starts", "addrs", "is_store"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+        profile = PROFILES["mcf"]
+        footprint = profile.footprint_mb * (1 << 20) // 64
+        fresh = TraceGenerator(
+            profile,
+            seed=11 * 1000 + 1,
+            footprint_blocks=max(2048, footprint // BATCH_SYSTEM.footprint_divider),
+            base_addr=1 << 40,
+        ).epoch_arrays(60)
+        assert np.array_equal(second[1].addrs, fresh.addrs)
+
+    def test_shared_arrays_are_read_only(self, captured):
+        run_benchmark(
+            "lbm", ProtectionMode.COP, scale=Scale.SMOKE, cores=1,
+            system=BATCH_SYSTEM,
+        )
+        trace = captured[0][0]
+        for name in ("instructions", "starts", "addrs", "is_store"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(trace, name)[0] = 1
+
+    def test_cache_stays_within_its_bound(self, captured):
+        bound = simruns._trace_arrays.cache_info().maxsize
+        for seed in range(bound + 3):
+            simruns._trace_arrays(PROFILES["gcc"], seed, 2048, 0, 5)
+        assert simruns._trace_arrays.cache_info().currsize == bound
+
+    def test_scalar_engine_streams_epochs(self, captured):
+        run_benchmark("gcc", ProtectionMode.COP, scale=Scale.SMOKE, cores=2)
+        assert all(inspect.isgenerator(trace) for trace in captured[0])
+        assert simruns._trace_arrays.cache_info().currsize == 0
 
 
 def _direct_pair(bench, mode, cores, epochs, seed):

@@ -1,8 +1,10 @@
 """Tests for the set-associative LLC with COP metadata."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from repro.cache.cache import SetAssocCache
+from repro.cache.cache import CacheStats, SetAssocCache
 
 
 def make_cache(sets=4, ways=2):
@@ -153,3 +155,126 @@ class TestStatsAndResidency:
     def test_insert_validates_data_length(self):
         with pytest.raises(ValueError):
             make_cache().insert(0, b"short")
+
+
+class _MinLastUseCache:
+    """Reference LLC with the original replacement rule.
+
+    Every resident line carries the tick of its last hit or fill, and the
+    victim is the unpinned line with the smallest tick.  Lines are
+    ``[addr, dirty, alias, was_uncompressed, last_use]`` lists.
+    """
+
+    def __init__(self, sets: int, ways: int) -> None:
+        self.ways = ways
+        self.sets: list[list[list]] = [[] for _ in range(sets)]
+        self.overflow: dict[int, list] = {}
+        self.stats = CacheStats()
+        self.tick = 0
+
+    def _find(self, addr):
+        cache_set = self.sets[(addr // 64) % len(self.sets)]
+        for line in cache_set:
+            if line[0] == addr:
+                return cache_set, line
+        return cache_set, None
+
+    def lookup(self, addr):
+        _, line = self._find(addr)
+        if line is not None:
+            self.tick += 1
+            line[4] = self.tick
+            self.stats.hits += 1
+            return line[:4]
+        if addr in self.overflow:
+            self.stats.hits += 1
+            self.stats.overflow_hits += 1
+            return self.overflow[addr][:4]
+        self.stats.misses += 1
+        return None
+
+    def peek(self, addr):
+        _, line = self._find(addr)
+        line = line if line is not None else self.overflow.get(addr)
+        return None if line is None else line[:4]
+
+    def insert(self, addr, dirty, alias, was_uncompressed):
+        if alias:
+            self.stats.alias_pins += 1
+        self.tick += 1
+        cache_set, line = self._find(addr)
+        line = line if line is not None else self.overflow.get(addr)
+        if line is not None:
+            line[1:5] = [line[1] or dirty, alias, was_uncompressed, self.tick]
+            return None
+        new_line = [addr, dirty, alias, was_uncompressed, self.tick]
+        if len(cache_set) < self.ways:
+            cache_set.append(new_line)
+            return None
+        unpinned = [line for line in cache_set if not line[2]]
+        if not unpinned:
+            self.stats.overflow_spills += 1
+            self.overflow[addr] = new_line
+            return None
+        victim = min(unpinned, key=lambda line: line[4])
+        cache_set.remove(victim)
+        cache_set.append(new_line)
+        self.stats.evictions += 1
+        if victim[1]:
+            self.stats.writebacks += 1
+        return victim[:4]
+
+    def invalidate(self, addr):
+        cache_set, line = self._find(addr)
+        if line is not None:
+            cache_set.remove(line)
+            return line[:4]
+        line = self.overflow.pop(addr, None)
+        return None if line is None else line[:4]
+
+
+def _fields(line):
+    if line is None:
+        return None
+    return [line.addr, line.dirty, line.alias, line.was_uncompressed]
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "lookup", "peek", "invalidate"]),
+        st.integers(min_value=0, max_value=9),  # block: a few tags per set
+        st.booleans(),  # dirty
+        st.integers(min_value=0, max_value=4),  # 0 = alias pin (1 in 5)
+        st.booleans(),  # was_uncompressed
+    ),
+    min_size=20,
+    max_size=80,
+)
+
+
+class TestLRUDifferential:
+    """The LRU-ordered sets pick exactly the min-last-use victim."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_OPS, sets=st.sampled_from([1, 2]), ways=st.sampled_from([2, 3, 4]))
+    def test_matches_min_last_use_reference(self, ops, sets, ways):
+        cache = make_cache(sets=sets, ways=ways)
+        ref = _MinLastUseCache(sets, ways)
+        for op, block, dirty, pin, was_uncompressed in ops:
+            addr = block * 64
+            if op == "insert":
+                eviction = cache.insert(
+                    addr,
+                    bytes(64),
+                    dirty=dirty,
+                    alias=pin == 0,
+                    was_uncompressed=was_uncompressed,
+                )
+                got = None if eviction is None else _fields(eviction.line)
+                assert got == ref.insert(addr, dirty, pin == 0, was_uncompressed)
+            else:
+                assert _fields(getattr(cache, op)(addr)) == getattr(ref, op)(addr)
+            assert cache.stats == ref.stats
+        assert sorted(_fields(line) for line in cache.resident_lines()) == sorted(
+            line[:4] for lines in (*ref.sets, ref.overflow.values()) for line in lines
+        )

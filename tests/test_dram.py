@@ -1,11 +1,20 @@
 """Tests for the DRAM address mapping and timing model."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memory.address import AddressMapper, DRAMGeometry, MappedAddress
-from repro.memory.dram import DDR3_1600, DRAMConfig, DRAMSystem, DRAMTiming
+from repro.memory.dram import (
+    DDR3_1600,
+    DRAMConfig,
+    DRAMSystem,
+    DRAMTiming,
+    PagePolicy,
+)
+from repro.obs import Observability
 
 
 class TestGeometry:
@@ -233,6 +242,65 @@ class TestBatchScheduling:
             expected[i] = reference.access(addr, write, 1000.0)
         got = batch.access_batch(requests, 1000.0)
         assert got == expected
+
+
+def _dram_state(dram):
+    banks = [
+        (bank.open_row, bank.ready_ns, bank.act_ns)
+        for channel in dram._banks
+        for rank in channel
+        for bank in rank
+    ]
+    return banks, list(dram._bus_free_ns), dram._act_history, dram.stats
+
+
+class TestServiceWave:
+    """``service_wave`` over the location table is a loop of ``access``."""
+
+    @pytest.mark.parametrize("track", [False, True])
+    @pytest.mark.parametrize("policy", list(PagePolicy))
+    def test_matches_access_loop_across_waves(self, track, policy):
+        config = DRAMConfig(page_policy=policy)
+        reference = DRAMSystem(config, obs=Observability.create() if track else None)
+        dram = DRAMSystem(config, obs=Observability.create() if track else None)
+        assert dram._track_banks is track
+        rng = random.Random(13)
+        # Trace addresses: sequential runs and random jumps in a rate-mode
+        # copy's address space, premapped in one call.
+        trace = [(1 << 40) + (i + rng.randrange(2) * 997) * 64 for i in range(600)]
+        dram.premap(set(trace))
+        premapped = len(dram._locations)
+        # ECC-region style addresses the premap never saw.
+        ecc = [(7 << 30) + rng.randrange(64) * 64 for _ in range(40)]
+        now = 0.0
+        for size in (1, 3, 24, 25, 60, 90, 7):
+            requests = [
+                (rng.choice(ecc if rng.random() < 0.2 else trace), rng.random() < 0.3)
+                for _ in range(size)
+            ]
+            expected = [reference.access(addr, write, now) for addr, write in requests]
+            starts, completes, hits = dram.service_wave(requests, now)
+            assert starts == [t.start_ns for t in expected]
+            assert completes == [t.complete_ns for t in expected]
+            assert hits == [t.row_hit for t in expected]
+            assert _dram_state(dram) == _dram_state(reference)
+            now = max(completes) - 50.0
+        assert len(dram._locations) > premapped  # ECC addresses mapped lazily
+        assert set(ecc) & set(dram._locations)
+
+    def test_premapped_entries_match_mapper(self):
+        dram = DRAMSystem()
+        addrs = [i * 64 for i in range(0, 4096, 3)] + [(1 << 40) + 64 * 300]
+        dram.premap(set(addrs))
+        for addr in addrs:
+            row, ch, bank, history = dram._locations[addr]
+            loc = dram.mapper.map(addr)
+            assert (row, ch) == (loc.row, loc.channel)
+            assert bank is dram._banks[loc.channel][loc.rank][loc.bank]
+            assert history is dram._act_history[loc.channel, loc.rank]
+
+    def test_empty_wave(self):
+        assert DRAMSystem().service_wave([], 0.0) == ([], [], [])
 
 
 class TestTimingValidation:
