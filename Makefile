@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench results report examples lint obs-smoke par-smoke chaos-smoke kernels-smoke sim-parity-smoke bench-trajectory trace-smoke service-smoke service-chaos-smoke race-smoke clean
+.PHONY: install test bench results report examples lint obs-smoke par-smoke chaos-smoke kernels-smoke bench-trajectory trace-smoke service-smoke service-chaos-smoke race-smoke clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -94,29 +94,14 @@ kernels-smoke:
 	diff /tmp/cop-kern-scalar/fig9.txt /tmp/cop-kern-batch/fig9.txt
 	@echo "kernels-smoke: batch output is byte-identical to scalar"
 
-# Scalar/batch parity gate for the *simulator*: the full Fig. 11 sweep
-# through the scalar MultiCoreSystem loop and through the batched
-# epoch-replay engine (--batch) into separate results dirs, then
-# byte-compare the saved tables (see docs/kernels.md, "Batched epoch
-# replay").
-sim-parity-smoke:
-	REPRO_RESULTS_DIR=/tmp/cop-sim-scalar PYTHONPATH=src \
-		$(PYTHON) -m repro.experiments.cli fig11 --scale smoke
-	REPRO_RESULTS_DIR=/tmp/cop-sim-batch PYTHONPATH=src \
-		$(PYTHON) -m repro.experiments.cli fig11 --scale smoke --batch
-	diff /tmp/cop-sim-scalar/fig11.json /tmp/cop-sim-batch/fig11.json
-	diff /tmp/cop-sim-scalar/fig11.txt /tmp/cop-sim-batch/fig11.txt
-	@echo "sim-parity-smoke: batched replay output is byte-identical to scalar"
-
 # Performance-trajectory smoke: run the fast bench suites twice into a
 # fresh results dir — the first run seeds results/trajectory.jsonl, the
 # second diffs against it and exercises the regression gate (generous
 # threshold: CI machines are noisy; the gate *mechanism* is what this
 # target smokes — tighter gates belong on dedicated perf hardware).
 # Artifacts land in /tmp/cop-bench-results/BENCH_<suite>.json
-# (see docs/perf-trajectory.md).  The sim suite (scalar vs batched
-# epoch replay at SMALL scale) is heavier, so it runs once; its
-# regression gate is the simgate speedup floor, not the trajectory diff.
+# (see docs/perf-trajectory.md).  The sim suite (Fig. 11 sweeps at
+# SMALL scale) is the heaviest; it runs and is gated like the others.
 bench-trajectory:
 	rm -rf /tmp/cop-bench-results
 	REPRO_RESULTS_DIR=/tmp/cop-bench-results PYTHONPATH=src \
@@ -126,14 +111,12 @@ bench-trajectory:
 	REPRO_RESULTS_DIR=/tmp/cop-bench-results PYTHONPATH=src \
 		$(PYTHON) -m repro.experiments.cli bench --scale smoke \
 		--suite kernels --suite runner --suite service --suite lint \
-		--compare --gate 200
+		--suite sim --compare --gate 200
 	@test -s /tmp/cop-bench-results/BENCH_kernels.json
 	@test -s /tmp/cop-bench-results/BENCH_runner.json
 	@test -s /tmp/cop-bench-results/BENCH_service.json
 	@test -s /tmp/cop-bench-results/BENCH_lint.json
 	@test -s /tmp/cop-bench-results/BENCH_sim.json
-	PYTHONPATH=src $(PYTHON) -m repro.bench.simgate \
-		/tmp/cop-bench-results/BENCH_sim.json --min-speedup 5
 	@echo "bench-trajectory: artifacts written, compare + gate exercised"
 
 # Cross-worker tracing gate: the same traced figure serially and with

@@ -1,32 +1,23 @@
-"""Benchmark: scalar vs batched epoch replay (the Fig. 11 hot path).
+"""Benchmark: the Fig. 11 hot path of the interval simulator.
 
 Each case times one fig11-style sweep — four protection modes over one
-memory-intensive benchmark at SMALL scale — through the scalar
-``MultiCoreSystem`` loop and through the ``use_batch`` engine
-(:mod:`repro.simulation.batch`).  The recorded ``BENCH_sim.json`` pairs
-``fig11_sweep_scalar_<bench>`` with ``fig11_sweep_batch_<bench>``;
-``python -m repro.bench.simgate`` turns those pairs into end-to-end
-speedups and gates the median (wired into ``make bench-trajectory``).
+memory-intensive benchmark at SMALL scale — through
+``MultiCoreSystem.run``.  ``cop-experiments bench --suite sim`` records
+the cases as ``fig11_sweep_<bench>`` in ``BENCH_sim.json``, and the
+trajectory's ``--compare --gate`` check covers them like every other
+suite.
 
-The batch cases run with ``warmup=1`` so the process-level
-classification store (:data:`repro.simulation.batch._STORE`) is warm —
-the steady state of a multi-mode sweep, which is exactly how fig11 uses
-the engine.  The speedups only mean anything because the two paths are
-bit-exact; ``tests/test_batch_sim.py`` and ``make sim-parity-smoke``
-enforce that.
+The cases run with ``warmup=1`` so the process-level classification
+store (:data:`repro.simulation.content._STORE`) is warm — the steady
+state of a multi-mode sweep, which is exactly how fig11 uses the engine.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
-
-import pytest
 
 from repro.bench import perf_case
 from repro.core.controller import ProtectionMode
 from repro.experiments.common import Scale
 from repro.experiments.simruns import run_benchmark
-from repro.simulation.config import SCALED_SYSTEM
 
 #: Fig. 11's comparison set: the unprotected baseline, both COP variants
 #: and the strongest conventional baseline.
@@ -41,19 +32,10 @@ _MODES = (
 _BENCHES = ("lbm", "mcf", "omnetpp")
 
 
-def _sweep(bench: str, use_batch: bool):
-    system = replace(SCALED_SYSTEM, use_batch=use_batch)
-
+def _sweep(bench: str):
     def run():
         for mode in _MODES:
-            run_benchmark(
-                bench,
-                mode,
-                scale=Scale.SMALL,
-                cores=4,
-                system=system,
-                track=False,
-            )
+            run_benchmark(bench, mode, scale=Scale.SMALL, cores=4, track=False)
 
     return run
 
@@ -61,33 +43,6 @@ def _sweep(bench: str, use_batch: bool):
 # -- trajectory cases (run by `cop-experiments bench --suite sim`) ------------
 
 for _bench in _BENCHES:
-    # Scalar sweeps are deterministic cold; skip the warmup repeat to keep
-    # the suite's wall time down.
-    perf_case(suite="sim", name=f"fig11_sweep_scalar_{_bench}", repeats=2, warmup=0)(
-        lambda bench=_bench: _sweep(bench, use_batch=False)
+    perf_case(suite="sim", name=f"fig11_sweep_{_bench}", repeats=3, warmup=1)(
+        lambda bench=_bench: _sweep(bench)
     )
-    perf_case(suite="sim", name=f"fig11_sweep_batch_{_bench}", repeats=3, warmup=1)(
-        lambda bench=_bench: _sweep(bench, use_batch=True)
-    )
-
-
-@pytest.mark.parametrize("bench", _BENCHES)
-def test_batch_sweep_matches_scalar_here(bench):
-    """A speedup between diverging paths is meaningless — spot-check
-    bit-equality on this machine (the full matrix lives in
-    ``tests/test_batch_sim.py``)."""
-    from dataclasses import asdict
-
-    scalar = run_benchmark(
-        bench, ProtectionMode.COP, scale=Scale.SMOKE, cores=2, track=False
-    )
-    batch = run_benchmark(
-        bench,
-        ProtectionMode.COP,
-        scale=Scale.SMOKE,
-        cores=2,
-        system=replace(SCALED_SYSTEM, use_batch=True),
-        track=False,
-    )
-    assert asdict(scalar.perf) == asdict(batch.perf)
-    assert scalar.memory.stats.as_dict() == batch.memory.stats.as_dict()

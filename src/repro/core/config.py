@@ -43,9 +43,12 @@ class COPConfig:
         model ("an additional decode/decompress latency of 4 cycles").
     use_batch:
         Route the controller's codec through the content-keyed memo cache
-        of :mod:`repro.kernels` (and let harnesses pick batch kernels).
+        of :mod:`repro.kernels` (the service's default) and let the
+        block-scan harnesses (Figs. 1/4/8/9, Table 3) pick batch kernels.
         Purely a software-model acceleration: results are bit-for-bit
         identical to the scalar reference codec (see docs/kernels.md).
+        The interval simulator classifies through its own array pass and
+        does not consult it.
     """
 
     ecc_bytes: int = 4

@@ -62,8 +62,8 @@ __all__ = [
 #: ECC-Region baseline (2-byte entry per block "to facilitate addressing").
 _BASELINE_ENTRIES_PER_BLOCK = 32
 
-#: Shared stand-in image stored by the fast timing-model paths; the batch
-#: replay engine never reads payload bytes back, only contents *keys*.
+#: Shared stand-in image stored by the fast timing-model paths; the
+#: simulator never reads payload bytes back, only contents *keys*.
 _PLACEHOLDER = bytes(BLOCK_BYTES)
 
 
@@ -156,8 +156,9 @@ class AccessResult:
 
 #: Shared outcomes for the fast timing-model paths.  ``AccessResult`` is
 #: frozen, so identical results can be one object — constructing a
-#: nine-field frozen dataclass per access is measurable in the batch
-#: replay.  Addr-dependent results (ECC tuples) are cached per instance.
+#: nine-field frozen dataclass per access is measurable in the
+#: simulator's replay.  Addr-dependent results (ECC tuples) are cached
+#: per instance.
 _RESULT_WRITE_OK = AccessResult()
 _RESULT_WRITE_REJECTED = AccessResult(accepted=False)
 _RESULT_WRITE_COMPRESSED = AccessResult(compressed=True)
@@ -512,18 +513,19 @@ class ProtectedMemory:
             ecc_reads=(self.entry_block_addr(loaded.entry_index),),
         )
 
-    # -- fast timing-model paths (batched replay; docs/kernels.md) -----------
+    # -- fast timing-model paths (the simulator's replay; docs/kernels.md) ----
     #
-    # The batched epoch-replay engine never observes stored payload bits on
-    # the fault-free path: decode(encode(x)) == x, nothing is corrected,
-    # and only the *classification* of a block (compressible / alias) and
-    # the mode bookkeeping reach the stats, the trace events, and the
-    # timing model.  ``fast_write``/``fast_read`` therefore mirror
-    # ``write``/``read`` exactly in every observable effect — counters,
-    # contents keys, entry/region state, trace events, AccessResult flags
-    # and ECC addresses — while skipping content generation, compression,
-    # and all parity arithmetic.  The parity suite (tests/test_batch_sim.py)
-    # enforces the equivalence end to end.
+    # The interval simulator never observes stored payload bits on the
+    # fault-free path: decode(encode(x)) == x, nothing is corrected, and
+    # only the *classification* of a block (compressible / alias) and the
+    # mode bookkeeping reach the stats, the trace events, and the timing
+    # model.  ``fast_write``/``fast_read`` therefore mirror ``write``/
+    # ``read`` exactly in every observable effect — counters, contents
+    # keys, entry/region state, trace events, AccessResult flags and ECC
+    # addresses — while skipping content generation, compression, and all
+    # parity arithmetic.  A hypothesis differential in
+    # tests/test_batch_sim.py drives both pairs with the same write/read
+    # sequences in every mode and requires equal state.
 
     def fast_write(
         self,
@@ -540,8 +542,8 @@ class ProtectedMemory:
         is a lazy thunk producing the raw 64 bytes, consulted only when
         COP-ER must run real entry allocation (pointer de-aliasing is
         content-dependent).  ``events`` collects deferred trace events —
-        the batch engine buffers them so wave-level reordering cannot leak
-        into the trace; ``None`` emits directly.
+        the simulator buffers them so wave-level deferral cannot leak into
+        the trace; ``None`` emits directly.
         """
         if addr % BLOCK_BYTES:
             raise ValueError("address must be block aligned")
@@ -627,19 +629,7 @@ class ProtectedMemory:
                     "COP-ER fast_write needs the block content to allocate "
                     "a de-aliased entry"
                 )
-            block = content()
-            formatter = self.formatter
-
-            def acceptable(index: int) -> bool:
-                return not formatter.codec.is_alias(
-                    formatter.embed_pointer(block, index)
-                )
-
-            aliased = False
-            entry = self.region.allocate(acceptable)
-            if entry is None:
-                entry = self.region.allocate()  # accept an aliasing pointer
-                aliased = entry is not None
+            entry, aliased = self.formatter.allocate_entry(content())
             if entry is None or aliased:
                 if entry is not None:
                     self.region.free(entry)

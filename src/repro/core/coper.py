@@ -326,6 +326,23 @@ class CoperBlockFormat:
 
     # -- store / load ----------------------------------------------------------
 
+    def allocate_entry(self, block: bytes) -> tuple[Optional[int], bool]:
+        """Claim an entry whose embedded pointer leaves ``block`` alias-free.
+
+        Returns ``(index, aliased)``.  ``index`` is None when the region is
+        exhausted; ``aliased`` is True when no candidate pointer de-aliases
+        the block and an aliasing one was taken instead.
+        """
+
+        def acceptable(index: int) -> bool:
+            return not self.codec.is_alias(self.embed_pointer(block, index))
+
+        index = self.region.allocate(acceptable)
+        if index is not None:
+            return index, False
+        index = self.region.allocate()  # accept an aliasing pointer
+        return index, index is not None
+
     def store_incompressible(self, block: bytes) -> Optional[StoredIncompressible]:
         """Allocate an entry, displace data, embed the pointer.
 
@@ -336,17 +353,9 @@ class CoperBlockFormat:
         if len(block) != BLOCK_BYTES:
             raise ValueError("block must be 64 bytes")
         block_int = bytes_to_int(block)
-
-        def acceptable(index: int) -> bool:
-            return not self.codec.is_alias(self.embed_pointer(block, index))
-
-        aliased = False
-        index = self.region.allocate(acceptable)
+        index, aliased = self.allocate_entry(block)
         if index is None:
-            index = self.region.allocate()  # accept an aliasing pointer
-            if index is None:
-                return None
-            aliased = True
+            return None
         displaced = self._gather(block_int)
         parity = self.block_code.check_of(self.block_code.encode(block_int))
         self.region.store(index, displaced, parity)

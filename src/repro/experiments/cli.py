@@ -280,7 +280,8 @@ def _call_experiment(fn, scale, workers=None, use_cache=None, use_batch=None):
 
     The simulation-matrix harnesses (Figs. 10-12, sweeps, mixes) accept
     ``workers``/``use_cache``; the cheap analytic ones take just a scale.
-    ``use_batch`` reaches the harnesses wired through repro.kernels.
+    ``use_batch`` reaches the block-scan harnesses wired through
+    repro.kernels.
     """
     import inspect
 
@@ -367,9 +368,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--batch",
         action="store_true",
-        help="route block scans through the vectorised repro.kernels "
-        "batch codec where the harness supports it; outputs are "
-        "bit-identical to the scalar path (see docs/kernels.md)",
+        help="route the block-scan harnesses (Figs. 1/4/8/9, Table 3) "
+        "through the vectorised repro.kernels batch codec; outputs are "
+        "bit-identical to the scalar path (see docs/kernels.md); the "
+        "simulation figures have one engine and ignore it",
     )
     parser.add_argument(
         "--chart",

@@ -10,7 +10,6 @@ writeback — trails COP-ER by ~8 %.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from repro.core.controller import ProtectionMode
@@ -34,15 +33,8 @@ def run(
     cores: int = 4,
     workers: Optional[int] = None,
     use_cache: Optional[bool] = None,
-    use_batch: Optional[bool] = None,
 ) -> ExperimentTable:
-    """Produce the Fig. 11 table.
-
-    ``use_batch`` replays the traces through the batched epoch-replay
-    engine (``--batch`` on the CLI); results are bit-identical to the
-    scalar loop — ``make sim-parity-smoke`` byte-diffs the two.
-    """
-    system = replace(SCALED_SYSTEM, use_batch=True) if use_batch else SCALED_SYSTEM
+    """Produce the Fig. 11 table."""
     table = ExperimentTable(
         title="Figure 11: IPC normalized to the unprotected configuration",
         columns=tuple(label for label, _ in MODES),
@@ -54,7 +46,7 @@ def run(
             mode=mode,
             scale=scale,
             cores=cores,
-            system=system,
+            system=SCALED_SYSTEM,
             track=False,
         )
         for name in MEMORY_INTENSIVE

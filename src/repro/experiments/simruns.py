@@ -96,13 +96,10 @@ def run_benchmark(
     for core in range(cores):
         base = 0 if shared_space else core * _CORE_STRIDE
         content_seed = seed if shared_space else seed * 1000 + core
-        trace_args = (profile, seed * 1000 + core, footprint_blocks, base)
-        # The batch engine takes the trace pre-flattened; the scalar loop
-        # streams Epoch objects.  Both draw the same RNG sequence.
         traces.append(
-            _trace_arrays(*trace_args, epoch_count)
-            if system.use_batch
-            else TraceGenerator(*trace_args).epochs(epoch_count)
+            _trace_arrays(
+                profile, seed * 1000 + core, footprint_blocks, base, epoch_count
+            )
         )
         sources.append(BlockSource(profile, seed=content_seed))
         ipcs.append(profile.perfect_ipc)
@@ -147,13 +144,14 @@ def run_mix(
             2048,
             profile.footprint_mb * (1 << 20) // 64 // system.footprint_divider,
         )
-        trace_args = (
-            profile, seed * 100 + core, footprint, core * _CORE_STRIDE
-        )
         traces.append(
-            _trace_arrays(*trace_args, epochs_for(scale))
-            if system.use_batch
-            else TraceGenerator(*trace_args).epochs(epochs_for(scale))
+            _trace_arrays(
+                profile,
+                seed * 100 + core,
+                footprint,
+                core * _CORE_STRIDE,
+                epochs_for(scale),
+            )
         )
         sources.append(BlockSource(profile, seed=seed * 100 + core))
         ipcs.append(profile.perfect_ipc)

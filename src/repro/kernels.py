@@ -100,7 +100,7 @@ def _check_array(blocks: np.ndarray) -> np.ndarray:
 # -- vector compressibility predicates ---------------------------------------
 #
 # Array translations of the scalar scheme ``compress(...) is not None``
-# decisions (the only part of the encoder the batch replay path consults).
+# decisions (the only part of the encoder the simulator's replay consults).
 # Each mirrors its scalar counterpart exactly, including the budget guards,
 # so ``compressible_many`` stays bit-identical to first-fit probing.
 
@@ -210,7 +210,7 @@ class BatchCodec:
         """Per-row compressibility: would ``encode`` store each row compressed?
 
         Vector form of ``compressor.compress(row, capacity_bits) is not
-        None`` — the only encode outcome the batch replay engine needs
+        None`` — the only encode outcome the simulator's replay needs
         (the stored payload bits never reach an observable output on the
         fault-free path).  The COP hybrids (TXT/MSB/RLE under a
         :class:`CombinedCompressor`) are evaluated with array predicates;

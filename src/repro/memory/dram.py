@@ -3,8 +3,8 @@
 The model tracks, per bank, the open row, the earliest time the bank can
 accept a new column/row command, and the last activate time (to honour
 tRAS before a precharge).  Each channel serialises data bursts on its bus.
-Requests are processed in arrival order, which is what both simulation
-engines use; :meth:`DRAMSystem.access_batch` offers FR-FCFS-style
+Requests are processed in arrival order, which is what the simulator
+uses; :meth:`DRAMSystem.access_batch` offers FR-FCFS-style
 reordering inside a batch of simultaneously ready requests (row hits
 first) to callers that want it.
 

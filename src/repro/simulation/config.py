@@ -33,11 +33,6 @@ class SystemConfig:
     #: overlap only up to this many at a time; 0 means unlimited (the
     #: pure interval-simulation assumption).
     mshrs: int = 16
-    #: Replay traces through the batched (struct-of-arrays) engine.  The
-    #: batch engine is bit-exact with the scalar loop — same stats, same
-    #: timings, same trace events (docs/kernels.md, "Batched epoch
-    #: replay") — it only changes how fast the answer arrives.
-    use_batch: bool = False
 
     @property
     def cycle_ns(self) -> float:

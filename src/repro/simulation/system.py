@@ -15,27 +15,60 @@ core).  A rejected writeback — an incompressible alias under plain COP —
 re-pins the line in the LLC with its alias bit set.
 
 Store semantics: a store to a block advances its content *version*; the
-new bytes come from the benchmark's :class:`BlockSource`, so data written
-back to memory keeps the benchmark's compressibility statistics fresh.
+new content comes from the benchmark's :class:`BlockSource`, so data
+written back to memory keeps the benchmark's compressibility statistics
+fresh.
 
 Cores are interleaved by simulated time (the core furthest behind runs
 next), which serialises DRAM contention realistically without an event
-queue.
+queue.  The replay rests on three observations:
+
+Wave-deferred DRAM timing
+    Within one MSHR wave every miss issues at the same time and no
+    LLC/controller *decision* depends on DRAM timings — only the epoch's
+    stall does.  So the replay does all cache and controller bookkeeping
+    inline, merely *recording* the DRAM requests, and services the whole
+    wave at the wave boundary through
+    :meth:`~repro.memory.dram.DRAMSystem.service_wave`, which serves it in
+    arrival order and carries bank state across waves.  Trace addresses
+    are premapped into the DRAM location table first, so no request
+    decomposes its address.  Trace events are buffered in issue order and
+    flushed after timing resolves, so deferral never reorders or re-times
+    an event.
+
+Content-free fault-free accesses
+    On the fault-free path ``decode(encode(x)) == x``: stored payload bits
+    never reach an observable output.  Only a block's *classification*
+    (compressible / alias) and the mode bookkeeping matter, so the replay
+    calls the controller's ``fast_write`` / ``fast_read`` and LLC lines
+    carry a placeholder payload.
+
+Vectorised classification
+    :class:`~repro.simulation.content.ContentOracle` classifies every
+    trace address's first-touch content in one array pass and store-bumped
+    versions lazily (see :mod:`repro.simulation.content`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+import heapq
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from repro.cache.cache import SetAssocCache
-from repro.core.controller import ProtectedMemory
+from repro.compression.base import BLOCK_BYTES
+from repro.core.controller import ProtectedMemory, ProtectionMode
+from repro.memory.dram import DRAMSystem
 from repro.reliability.parma import VulnerabilityTracker
 from repro.simulation.config import SystemConfig
+from repro.simulation.content import UNCLASSIFIED, ContentOracle
 from repro.workloads.blocks import BlockSource
-from repro.workloads.tracegen import Epoch
+from repro.workloads.tracegen import EpochArrays
 
 __all__ = ["CoreResult", "PerfResult", "MultiCoreSystem"]
+
+#: Stand-in line payload; the replay never reads cached bytes back.
+_PLACEHOLDER = bytes(BLOCK_BYTES)
 
 
 @dataclass
@@ -94,14 +127,29 @@ class PerfResult:
 
 
 class _CoreState:
-    __slots__ = ("epochs", "time_ns", "perfect_ipc", "result", "done")
+    __slots__ = ("epochs", "time_ns", "perfect_ipc", "result")
 
-    def __init__(self, epochs: Iterator[Epoch], perfect_ipc: float) -> None:
+    def __init__(self, epochs: EpochArrays, perfect_ipc: float) -> None:
         self.epochs = epochs
         self.time_ns = 0.0
         self.perfect_ipc = perfect_ipc
         self.result = CoreResult()
-        self.done = False
+
+
+class _Wave:
+    """Deferred state of one MSHR wave (shared ``issue_at``)."""
+
+    __slots__ = ("now_ns", "requests", "misses", "events")
+
+    def __init__(self, now_ns: float) -> None:
+        self.now_ns = now_ns
+        #: DRAM requests in issue order.
+        self.requests: List[Tuple[int, bool]] = []
+        #: Per miss: (data request idx, ecc request idxs, decompress ns,
+        #: deferred "access" event payload or None).
+        self.misses: List[Tuple[int, List[int], float, Optional[dict]]] = []
+        #: Trace events in issue order, flushed after timing resolves.
+        self.events: List[Tuple[str, dict]] = []
 
 
 class MultiCoreSystem:
@@ -110,7 +158,7 @@ class MultiCoreSystem:
     def __init__(
         self,
         memory: ProtectedMemory,
-        traces: Sequence[Iterator[Epoch]],
+        traces: Sequence[EpochArrays],
         sources: Sequence[BlockSource],
         perfect_ipcs: Sequence[float],
         config: SystemConfig,
@@ -126,42 +174,22 @@ class MultiCoreSystem:
         # a caller only has to enable observability in one place.
         self.obs = obs if obs is not None else memory.obs
         self.llc = SetAssocCache(config.llc_bytes, config.llc_ways, name="L3")
-        from repro.memory.dram import DRAMSystem  # local to avoid cycle
-
         self.dram = DRAMSystem(config.dram, obs=self.obs)
         self._cores = [
             _CoreState(trace, ipc) for trace, ipc in zip(traces, perfect_ipcs)
         ]
-        self._sources = list(sources)
+        self.oracle = ContentOracle(sources, memory.codec, memory.mode)
+        #: addr -> content version; a store advances it.
         self._versions: dict[int, int] = {}
-
-    # -- content management -----------------------------------------------
-
-    def _content(self, core_index: int, addr: int) -> bytes:
-        version = self._versions.get(addr, 0)
-        return self._sources[core_index].block(addr, version)
-
-    def _populate(self, core_index: int, addr: int, now_ns: float) -> None:
-        """First touch: materialise the block in DRAM."""
-        version = self._versions.setdefault(addr, 0)
-        data = self._sources[core_index].block(addr, version)
-        result = self.memory.write(addr, data)
-        while not result.accepted:
-            # The freshly generated block is an incompressible alias (odds
-            # ~2e-7): nudge the version until a storable image appears.
-            version += 1
-            self._versions[addr] = version
-            data = self._sources[core_index].block(addr, version)
-            result = self.memory.write(addr, data)
-        if self.tracker is not None:
-            # The data existed in DRAM since program start: stamp t=0 so
-            # its residency before this first read counts as vulnerable.
-            self.tracker.on_write(addr, 0.0, self._protected(result))
-        # Population is warm-up traffic; it does not occupy the DRAM model.
+        #: addr -> core whose source generates the current content.
+        self._writer: dict[int, int] = {}
+        #: Only COP-ER's entry allocation ever consumes raw bytes.
+        self._need_content = memory.mode is ProtectionMode.COP_ER
+        self._classify = self.oracle.active
+        self._obs_enabled = self.obs.enabled
+        self._cycle_ns = config.cycle_ns
 
     def _protected(self, write_result) -> bool:
-        from repro.core.controller import ProtectionMode
-
         mode = self.memory.mode
         if mode is ProtectionMode.UNPROTECTED:
             return False
@@ -169,46 +197,244 @@ class MultiCoreSystem:
             return write_result.compressed
         return True  # COP-ER / ECC-Region / ECC-DIMM protect everything
 
-    # -- writeback path ------------------------------------------------------
+    # -- main loop ---------------------------------------------------------
 
-    def _writeback(self, core_index: int, victim, now_ns: float):
+    def run(self) -> PerfResult:
+        """Replay all traces to completion; cores interleave by time."""
+        cores = self._cores
+        with self.obs.profile.phase("system.run"), self.obs.trace.span(
+            "system.run", cores=len(cores)
+        ):
+            self.oracle.prefetch([core.epochs.addrs for core in cores])
+            plans = [
+                (
+                    core.epochs.instructions.tolist(),
+                    core.epochs.starts.tolist(),
+                    core.epochs.addrs.tolist(),
+                    core.epochs.is_store.tolist(),
+                )
+                for core in cores
+            ]
+            self.dram.premap(set().union(*(plan[2] for plan in plans)))
+            cursors = [0] * len(cores)
+            heap = [(0.0, i) for i in range(len(cores))]
+            heapq.heapify(heap)
+            while heap:
+                _, index = heapq.heappop(heap)
+                instructions, starts, addrs, stores = plans[index]
+                cursor = cursors[index]
+                if cursor >= len(instructions):
+                    continue
+                cursors[index] = cursor + 1
+                self._run_epoch(
+                    index,
+                    instructions[cursor],
+                    addrs,
+                    stores,
+                    starts[cursor],
+                    starts[cursor + 1],
+                )
+                heapq.heappush(heap, (cores[index].time_ns, index))
+
+        self.publish_metrics()
+        return self._perf_result()
+
+    def _run_epoch(
+        self,
+        core_index: int,
+        instructions: int,
+        addrs: List[int],
+        stores: List[bool],
+        lo: int,
+        hi: int,
+    ) -> None:
+        core = self._cores[core_index]
+        config = self.config
+        compute_ns = (instructions / core.perfect_ipc) * config.cycle_ns
+        now_ns = core.time_ns + compute_ns
+
+        stall_until = now_ns
+        outstanding = 0
+        mshrs = config.mshrs
+        lookup = self.llc.lookup
+        versions = self._versions
+        versions_get = versions.get
+        writer = self._writer
+        miss = self._miss
+        wave = _Wave(now_ns)
+        for i in range(lo, hi):
+            addr = addrs[i]
+            line = lookup(addr)
+            if line is not None:
+                if stores[i]:
+                    # The store rewrites the line: advance its version.
+                    versions[addr] = versions_get(addr, 0) + 1
+                    writer[addr] = core_index
+                    line.dirty = True
+                continue
+            # MSHR limit: once a full wave of misses is outstanding, the
+            # next wave issues when the current one has drained.
+            if mshrs and outstanding >= mshrs:
+                stall_until = self._flush_wave(wave, stall_until)
+                outstanding = 0
+                wave = _Wave(stall_until)
+            miss(core_index, addr, stores[i], wave)
+            outstanding += 1
+        stall_until = self._flush_wave(wave, stall_until)
+
+        core.time_ns = stall_until
+        core.result.instructions += instructions
+        core.result.compute_ns += compute_ns
+        core.result.stall_ns += stall_until - now_ns
+        core.result.epochs += 1
+
+    # -- miss path ---------------------------------------------------------
+
+    def _miss(
+        self, core_index: int, addr: int, is_store: bool, wave: _Wave
+    ) -> None:
+        """Service one LLC miss; its timing resolves at the wave flush."""
+        memory = self.memory
+        llc = self.llc
+        now_ns = wave.now_ns
+        requests = wave.requests
+        if addr not in memory.contents:
+            self._populate(core_index, addr, wave)
+        read = memory.fast_read(addr)
+        if self.tracker is not None:
+            self.tracker.on_read(addr, now_ns)
+
+        data_idx = len(requests)
+        requests.append((addr, False))
+        ecc_idxs: List[int] = []
+        for ecc_addr in read.ecc_reads:
+            if llc.lookup(ecc_addr) is None:
+                ecc_idxs.append(len(requests))
+                requests.append((ecc_addr, False))
+                eviction = llc.insert(ecc_addr, _PLACEHOLDER)
+                if eviction is not None:
+                    self._handle_eviction(core_index, eviction, wave)
+
+        payload: Optional[dict] = None
+        if self._obs_enabled:
+            self.obs.profile.count("misses")
+            payload = {
+                "t_ns": round(now_ns, 3),
+                "core": core_index,
+                "addr": addr,
+                "store": is_store,
+                "mode": memory.mode.value,
+                "compressed": read.compressed,
+                "uncompressed": read.was_uncompressed,
+                "corrected": read.corrected,
+                "ecc_blocks": len(read.ecc_reads),
+                "row_hit": None,  # patched at wave flush
+                "latency_ns": None,  # patched at wave flush
+            }
+            wave.events.append(("access", payload))
+        wave.misses.append(
+            (
+                data_idx,
+                ecc_idxs,
+                read.decompress_cycles * self._cycle_ns,
+                payload,
+            )
+        )
+
+        if is_store:
+            self._versions[addr] = self._versions.get(addr, 0) + 1
+            self._writer[addr] = core_index
+        eviction = llc.insert(
+            addr,
+            _PLACEHOLDER,
+            dirty=is_store,
+            was_uncompressed=read.was_uncompressed,
+        )
+        if eviction is not None:
+            self._handle_eviction(core_index, eviction, wave)
+
+    def _store(self, core_index: int, addr: int, version: int, wave: _Wave):
+        """Write one content version of a block through the controller."""
+        oracle = self.oracle
+        compressible, alias = (
+            oracle.kind(core_index, addr, version)
+            if self._classify
+            else UNCLASSIFIED
+        )
+        return self.memory.fast_write(
+            addr,
+            compressible,
+            alias,
+            content=(
+                (lambda: oracle.take_bytes(core_index, addr, version))
+                if self._need_content
+                else None
+            ),
+            events=wave.events,
+        )
+
+    def _populate(self, core_index: int, addr: int, wave: _Wave) -> None:
+        """First touch: materialise the block in DRAM."""
+        version = self._versions.setdefault(addr, 0)
+        result = self._store(core_index, addr, version, wave)
+        while not result.accepted:
+            # The freshly generated block is an incompressible alias (odds
+            # ~2e-7): nudge the version until a storable image appears.
+            version += 1
+            self._versions[addr] = version
+            result = self._store(core_index, addr, version, wave)
+        self._writer[addr] = core_index
+        if self.tracker is not None:
+            # The data existed in DRAM since program start: stamp t=0 so
+            # its residency before this first read counts as vulnerable.
+            self.tracker.on_write(addr, 0.0, self._protected(result))
+        # Population is warm-up traffic; it does not occupy the DRAM model.
+
+    # -- writeback path ----------------------------------------------------
+
+    def _writeback(self, core_index: int, victim, wave: _Wave):
         """Write one dirty (or alias-pinned) LLC victim back to memory.
 
         Returns the follow-up :class:`Eviction` produced when a rejected
         (incompressible-alias) writeback re-pins its line — that insertion
         can push *another* line out, which the caller must handle in turn.
         """
-        result = self.memory.write(victim.addr, victim.data)
-        if self.obs.enabled:
+        addr = victim.addr
+        version = self._versions.get(addr, 0)
+        writer = self._writer.get(addr, core_index)
+        result = self._store(writer, addr, version, wave)
+        if self._obs_enabled:
             self.obs.profile.count("writebacks")
-            self.obs.trace.emit(
-                "writeback",
-                t_ns=round(now_ns, 3),
-                core=core_index,
-                addr=victim.addr,
-                accepted=result.accepted,
-                compressed=result.compressed,
-                ecc_blocks=len(result.ecc_writes),
+            wave.events.append(
+                (
+                    "writeback",
+                    {
+                        "t_ns": round(wave.now_ns, 3),
+                        "core": core_index,
+                        "addr": addr,
+                        "accepted": result.accepted,
+                        "compressed": result.compressed,
+                        "ecc_blocks": len(result.ecc_writes),
+                    },
+                )
             )
         if not result.accepted:
             # Incompressible alias: it must stay cached, pinned.  The
             # re-pin may displace another line — hand its eviction back
             # instead of silently dropping a dirty writeback.
-            return self.llc.insert(
-                victim.addr, victim.data, dirty=True, alias=True
-            )
+            return self.llc.insert(addr, _PLACEHOLDER, dirty=True, alias=True)
         if self.tracker is not None:
-            self.tracker.on_write(victim.addr, now_ns, self._protected(result))
-        self.dram.access(victim.addr, True, now_ns)
+            self.tracker.on_write(addr, wave.now_ns, self._protected(result))
+        wave.requests.append((addr, True))
         for ecc_addr in result.ecc_writes:
             line = self.llc.peek(ecc_addr)
             if line is not None:
                 line.dirty = True
             else:
-                self.dram.access(ecc_addr, True, now_ns)
+                wave.requests.append((ecc_addr, True))
         return None
 
-    def _handle_eviction(self, core_index: int, eviction, now_ns: float) -> None:
+    def _handle_eviction(self, core_index: int, eviction, wave: _Wave) -> None:
         # Alias re-pins can chain: each rejected writeback re-pins into a
         # set that may evict another dirty line.  Every link pins one more
         # way (pinned lines are never victims; a fully pinned set spills
@@ -228,140 +454,41 @@ class MultiCoreSystem:
             if self.memory.is_metadata_addr(victim.addr):
                 # Dirty ECC metadata block: plain DRAM write, no re-encode.
                 if victim.dirty:
-                    self.dram.access(victim.addr, True, now_ns)
+                    wave.requests.append((victim.addr, True))
             elif victim.dirty or victim.alias:
-                eviction = self._writeback(core_index, victim, now_ns)
+                eviction = self._writeback(core_index, victim, wave)
 
-    # -- miss path ---------------------------------------------------------------
+    # -- wave flush --------------------------------------------------------
 
-    def _miss(
-        self, core_index: int, addr: int, is_store: bool, now_ns: float
-    ) -> float:
-        """Service one LLC miss; returns the time its data is usable."""
-        if addr not in self.memory.contents:
-            self._populate(core_index, addr, now_ns)
-        read = self.memory.read(addr)
-        if self.tracker is not None:
-            self.tracker.on_read(addr, now_ns)
-
-        data_timing = self.dram.access(addr, False, now_ns)
-        usable_ns = data_timing.complete_ns
-
-        for ecc_addr in read.ecc_reads:
-            if self.llc.lookup(ecc_addr) is None:
-                ecc_timing = self.dram.access(ecc_addr, False, now_ns)
-                usable_ns = max(usable_ns, ecc_timing.complete_ns)
-                eviction = self.llc.insert(ecc_addr, bytes(64))
-                self._handle_eviction(core_index, eviction, now_ns)
-
-        usable_ns += read.decompress_cycles * self.config.cycle_ns
-
+    def _flush_wave(self, wave: _Wave, stall_until: float) -> float:
+        """Service the wave's DRAM requests and resolve deferred timing."""
+        if wave.requests:
+            _starts, completes, row_hits = self.dram.service_wave(
+                wave.requests, wave.now_ns
+            )
+        else:
+            completes, row_hits = [], []
+        now_ns = wave.now_ns
+        metrics = self.obs.metrics
+        for data_idx, ecc_idxs, decompress_ns, payload in wave.misses:
+            usable = completes[data_idx]
+            for idx in ecc_idxs:
+                complete = completes[idx]
+                if complete > usable:
+                    usable = complete
+            usable += decompress_ns
+            if usable > stall_until:
+                stall_until = usable
+            if payload is not None:
+                latency_ns = usable - now_ns
+                metrics.observe("system.miss_latency_ns", latency_ns)
+                payload["row_hit"] = row_hits[data_idx]
+                payload["latency_ns"] = round(latency_ns, 3)
         if self.obs.enabled:
-            latency_ns = usable_ns - now_ns
-            self.obs.profile.count("misses")
-            self.obs.metrics.observe("system.miss_latency_ns", latency_ns)
-            self.obs.trace.emit(
-                "access",
-                t_ns=round(now_ns, 3),
-                core=core_index,
-                addr=addr,
-                store=is_store,
-                mode=self.memory.mode.value,
-                compressed=read.compressed,
-                uncompressed=read.was_uncompressed,
-                corrected=read.corrected,
-                ecc_blocks=len(read.ecc_reads),
-                row_hit=data_timing.row_hit,
-                latency_ns=round(latency_ns, 3),
-            )
-
-        data = read.data
-        if is_store:
-            # The store rewrites the line: advance the content version.
-            self._versions[addr] = self._versions.get(addr, 0) + 1
-            data = self._content(core_index, addr)
-        eviction = self.llc.insert(
-            addr,
-            data,
-            dirty=is_store,
-            was_uncompressed=read.was_uncompressed,
-        )
-        self._handle_eviction(core_index, eviction, now_ns)
-        return usable_ns
-
-    # -- main loop -----------------------------------------------------------------
-
-    def _run_epoch(self, core_index: int, epoch: Epoch) -> None:
-        core = self._cores[core_index]
-        compute_ns = (
-            epoch.instructions / core.perfect_ipc
-        ) * self.config.cycle_ns
-        now_ns = core.time_ns + compute_ns
-
-        stall_until = now_ns
-        issue_at = now_ns
-        outstanding = 0
-        for access in epoch.accesses:
-            line = self.llc.lookup(access.addr)
-            if line is not None:
-                if access.is_store:
-                    self._versions[access.addr] = (
-                        self._versions.get(access.addr, 0) + 1
-                    )
-                    line.data = self._content(core_index, access.addr)
-                    line.dirty = True
-                continue
-            # MSHR limit: once a full wave of misses is outstanding, the
-            # next wave issues when the current one has drained.
-            if self.config.mshrs and outstanding >= self.config.mshrs:
-                issue_at = stall_until
-                outstanding = 0
-            usable = self._miss(
-                core_index, access.addr, access.is_store, issue_at
-            )
-            outstanding += 1
-            stall_until = max(stall_until, usable)
-
-        core.time_ns = stall_until
-        core.result.instructions += epoch.instructions
-        core.result.compute_ns += compute_ns
-        core.result.stall_ns += stall_until - now_ns
-        core.result.epochs += 1
-
-    def run(self) -> PerfResult:
-        """Replay all traces to completion; cores interleave by time.
-
-        With ``config.use_batch`` the replay goes through the batched
-        struct-of-arrays engine (:mod:`repro.simulation.batch`), which is
-        bit-exact with this scalar loop — same stats, timings, and trace
-        events — just faster.
-        """
-        import heapq
-
-        if self.config.use_batch:
-            from repro.simulation.batch import BatchReplay
-
-            BatchReplay(self).replay()
-            self.publish_metrics()
-            return self._perf_result()
-
-        with self.obs.profile.phase("system.run"), self.obs.trace.span(
-            "system.run", cores=len(self._cores)
-        ):
-            heap = [(0.0, i) for i in range(len(self._cores))]
-            heapq.heapify(heap)
-            while heap:
-                _, index = heapq.heappop(heap)
-                core = self._cores[index]
-                epoch = next(core.epochs, None)
-                if epoch is None:
-                    core.done = True
-                    continue
-                self._run_epoch(index, epoch)
-                heapq.heappush(heap, (core.time_ns, index))
-
-        self.publish_metrics()
-        return self._perf_result()
+            trace = self.obs.trace
+            for name, payload in wave.events:
+                trace.emit(name, **payload)
+        return stall_until
 
     def _perf_result(self) -> PerfResult:
         return PerfResult(

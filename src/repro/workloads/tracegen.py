@@ -42,12 +42,11 @@ class Epoch:
 
 @dataclass(frozen=True)
 class EpochArrays:
-    """Struct-of-arrays form of an epoch trace (the batch replay input).
+    """Struct-of-arrays form of an epoch trace (the simulator's input).
 
     The per-object :class:`Epoch`/:class:`Access` stream is pleasant to
     generate and test against, but replaying it one attribute lookup at a
-    time is what keeps the scalar simulator slow.  This flattens a whole
-    trace into four parallel arrays:
+    time is slow.  This flattens a whole trace into four parallel arrays:
 
     * ``instructions[e]`` — instruction count of epoch ``e`` (uint64);
     * ``starts`` — epoch-boundary offsets into the access arrays, length
@@ -56,7 +55,7 @@ class EpochArrays:
     * ``addrs[i]`` / ``is_store[i]`` — the flattened miss stream.
 
     Round-tripping through :meth:`to_epochs` reproduces the original
-    stream exactly (the parity suite leans on that).
+    stream exactly.
     """
 
     instructions: np.ndarray

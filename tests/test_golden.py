@@ -1,7 +1,9 @@
 """Golden-file guard for the simulator's figure artifacts.
 
-``tests/golden/`` holds ``fig11 --scale smoke --batch`` exactly as the
-batched epoch-replay engine wrote it when the files were frozen.  Any
+``tests/golden/`` holds the ``--scale smoke --no-cache`` artifacts of every
+figure the interval simulator produces, exactly as written when the files
+were frozen (``fig11`` from the batched replay, the rest from the scalar
+replay loop it has since replaced; the two agreed byte for byte).  Any
 change to the replay, the LLC, the controller bookkeeping or DRAM timing
 that moves a single output bit fails this byte comparison.
 """
@@ -17,6 +19,8 @@ from repro.obs import set_obs
 
 GOLDEN = Path(__file__).parent / "golden"
 
+FIGURES = ("fig10", "fig11", "fig12", "mixes", "sweep-fit", "sweep-latency", "power")
+
 
 @pytest.fixture(autouse=True)
 def _fresh_global_obs():
@@ -26,9 +30,10 @@ def _fresh_global_obs():
     set_obs(None)
 
 
-def test_fig11_smoke_batch_matches_golden(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("figure", FIGURES)
+def test_smoke_artifacts_match_golden(figure, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-    assert cli.main(["fig11", "--scale", "smoke", "--batch", "--no-cache"]) == 0
+    assert cli.main([figure, "--scale", "smoke", "--no-cache"]) == 0
     capsys.readouterr()
-    for name in ("fig11.json", "fig11.txt"):
+    for name in (f"{figure}.json", f"{figure}.txt"):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name

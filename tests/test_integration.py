@@ -125,7 +125,7 @@ class TestSimulatedMachine:
             generator = TraceGenerator(
                 profile, seed=core, footprint_blocks=footprint
             )
-            traces.append(generator.epochs(150))
+            traces.append(generator.epoch_arrays(150))
             sources.append(BlockSource(profile, seed=0))  # shared contents
             ipcs.append(profile.perfect_ipc)
         system = MultiCoreSystem(memory, traces, sources, ipcs, config)
@@ -144,7 +144,7 @@ class TestSimulatedMachine:
         generator = TraceGenerator(profile, seed=1, footprint_blocks=4096)
         system = MultiCoreSystem(
             memory,
-            [generator.epochs(150)],
+            [generator.epoch_arrays(150)],
             [BlockSource(profile, seed=1)],
             [profile.perfect_ipc],
             config,
