@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench results report examples lint obs-smoke par-smoke chaos-smoke kernels-smoke bench-trajectory trace-smoke service-smoke service-chaos-smoke race-smoke clean
+.PHONY: install test bench results report examples lint loc obs-smoke par-smoke chaos-smoke kernels-smoke bench-trajectory trace-smoke service-smoke service-chaos-smoke race-smoke clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -38,6 +38,16 @@ lint:
 	else \
 		echo "ruff not installed -- skipping style check"; \
 	fi
+
+# Lines of Python per src/repro package (and the top-level modules), the
+# code budget each CHANGES.md entry reports.
+loc:
+	@for init in src/repro/*/__init__.py; do \
+		pkg=$$(dirname $$init); \
+		printf '%-14s %6d\n' "$$(basename $$pkg)" "$$(cat $$pkg/*.py | wc -l)"; \
+	done
+	@printf '%-14s %6d\n' "(top-level)" "$$(cat src/repro/*.py | wc -l)"
+	@printf '%-14s %6d\n' total "$$(find src/repro -name '*.py' -exec cat {} + | wc -l)"
 
 # One SMOKE-scale experiment with tracing on, then verify the artifacts:
 # the trace JSONL must parse and the embedded metrics snapshot must be

@@ -29,7 +29,7 @@ can charge for them.  Modes:
     compression moves the embedded check bits inline for compressible
     blocks (no extra access), but space stays reserved for *all* blocks
     and explicit per-block compression-tracking metadata is required —
-    modelled here as the ``_memzip_compressed`` map, which is exactly the
+    modelled here as the ``compressed_blocks`` table, which is exactly the
     bookkeeping COP's code-word detection eliminates.
 ``ECC_DIMM``
     Conventional (72,64) SECDED with a ninth chip — the reliability
@@ -40,11 +40,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple, Union
 
 from repro._bits import bytes_to_int, int_to_bytes
 from repro.compression.base import BLOCK_BYTES
-from repro.core.codec import COPCodec
+from repro.core.codec import COPCodec, DecodedBlock
 from repro.core.config import COPConfig
 from repro.core.coper import ENTRIES_PER_BLOCK, CoperBlockFormat, ECCRegion
 from repro.ecc.codes import code_72_64, code_523_512
@@ -53,6 +53,7 @@ from repro.ecc.hsiao import CodeStatus
 __all__ = [
     "ProtectionMode",
     "BlockNotWrittenError",
+    "NoStoredImageError",
     "ControllerStats",
     "AccessResult",
     "ProtectedMemory",
@@ -61,10 +62,6 @@ __all__ = [
 #: Data blocks whose ECC entries share one 64-byte ECC block in the
 #: ECC-Region baseline (2-byte entry per block "to facilitate addressing").
 _BASELINE_ENTRIES_PER_BLOCK = 32
-
-#: Shared stand-in image stored by the fast timing-model paths; the
-#: simulator never reads payload bytes back, only contents *keys*.
-_PLACEHOLDER = bytes(BLOCK_BYTES)
 
 
 class ProtectionMode(enum.Enum):
@@ -93,6 +90,18 @@ class BlockNotWrittenError(KeyError):
     def __str__(self) -> str:
         # KeyError.__str__ repr()s its argument; keep the message readable.
         return f"block {self.addr:#x} was never written"
+
+
+class NoStoredImageError(ValueError):
+    """A bit flip targeted a block written by classification, without bytes.
+
+    Such a block has no stored image to corrupt; fault injection needs
+    blocks written with their 64 bytes.
+    """
+
+    def __init__(self, addr: int) -> None:
+        super().__init__(f"block {addr:#x} was written without a stored image")
+        self.addr = addr
 
 
 @dataclass
@@ -154,20 +163,30 @@ class AccessResult:
     ecc_writes: tuple[int, ...] = ()
 
 
-#: Shared outcomes for the fast timing-model paths.  ``AccessResult`` is
-#: frozen, so identical results can be one object — constructing a
-#: nine-field frozen dataclass per access is measurable in the
-#: simulator's replay.  Addr-dependent results (ECC tuples) are cached
-#: per instance.
-_RESULT_WRITE_OK = AccessResult()
-_RESULT_WRITE_REJECTED = AccessResult(accepted=False)
-_RESULT_WRITE_COMPRESSED = AccessResult(compressed=True)
-_RESULT_READ_PLAIN = AccessResult(data=_PLACEHOLDER)
-_RESULT_READ_COP_RAW = AccessResult(data=_PLACEHOLDER, was_uncompressed=True)
+#: Shared outcomes.  ``AccessResult`` is frozen, so identical results can
+#: be one object — constructing a nine-field frozen dataclass per access
+#: is measurable in the simulator's replay.  Writes carry no payload, so
+#: every write result is shared; reads share only when there is no image
+#: to return.  Results that differ by ECC address are interned per
+#: instance (:meth:`ProtectedMemory._intern`).
+_RESULT_PLAIN = AccessResult()
+_RESULT_REJECTED = AccessResult(accepted=False)
+_RESULT_COMPRESSED = AccessResult(compressed=True)
+_RESULT_COP_RAW = AccessResult(was_uncompressed=True)
 
 
 class ProtectedMemory:
-    """Functional main memory behind one protection mode."""
+    """Functional main memory behind one protection mode.
+
+    Both directions run in three steps: classify the block, do the mode's
+    bookkeeping (counters, COP-ER entries, MemZip metadata, trace events,
+    ECC addresses), then handle the payload — the stored image, check
+    bits and COP-ER entry contents — only when the block's bytes exist.
+    A caller that models timing alone (the interval simulator) writes a
+    block's classification instead of its bytes; the block is then stored
+    without an image and reads of it return no data, with every counter,
+    flag and ECC address exactly as if the bytes had been stored.
+    """
 
     def __init__(
         self,
@@ -184,7 +203,9 @@ class ProtectedMemory:
         self.capacity_bytes = capacity_bytes
         self.stats = ControllerStats()
         self.obs = obs if obs is not None else NULL_OBS
-        self.contents: dict[int, bytes] = {}
+        #: addr -> stored 64-byte image, or None for a block written
+        #: without bytes.
+        self.contents: dict[int, Optional[bytes]] = {}
         # Data space is assumed below region_base; the ECC structures of
         # COP-ER and the baseline live above it so addresses never collide.
         self.region_base = (
@@ -207,8 +228,11 @@ class ProtectedMemory:
                 self.codec = MemoizedCodec(  # type: ignore[assignment]
                     self.codec, metrics=self.obs.metrics
                 )
-        #: MemZip's explicit compression-tracking metadata (per block).
-        self._memzip_compressed: set[int] = set()
+        #: Addresses whose resident block is stored compressed.  For
+        #: MemZip this is its explicit compression-tracking metadata; COP
+        #: and COP-ER consult it only for a block stored without an image,
+        #: since a stored image is always classified by decoding it.
+        self.compressed_blocks: set[int] = set()
         from repro.memory.address import AddressMapper
 
         self._mapper = AddressMapper()
@@ -225,19 +249,11 @@ class ProtectedMemory:
         self._dimm_code = code_72_64()
         #: Side store of check bits for the baseline / ECC-DIMM modes.
         self._parity: dict[int, int] = {}
-        #: Fast-path (``fast_write``/``fast_read``) stored-image kinds:
-        #: addr -> True when the resident image is stored compressed.
-        self._fast_kind: dict[int, bool] = {}
-        #: Memoised fast-path outcomes whose only varying field is the ECC
-        #: tuple.  Keyed by the ECC *block* address (for COP-ER that is the
-        #: entry block, which can differ between writes of the same data
-        #: address); the mode is fixed per instance, so shapes never mix.
-        self._fast_write_ecc: dict[int, AccessResult] = {}
-        self._fast_read_ecc: dict[int, AccessResult] = {}
-        self._fast_read_compressed = AccessResult(
-            data=_PLACEHOLDER,
-            compressed=True,
-            decompress_cycles=self.config.decompress_latency,
+        #: Interned image-free outcomes keyed by their one ECC block.
+        self._ecc_writes: dict[int, AccessResult] = {}
+        self._ecc_reads: dict[int, AccessResult] = {}
+        self._read_compressed = AccessResult(
+            compressed=True, decompress_cycles=self.config.decompress_latency
         )
 
     # -- address helpers -----------------------------------------------------
@@ -275,160 +291,201 @@ class ProtectedMemory:
         last_col = self._mapper.geometry.blocks_per_row - 1
         return self._mapper.compose(location._replace(col=last_col))
 
+    def _side_ecc_addr(self, addr: int) -> int:
+        """ECC block of a whole-block (523,512)-protected data block."""
+        if self.mode is ProtectionMode.ECC_REGION:
+            return self.baseline_ecc_addr(addr)
+        return self.embedded_ecc_addr(addr)
+
+    def _intern(self, ecc_addr: int, write: bool) -> AccessResult:
+        """The data-free outcome of an access touching one ECC block.
+
+        Serves every such write and the reads of blocks without an image.
+        The mode is fixed per instance, so the flags depend on nothing but
+        the direction: ECC-Region and embedded ECC report plain blocks,
+        MemZip and COP-ER raw ones, and COP-ER raw reads pay the decode
+        pipeline.
+        """
+        raw = self.mode in (ProtectionMode.MEMZIP, ProtectionMode.COP_ER)
+        if write:
+            result = AccessResult(was_uncompressed=raw, ecc_writes=(ecc_addr,))
+            self._ecc_writes[ecc_addr] = result
+        else:
+            cycles = (
+                self.config.decompress_latency
+                if self.mode is ProtectionMode.COP_ER
+                else 0
+            )
+            result = AccessResult(
+                was_uncompressed=raw, decompress_cycles=cycles, ecc_reads=(ecc_addr,)
+            )
+            self._ecc_reads[ecc_addr] = result
+        return result
+
     # -- write path ------------------------------------------------------------
 
-    def write(self, addr: int, data: bytes) -> AccessResult:
-        """Store a block (a writeback from the LLC or initial population)."""
-        if len(data) != BLOCK_BYTES:
-            raise ValueError("block must be 64 bytes")
+    def write(
+        self,
+        addr: int,
+        data: Union[bytes, Tuple[bool, bool]],
+        content: Optional[Callable[[], bytes]] = None,
+        events: Optional[list] = None,
+    ) -> AccessResult:
+        """Store a block (a writeback from the LLC or initial population).
+
+        ``data`` is the block's 64 bytes, or its ``(compressible, alias)``
+        classification (``compress(...) is not None`` /
+        ``codec.is_alias``), in which case no image is stored.  COP-ER's
+        pointer choice depends on the bytes, so a classified COP-ER write
+        takes ``content``, a thunk producing them.  ``events`` collects
+        trace events for deferred emission (the simulator flushes them
+        after its wave timing resolves); ``None`` emits directly.
+        """
+        # 1. Classify.
+        block: Optional[bytes] = None
+        if isinstance(data, tuple):
+            compressible, alias = data
+        else:
+            if len(data) != BLOCK_BYTES:
+                raise ValueError("block must be 64 bytes")
+            block = bytes(data)
+        stored = block
         if addr % BLOCK_BYTES:
             raise ValueError("address must be block aligned")
-        self.stats.writes += 1
+        stats = self.stats
+        stats.writes += 1
+        mode = self.mode
+        codec = self.codec
+        if codec is None:
+            compressible = False
+        elif block is not None:
+            encoded = codec.encode(block)
+            compressible = encoded.compressed
+            stored = encoded.stored
 
-        if self.mode is ProtectionMode.UNPROTECTED:
-            self.contents[addr] = bytes(data)
-            self.stats.raw_writes += 1
-            return AccessResult()
+        # 2. Bookkeeping per mode; 3. the payload only when bytes exist.
+        if compressible:  # COP, COP-ER, MemZip
+            self.contents[addr] = stored
+            self.compressed_blocks.add(addr)
+            stats.compressed_writes += 1
+            if addr in self.entry_of:
+                # A COP-ER block turned compressible frees its entry.
+                return AccessResult(compressed=True, ecc_writes=self._free_entry(addr))
+            return _RESULT_COMPRESSED
 
-        if self.mode is ProtectionMode.ECC_DIMM:
-            self.contents[addr] = bytes(data)
-            self._parity[addr] = self._dimm_parity(data)
-            self.stats.raw_writes += 1
-            return AccessResult()
+        if mode is ProtectionMode.UNPROTECTED or mode is ProtectionMode.ECC_DIMM:
+            self.contents[addr] = block
+            if block is not None and mode is ProtectionMode.ECC_DIMM:
+                self._parity[addr] = self._dimm_parity(block)
+            stats.raw_writes += 1
+            return _RESULT_PLAIN
 
-        if self.mode in (ProtectionMode.ECC_REGION, ProtectionMode.EMBEDDED_ECC):
-            self.contents[addr] = bytes(data)
-            word = self._wide_code.encode(bytes_to_int(data))
+        if codec is not None:
+            self.ever_incompressible.add(addr)
+        if mode is ProtectionMode.COP:
+            if block is not None:
+                alias = codec.is_alias(block)
+            if alias:
+                return self._reject(addr, events)
+            self.contents[addr] = block
+            self.compressed_blocks.discard(addr)
+            stats.raw_writes += 1
+            return _RESULT_PLAIN
+        if mode is ProtectionMode.COP_ER:
+            return self._coper_write_raw(addr, block, content, events)
+
+        # Whole-block (523,512) code in a separate ECC block: ECC-Region,
+        # embedded ECC, and MemZip's incompressible blocks (MemZip keeps
+        # the space reserved regardless of compressibility).
+        self.contents[addr] = block
+        self.compressed_blocks.discard(addr)
+        if block is not None:
+            word = self._wide_code.encode(bytes_to_int(block))
             self._parity[addr] = self._wide_code.check_of(word)
-            self.stats.raw_writes += 1
-            ecc_addr = (
-                self.baseline_ecc_addr(addr)
-                if self.mode is ProtectionMode.ECC_REGION
-                else self.embedded_ecc_addr(addr)
-            )
-            self.stats.ecc_block_writes += 1
-            return AccessResult(ecc_writes=(ecc_addr,))
+        stats.raw_writes += 1
+        stats.ecc_block_writes += 1
+        ecc_addr = self._side_ecc_addr(addr)
+        return self._ecc_writes.get(ecc_addr) or self._intern(ecc_addr, True)
 
-        if self.mode is ProtectionMode.MEMZIP:
-            return self._memzip_write(addr, data)
+    def _coper_write_raw(
+        self,
+        addr: int,
+        block: Optional[bytes],
+        content: Optional[Callable[[], bytes]],
+        events: Optional[list],
+    ) -> AccessResult:
+        """COP-ER incompressible write: embed a pointer, park displaced data.
 
-        assert self.codec is not None
-        encoded = self.codec.encode(data)
-        if encoded.compressed:
-            result = self._retire_entry_if_any(addr)
-            self.contents[addr] = encoded.stored
-            self.stats.compressed_writes += 1
-            return AccessResult(compressed=True, ecc_writes=result)
-
-        # Incompressible block.
-        self.ever_incompressible.add(addr)
-        if self.mode is ProtectionMode.COP:
-            if self.codec.is_alias(data):
-                self.stats.alias_rejects += 1
-                if self.obs.enabled:
-                    self.obs.trace.emit("alias_reject", addr=addr, mode=self.mode.value)
-                return AccessResult(accepted=False)
-            self.contents[addr] = bytes(data)
-            self.stats.raw_writes += 1
-            return AccessResult()
-
-        # COP-ER: embed a pointer and park displaced data in the region.
+        A rewrite reuses the block's entry only when the re-embedded
+        pointer leaves the new data alias-free; otherwise it allocates a
+        de-aliasing entry exactly as a fresh write does.
+        """
         assert self.formatter is not None and self.region is not None
+        if block is not None:
+            raw = block
+        elif content is not None:
+            raw = content()
+        else:
+            raise ValueError(
+                "a classified COP-ER write needs the block content to "
+                "choose a de-aliasing pointer"
+            )
+        formatter = self.formatter
         entry = self.entry_of.get(addr)
-        if entry is not None:
-            stored = self.formatter.update_entry(entry, data)
+        freed: tuple[int, ...] = ()
+        if entry is not None and not formatter.aliases(raw, entry):
             self.stats.entry_reuses += 1
         else:
-            placed = self.formatter.store_incompressible(data)
-            if placed is None or placed.aliased:
-                if placed is not None:
-                    self.region.free(placed.entry_index)
-                self.stats.alias_rejects += 1
-                if self.obs.enabled:
-                    self.obs.trace.emit("alias_reject", addr=addr, mode=self.mode.value)
-                return AccessResult(accepted=False)
-            entry = placed.entry_index
-            stored = placed.stored
-            self.entry_of[addr] = entry
+            fresh, aliased = formatter.allocate_entry(raw)
+            if fresh is None or aliased:
+                if fresh is not None:
+                    self.region.free(fresh)
+                return self._reject(addr, events)
+            if entry is not None:
+                freed = self._free_entry(addr)
+            entry = self.entry_of[addr] = fresh
             self.stats.entry_allocations += 1
-        self.contents[addr] = stored
+        self.contents[addr] = (
+            None if block is None else formatter.update_entry(entry, block)
+        )
+        self.compressed_blocks.discard(addr)
         self.stats.raw_writes += 1
         self.stats.ecc_block_writes += 1
-        return AccessResult(
-            was_uncompressed=True, ecc_writes=(self.entry_block_addr(entry),)
-        )
+        ecc_addr = self.entry_block_addr(entry)
+        if freed:
+            return AccessResult(was_uncompressed=True, ecc_writes=freed + (ecc_addr,))
+        return self._ecc_writes.get(ecc_addr) or self._intern(ecc_addr, True)
 
-    def _memzip_write(self, addr: int, data: bytes) -> AccessResult:
-        """MemZip write: inline ECC when compressible, embedded otherwise.
-
-        Space at the row end stays reserved either way (MemZip is "only a
-        performance optimization, and space must still be reserved for
-        ECC regardless of compressibility"), and the compression status
-        lands in explicit metadata rather than being inferred on read.
-        """
-        assert self.codec is not None
-        encoded = self.codec.encode(data)
-        self.contents[addr] = encoded.stored
-        if encoded.compressed:
-            self._memzip_compressed.add(addr)
-            self.stats.compressed_writes += 1
-            return AccessResult(compressed=True)
-        self._memzip_compressed.discard(addr)
-        self.ever_incompressible.add(addr)
-        word = self._wide_code.encode(bytes_to_int(data))
-        self._parity[addr] = self._wide_code.check_of(word)
-        self.stats.raw_writes += 1
-        self.stats.ecc_block_writes += 1
-        return AccessResult(
-            was_uncompressed=True, ecc_writes=(self.embedded_ecc_addr(addr),)
-        )
-
-    def _memzip_read(self, addr: int, stored: bytes) -> AccessResult:
-        assert self.codec is not None
-        latency = self.config.decompress_latency
-        if addr in self._memzip_compressed:
-            decoded = self.codec.decode(stored)
-            self.stats.compressed_reads += 1
-            corrected = decoded.corrected_words > 0
-            self._count_read(corrected, decoded.uncorrectable, addr)
-            return AccessResult(
-                data=decoded.data,
-                compressed=True,
-                corrected=corrected,
-                uncorrectable=decoded.uncorrectable,
-                decompress_cycles=latency,
-            )
-        word = bytes_to_int(stored) | (self._parity[addr] << self._wide_code.k)
-        result = self._wide_code.decode(word)
-        corrected = result.status is CodeStatus.CORRECTED
-        bad = result.status is CodeStatus.DETECTED
-        self._count_read(corrected, bad, addr)
-        self.stats.ecc_block_reads += 1
-        return AccessResult(
-            data=int_to_bytes(result.data, BLOCK_BYTES),
-            was_uncompressed=True,
-            corrected=corrected,
-            uncorrectable=bad,
-            ecc_reads=(self.embedded_ecc_addr(addr),),
-        )
-
-    def _retire_entry_if_any(self, addr: int) -> tuple[int, ...]:
-        """Free a stale COP-ER entry when a block becomes compressible."""
-        if self.mode is not ProtectionMode.COP_ER:
-            return ()
-        entry = self.entry_of.pop(addr, None)
-        if entry is None:
-            return ()
+    def _free_entry(self, addr: int) -> tuple[int, ...]:
+        """Free a block's COP-ER entry; returns the ECC block it touches."""
         assert self.region is not None
+        entry = self.entry_of.pop(addr)
         self.region.free(entry)
         self.stats.entry_frees += 1
         self.stats.ecc_block_writes += 1
         return (self.entry_block_addr(entry),)
 
+    def _reject(self, addr: int, events: Optional[list]) -> AccessResult:
+        """Refuse an incompressible alias; the LLC must pin the line."""
+        self.stats.alias_rejects += 1
+        if self.obs.enabled:
+            fields = {"addr": addr, "mode": self.mode.value}
+            if events is None:
+                self.obs.trace.emit("alias_reject", **fields)
+            else:
+                events.append(("alias_reject", fields))
+        return _RESULT_REJECTED
+
     # -- read path ---------------------------------------------------------------
 
-    def read(self, addr: int) -> AccessResult:
+    def read(self, addr: int, decoded: Optional[DecodedBlock] = None) -> AccessResult:
         """Fetch and (per mode) verify/correct/decompress a block.
+
+        COP and COP-ER classify a block by decoding its stored image;
+        ``decoded`` hands in that decode when the caller already ran it
+        (a batch decode of many images).  A block stored without an image
+        takes its classification from :attr:`compressed_blocks` and reads
+        back with no data.
 
         Raises :class:`BlockNotWrittenError` (a ``KeyError``) for a block
         that was never written, counting it in ``stats.read_misses``.
@@ -436,46 +493,33 @@ class ProtectedMemory:
         if addr not in self.contents:
             self.stats.read_misses += 1
             raise BlockNotWrittenError(addr)
-        self.stats.reads += 1
+        stats = self.stats
+        stats.reads += 1
         stored = self.contents[addr]
+        mode = self.mode
 
-        if self.mode is ProtectionMode.UNPROTECTED:
-            return AccessResult(data=stored)
-
-        if self.mode is ProtectionMode.ECC_DIMM:
-            data, corrected, bad = self._dimm_correct(addr, stored)
-            self._count_read(corrected, bad, addr)
-            return AccessResult(data=data, corrected=corrected, uncorrectable=bad)
-
-        if self.mode in (ProtectionMode.ECC_REGION, ProtectionMode.EMBEDDED_ECC):
-            word = bytes_to_int(stored) | (
-                self._parity[addr] << self._wide_code.k
+        # 1. Classify.  MemZip reads its metadata; the table stays empty in
+        # the modes that never compress.
+        if mode is ProtectionMode.COP or mode is ProtectionMode.COP_ER:
+            if decoded is None and stored is not None:
+                assert self.codec is not None
+                decoded = self.codec.decode(stored)
+            compressed = (
+                addr in self.compressed_blocks
+                if decoded is None
+                else decoded.is_compressed
             )
-            result = self._wide_code.decode(word)
-            corrected = result.status is CodeStatus.CORRECTED
-            bad = result.status is CodeStatus.DETECTED
-            self._count_read(corrected, bad, addr)
-            self.stats.ecc_block_reads += 1
-            ecc_addr = (
-                self.baseline_ecc_addr(addr)
-                if self.mode is ProtectionMode.ECC_REGION
-                else self.embedded_ecc_addr(addr)
-            )
-            return AccessResult(
-                data=int_to_bytes(result.data, BLOCK_BYTES),
-                corrected=corrected,
-                uncorrectable=bad,
-                ecc_reads=(ecc_addr,),
-            )
+        else:
+            compressed = addr in self.compressed_blocks
 
-        if self.mode is ProtectionMode.MEMZIP:
-            return self._memzip_read(addr, stored)
-
-        assert self.codec is not None
-        decoded = self.codec.decode(stored)
-        latency = self.config.decompress_latency
-        if decoded.is_compressed:
-            self.stats.compressed_reads += 1
+        # 2. Bookkeeping per mode; 3. the payload only when an image exists.
+        if compressed:  # COP, COP-ER, MemZip
+            stats.compressed_reads += 1
+            if decoded is None:
+                if stored is None:
+                    return self._read_compressed
+                assert self.codec is not None
+                decoded = self.codec.decode(stored)
             corrected = decoded.corrected_words > 0
             self._count_read(corrected, decoded.uncorrectable, addr)
             return AccessResult(
@@ -483,254 +527,70 @@ class ProtectedMemory:
                 compressed=True,
                 corrected=corrected,
                 uncorrectable=decoded.uncorrectable,
-                decompress_cycles=latency,
+                decompress_cycles=self.config.decompress_latency,
             )
 
-        if self.mode is ProtectionMode.COP:
+        if mode is ProtectionMode.COP:
             # Raw block: the decoder's classification already ran inside
             # the normal read pipeline and the stored bytes pass to the
             # cache untouched (docs/architecture.md, "Life of a read") —
             # no decompression happens, so no decompress cycles are
             # charged.  Only compressed blocks pay the +4 cycles.
+            if decoded is None:
+                return _RESULT_COP_RAW
             return AccessResult(data=decoded.data, was_uncompressed=True)
 
-        # COP-ER raw block: chase the pointer and rebuild.  Unlike COP's
-        # raw passthrough this path does real decode work after the data
-        # arrives — extract the embedded pointer, whole-block (523,512)
-        # correction, displaced-bit reassembly — so it keeps charging the
-        # decode/decompress pipeline latency on top of the ECC-entry
-        # access (which is billed separately through ``ecc_reads``).
-        assert self.formatter is not None
-        loaded = self.formatter.load_incompressible(stored)
-        self._count_read(loaded.corrected, loaded.uncorrectable, addr)
-        self.stats.ecc_block_reads += 1
-        return AccessResult(
-            data=loaded.data,
-            was_uncompressed=True,
-            corrected=loaded.corrected,
-            uncorrectable=loaded.uncorrectable,
-            decompress_cycles=latency,
-            ecc_reads=(self.entry_block_addr(loaded.entry_index),),
-        )
-
-    # -- fast timing-model paths (the simulator's replay; docs/kernels.md) ----
-    #
-    # The interval simulator never observes stored payload bits on the
-    # fault-free path: decode(encode(x)) == x, nothing is corrected, and
-    # only the *classification* of a block (compressible / alias) and the
-    # mode bookkeeping reach the stats, the trace events, and the timing
-    # model.  ``fast_write``/``fast_read`` therefore mirror ``write``/
-    # ``read`` exactly in every observable effect — counters, contents
-    # keys, entry/region state, trace events, AccessResult flags and ECC
-    # addresses — while skipping content generation, compression, and all
-    # parity arithmetic.  A hypothesis differential in
-    # tests/test_batch_sim.py drives both pairs with the same write/read
-    # sequences in every mode and requires equal state.
-
-    def fast_write(
-        self,
-        addr: int,
-        compressible: bool,
-        alias: bool = False,
-        content: Optional[Callable[[], bytes]] = None,
-        events: Optional[list] = None,
-    ) -> AccessResult:
-        """Timing-model twin of :meth:`write`.
-
-        ``compressible``/``alias`` are the block's content classification
-        (``compress(...) is not None`` / ``codec.is_alias``); ``content``
-        is a lazy thunk producing the raw 64 bytes, consulted only when
-        COP-ER must run real entry allocation (pointer de-aliasing is
-        content-dependent).  ``events`` collects deferred trace events —
-        the simulator buffers them so wave-level deferral cannot leak into
-        the trace; ``None`` emits directly.
-        """
-        if addr % BLOCK_BYTES:
-            raise ValueError("address must be block aligned")
-        self.stats.writes += 1
-
-        if self.mode is ProtectionMode.UNPROTECTED:
-            self.contents[addr] = _PLACEHOLDER
-            self.stats.raw_writes += 1
-            return _RESULT_WRITE_OK
-
-        if self.mode is ProtectionMode.ECC_DIMM:
-            self.contents[addr] = _PLACEHOLDER
-            self.stats.raw_writes += 1
-            return _RESULT_WRITE_OK
-
-        if self.mode in (ProtectionMode.ECC_REGION, ProtectionMode.EMBEDDED_ECC):
-            self.contents[addr] = _PLACEHOLDER
-            self.stats.raw_writes += 1
-            ecc_addr = (
-                self.baseline_ecc_addr(addr)
-                if self.mode is ProtectionMode.ECC_REGION
-                else self.embedded_ecc_addr(addr)
-            )
-            self.stats.ecc_block_writes += 1
-            cached = self._fast_write_ecc.get(ecc_addr)
-            if cached is None:
-                cached = AccessResult(ecc_writes=(ecc_addr,))
-                self._fast_write_ecc[ecc_addr] = cached
-            return cached
-
-        if self.mode is ProtectionMode.MEMZIP:
-            self.contents[addr] = _PLACEHOLDER
-            if compressible:
-                self._memzip_compressed.add(addr)
-                self.stats.compressed_writes += 1
-                return _RESULT_WRITE_COMPRESSED
-            self._memzip_compressed.discard(addr)
-            self.ever_incompressible.add(addr)
-            self.stats.raw_writes += 1
-            self.stats.ecc_block_writes += 1
-            ecc_addr = self.embedded_ecc_addr(addr)
-            cached = self._fast_write_ecc.get(ecc_addr)
-            if cached is None:
-                cached = AccessResult(
-                    was_uncompressed=True, ecc_writes=(ecc_addr,)
-                )
-                self._fast_write_ecc[ecc_addr] = cached
-            return cached
-
-        if compressible:
-            result = self._retire_entry_if_any(addr)
-            self.contents[addr] = _PLACEHOLDER
-            self._fast_kind[addr] = True
-            self.stats.compressed_writes += 1
-            if result:
-                return AccessResult(compressed=True, ecc_writes=result)
-            return _RESULT_WRITE_COMPRESSED
-
-        # Incompressible block.
-        self.ever_incompressible.add(addr)
-        if self.mode is ProtectionMode.COP:
-            if alias:
-                self.stats.alias_rejects += 1
-                self._emit_alias_reject(addr, events)
-                return _RESULT_WRITE_REJECTED
-            self.contents[addr] = _PLACEHOLDER
-            self._fast_kind[addr] = False
-            self.stats.raw_writes += 1
-            return _RESULT_WRITE_OK
-
-        # COP-ER: allocation (and its de-aliasing skips) is content
-        # dependent, so run the *real* allocator against the real bytes —
-        # only the displaced-bit gather / (523,512) parity / entry payload
-        # store are skipped (entries keep allocate()'s (0, 0) payload,
-        # which nothing on the fault-free path reads back).
-        assert self.formatter is not None and self.region is not None
-        entry = self.entry_of.get(addr)
-        if entry is not None:
-            self.stats.entry_reuses += 1
-        else:
-            if content is None:
-                raise ValueError(
-                    "COP-ER fast_write needs the block content to allocate "
-                    "a de-aliased entry"
-                )
-            entry, aliased = self.formatter.allocate_entry(content())
-            if entry is None or aliased:
-                if entry is not None:
-                    self.region.free(entry)
-                self.stats.alias_rejects += 1
-                self._emit_alias_reject(addr, events)
-                return _RESULT_WRITE_REJECTED
-            self.entry_of[addr] = entry
-            self.stats.entry_allocations += 1
-        self.contents[addr] = _PLACEHOLDER
-        self._fast_kind[addr] = False
-        self.stats.raw_writes += 1
-        self.stats.ecc_block_writes += 1
-        ecc_addr = self.entry_block_addr(entry)
-        cached = self._fast_write_ecc.get(ecc_addr)
-        if cached is None:
-            cached = AccessResult(
-                was_uncompressed=True, ecc_writes=(ecc_addr,)
-            )
-            self._fast_write_ecc[ecc_addr] = cached
-        return cached
-
-    def fast_read(self, addr: int) -> AccessResult:
-        """Timing-model twin of :meth:`read` (fault-free, content-free).
-
-        Classification comes from the kind table maintained by
-        :meth:`fast_write` rather than from decoding stored bytes; on the
-        fault-free path the two always agree (compressed images decode
-        compressed, raw images were de-aliased before storing).
-        """
-        if addr not in self.contents:
-            self.stats.read_misses += 1
-            raise BlockNotWrittenError(addr)
-        self.stats.reads += 1
-
-        if self.mode is ProtectionMode.UNPROTECTED:
-            return _RESULT_READ_PLAIN
-
-        if self.mode is ProtectionMode.ECC_DIMM:
-            return _RESULT_READ_PLAIN
-
-        if self.mode in (ProtectionMode.ECC_REGION, ProtectionMode.EMBEDDED_ECC):
-            self.stats.ecc_block_reads += 1
-            ecc_addr = (
-                self.baseline_ecc_addr(addr)
-                if self.mode is ProtectionMode.ECC_REGION
-                else self.embedded_ecc_addr(addr)
-            )
-            cached = self._fast_read_ecc.get(ecc_addr)
-            if cached is None:
-                cached = AccessResult(
-                    data=_PLACEHOLDER, ecc_reads=(ecc_addr,)
-                )
-                self._fast_read_ecc[ecc_addr] = cached
-            return cached
-
-        if self.mode is ProtectionMode.MEMZIP:
-            if addr in self._memzip_compressed:
-                self.stats.compressed_reads += 1
-                return self._fast_read_compressed
-            self.stats.ecc_block_reads += 1
-            ecc_addr = self.embedded_ecc_addr(addr)
-            cached = self._fast_read_ecc.get(ecc_addr)
-            if cached is None:
-                cached = AccessResult(
-                    data=_PLACEHOLDER,
-                    was_uncompressed=True,
-                    ecc_reads=(ecc_addr,),
-                )
-                self._fast_read_ecc[ecc_addr] = cached
-            return cached
-
-        if self._fast_kind[addr]:
-            self.stats.compressed_reads += 1
-            return self._fast_read_compressed
-
-        if self.mode is ProtectionMode.COP:
-            return _RESULT_READ_COP_RAW
-
-        # COP-ER raw block: the embedded pointer names this block's entry.
-        self.stats.ecc_block_reads += 1
-        ecc_addr = self.entry_block_addr(self.entry_of[addr])
-        cached = self._fast_read_ecc.get(ecc_addr)
-        if cached is None:
-            cached = AccessResult(
-                data=_PLACEHOLDER,
+        if mode is ProtectionMode.COP_ER:
+            # Raw block: chase the pointer and rebuild.  Unlike COP's raw
+            # passthrough this path does real decode work after the data
+            # arrives — extract the embedded pointer, whole-block
+            # (523,512) correction, displaced-bit reassembly — so it keeps
+            # charging the decode/decompress pipeline latency on top of
+            # the ECC-entry access (billed separately through
+            # ``ecc_reads``).
+            stats.ecc_block_reads += 1
+            if decoded is None:
+                ecc_addr = self.entry_block_addr(self.entry_of[addr])
+                return self._ecc_reads.get(ecc_addr) or self._intern(ecc_addr, False)
+            assert self.formatter is not None
+            loaded = self.formatter.load_incompressible(decoded.data)
+            self._count_read(loaded.corrected, loaded.uncorrectable, addr)
+            return AccessResult(
+                data=loaded.data,
                 was_uncompressed=True,
+                corrected=loaded.corrected,
+                uncorrectable=loaded.uncorrectable,
                 decompress_cycles=self.config.decompress_latency,
-                ecc_reads=(ecc_addr,),
+                ecc_reads=(self.entry_block_addr(loaded.entry_index),),
             )
-            self._fast_read_ecc[ecc_addr] = cached
-        return cached
 
-    def _emit_alias_reject(self, addr: int, events: Optional[list]) -> None:
-        if not self.obs.enabled:
-            return
-        if events is None:
-            self.obs.trace.emit("alias_reject", addr=addr, mode=self.mode.value)
-        else:
-            events.append(
-                ("alias_reject", {"addr": addr, "mode": self.mode.value})
-            )
+        if mode is ProtectionMode.UNPROTECTED:
+            return _RESULT_PLAIN if stored is None else AccessResult(data=stored)
+
+        if mode is ProtectionMode.ECC_DIMM:
+            if stored is None:
+                return _RESULT_PLAIN
+            data, corrected, bad = self._dimm_correct(addr, stored)
+            self._count_read(corrected, bad, addr)
+            return AccessResult(data=data, corrected=corrected, uncorrectable=bad)
+
+        # Whole-block (523,512) code in a separate ECC block.
+        stats.ecc_block_reads += 1
+        ecc_addr = self._side_ecc_addr(addr)
+        if stored is None:
+            return self._ecc_reads.get(ecc_addr) or self._intern(ecc_addr, False)
+        word = bytes_to_int(stored) | (self._parity[addr] << self._wide_code.k)
+        result = self._wide_code.decode(word)
+        corrected = result.status is CodeStatus.CORRECTED
+        bad = result.status is CodeStatus.DETECTED
+        self._count_read(corrected, bad, addr)
+        return AccessResult(
+            data=int_to_bytes(result.data, BLOCK_BYTES),
+            was_uncompressed=mode is ProtectionMode.MEMZIP,
+            corrected=corrected,
+            uncorrectable=bad,
+            ecc_reads=(ecc_addr,),
+        )
 
     def _count_read(
         self, corrected: bool, uncorrectable: bool, addr: Optional[int] = None
@@ -802,10 +662,9 @@ class ProtectedMemory:
             raise BlockNotWrittenError(addr)
         if not 0 <= bit < 8 * BLOCK_BYTES:
             raise ValueError(f"bit index out of range: {bit}")
-        image = bytearray(self.contents[addr])
+        stored = self.contents[addr]
+        if stored is None:
+            raise NoStoredImageError(addr)
+        image = bytearray(stored)
         image[bit // 8] ^= 1 << (bit % 8)
         self.contents[addr] = bytes(image)
-
-    def resident_addresses(self) -> list[int]:
-        """All block addresses currently stored."""
-        return list(self.contents.keys())

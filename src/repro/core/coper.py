@@ -326,6 +326,10 @@ class CoperBlockFormat:
 
     # -- store / load ----------------------------------------------------------
 
+    def aliases(self, block: bytes, entry_index: int) -> bool:
+        """Would ``block`` with ``entry_index`` embedded read as compressed?"""
+        return self.codec.is_alias(self.embed_pointer(block, entry_index))
+
     def allocate_entry(self, block: bytes) -> tuple[Optional[int], bool]:
         """Claim an entry whose embedded pointer leaves ``block`` alias-free.
 
@@ -333,11 +337,7 @@ class CoperBlockFormat:
         exhausted; ``aliased`` is True when no candidate pointer de-aliases
         the block and an aliasing one was taken instead.
         """
-
-        def acceptable(index: int) -> bool:
-            return not self.codec.is_alias(self.embed_pointer(block, index))
-
-        index = self.region.allocate(acceptable)
+        index = self.region.allocate(lambda index: not self.aliases(block, index))
         if index is not None:
             return index, False
         index = self.region.allocate()  # accept an aliasing pointer
@@ -352,19 +352,17 @@ class CoperBlockFormat:
         """
         if len(block) != BLOCK_BYTES:
             raise ValueError("block must be 64 bytes")
-        block_int = bytes_to_int(block)
         index, aliased = self.allocate_entry(block)
         if index is None:
             return None
-        displaced = self._gather(block_int)
-        parity = self.block_code.check_of(self.block_code.encode(block_int))
-        self.region.store(index, displaced, parity)
-        return StoredIncompressible(
-            self.embed_pointer(block, index), index, aliased
-        )
+        return StoredIncompressible(self.update_entry(index, block), index, aliased)
 
     def update_entry(self, entry_index: int, block: bytes) -> bytes:
-        """Reuse an existing entry for new (still incompressible) data."""
+        """Fill an allocated entry with ``block``'s displaced bits and parity.
+
+        Returns the DRAM image with the entry's pointer embedded; the
+        caller checks beforehand (:meth:`aliases`) that it does not alias.
+        """
         block_int = bytes_to_int(block)
         displaced = self._gather(block_int)
         parity = self.block_code.check_of(self.block_code.encode(block_int))

@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.compression.base import BLOCK_BYTES
-from repro.core.controller import ProtectedMemory, ProtectionMode
+from repro.core.controller import AccessResult, ProtectedMemory, ProtectionMode
 
 __all__ = ["InjectionStats", "FaultInjector"]
 
@@ -90,7 +90,13 @@ class FaultInjector:
         positions = self.rng.sample(range(8 * BLOCK_BYTES), flips)
         for bit in positions:
             self.memory.flip_bit(addr, bit)
-        result = self.memory.read(addr)
+        outcome = self._record(addr, flips, self.memory.read(addr))
+        # Restore the pristine image so trials stay independent.
+        self.memory.contents[addr] = pristine
+        return outcome
+
+    def _record(self, addr: int, flips: int, result: AccessResult) -> str:
+        """Classify one readback against golden and count it."""
         # Uncorrectable wins: a detected word raises a machine check, so
         # the data bytes are never consumed — even when the garbage that
         # came back happens to equal golden (2 flips in one check byte).
@@ -101,8 +107,6 @@ class FaultInjector:
         else:
             outcome = "silent"
         self.stats.record(flips, outcome)
-        # Restore the pristine image so trials stay independent.
-        self.memory.contents[addr] = pristine
         return outcome
 
     def run_campaign(self, trials: int, flips: int = 1) -> InjectionStats:
@@ -117,9 +121,9 @@ class FaultInjector:
         Draws the exact RNG sequence ``run_campaign`` would (address,
         then flip positions, per trial), builds the flipped stored
         images, decodes them all in one :class:`repro.kernels.BatchCodec`
-        pass and applies the same classification and controller
-        bookkeeping — outcome counts and controller stats land identical
-        to the scalar loop.
+        pass and hands each decode to :meth:`ProtectedMemory.read` — the
+        same controller bookkeeping and classification, so outcome counts
+        and controller stats land identical to the scalar loop.
         """
         if self.memory.mode is not ProtectionMode.COP:
             raise ValueError(
@@ -143,19 +147,5 @@ class FaultInjector:
             blocks_to_array(images)
         )
         for addr, result in zip(addrs, decoded):
-            # Mirror ProtectedMemory.read's COP-mode stat bookkeeping.
-            self.memory.stats.reads += 1
-            corrected = uncorrectable = False
-            if result.is_compressed:
-                self.memory.stats.compressed_reads += 1
-                corrected = result.corrected_words > 0
-                uncorrectable = result.uncorrectable
-                self.memory._count_read(corrected, uncorrectable, addr)
-            if uncorrectable:
-                outcome = "detected"
-            elif result.data == self.golden[addr]:
-                outcome = "corrected" if corrected else "masked"
-            else:
-                outcome = "silent"
-            self.stats.record(flips, outcome)
+            self._record(addr, flips, self.memory.read(addr, decoded=result))
         return self.stats

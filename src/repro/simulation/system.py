@@ -40,8 +40,9 @@ Content-free fault-free accesses
     On the fault-free path ``decode(encode(x)) == x``: stored payload bits
     never reach an observable output.  Only a block's *classification*
     (compressible / alias) and the mode bookkeeping matter, so the replay
-    calls the controller's ``fast_write`` / ``fast_read`` and LLC lines
-    carry a placeholder payload.
+    writes classifications rather than bytes through the controller's
+    ``write`` / ``read`` (no image is stored) and LLC lines carry a
+    placeholder payload.
 
 Vectorised classification
     :class:`~repro.simulation.content.ContentOracle` classifies every
@@ -300,7 +301,7 @@ class MultiCoreSystem:
         requests = wave.requests
         if addr not in memory.contents:
             self._populate(core_index, addr, wave)
-        read = memory.fast_read(addr)
+        read = memory.read(addr)
         if self.tracker is not None:
             self.tracker.on_read(addr, now_ns)
 
@@ -356,15 +357,11 @@ class MultiCoreSystem:
     def _store(self, core_index: int, addr: int, version: int, wave: _Wave):
         """Write one content version of a block through the controller."""
         oracle = self.oracle
-        compressible, alias = (
+        return self.memory.write(
+            addr,
             oracle.kind(core_index, addr, version)
             if self._classify
-            else UNCLASSIFIED
-        )
-        return self.memory.fast_write(
-            addr,
-            compressible,
-            alias,
+            else UNCLASSIFIED,
             content=(
                 (lambda: oracle.take_bytes(core_index, addr, version))
                 if self._need_content

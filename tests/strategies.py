@@ -151,3 +151,32 @@ any_blocks = st.one_of(
     float64_blocks(),
     sparse_blocks(),
 )
+
+
+def pointer_alias_block(formatter, entry: int, rng) -> bytes:
+    """Incompressible, alias-free data that aliases once COP-ER embeds
+    ``entry``'s pointer.
+
+    Per 128-bit segment, draw code words until one's top 9/9/8/8 bits
+    equal the pointer piece XOR the hash mask, so the embedded image
+    presents four valid code words; then randomise those displaced bits
+    so the data itself stays raw.
+    """
+    codec = formatter.codec
+    width = codec.config.codeword_bits
+    pointer = formatter.pointer_code.encode(entry)
+    value = shift = 0
+    for segment, (bits, mask) in enumerate(zip(formatter.SEGMENT_BITS, codec.masks)):
+        top = width - bits
+        want = ((pointer >> shift) & ((1 << bits) - 1)) ^ (mask >> top)
+        word = codec.code.encode(rng.getrandbits(codec.config.codeword_data_bits))
+        while word >> top != want:
+            word = codec.code.encode(rng.getrandbits(codec.config.codeword_data_bits))
+        low = (word ^ mask) & ((1 << top) - 1)
+        value |= (low | rng.getrandbits(bits) << top) << (segment * width)
+        shift += bits
+    block = value.to_bytes(64, "little")
+    assert codec.compressor.compress(block, codec.config.capacity_bits) is None
+    assert not codec.is_alias(block)
+    assert codec.is_alias(formatter.embed_pointer(block, entry))
+    return block

@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from strategies import pointer_alias_block
 
 from repro.core.config import COPConfig
 from repro.core.controller import (
     BlockNotWrittenError,
     ControllerStats,
+    NoStoredImageError,
     ProtectedMemory,
     ProtectionMode,
 )
@@ -41,6 +43,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             memory.flip_bit(0, 512)
         with pytest.raises(KeyError):
+            memory.flip_bit(64, 0)
+        # A block written by classification has no image to corrupt.
+        memory.write(64, (True, False))
+        with pytest.raises(NoStoredImageError):
             memory.flip_bit(64, 0)
 
 
@@ -125,6 +131,55 @@ class TestCoperMode:
         memory.write(0, rng.randbytes(64))
         assert memory.entry_of[0] == entry
         assert memory.stats.entry_reuses == 1
+
+    @pytest.mark.parametrize("classified", [False, True])
+    def test_rewrite_that_would_alias_takes_a_fresh_entry(self, rng, classified):
+        """Regression: a rewrite re-embedded its entry's old pointer without
+        re-checking aliasing, so crafted data read back wrong, flagged
+        neither corrected nor uncorrectable."""
+        memory = ProtectedMemory(ProtectionMode.COP_ER)
+        memory.write(0, rng.randbytes(64))
+        old = memory.entry_of[0]
+        data = pointer_alias_block(memory.formatter, old, rng)
+        if classified:
+            result = memory.write(0, (False, False), content=lambda: data)
+        else:
+            result = memory.write(0, data)
+        assert result.accepted
+        if not classified:
+            read = memory.read(0)
+            assert read.data == data
+            assert read.was_uncompressed and not read.uncorrectable
+        assert memory.entry_of[0] != old
+        assert not memory.region.is_allocated(old)
+        assert result.ecc_writes == (
+            memory.entry_block_addr(old),
+            memory.entry_block_addr(memory.entry_of[0]),
+        )
+        stats = memory.stats
+        assert (stats.entry_reuses, stats.entry_allocations, stats.entry_frees) == (
+            0,
+            2,
+            1,
+        )
+
+    def test_rejected_rewrite_keeps_the_old_block(self, rng, monkeypatch):
+        """When no fresh pointer de-aliases the rewrite either, the write
+        is refused and the resident block and its entry stay intact."""
+        memory = ProtectedMemory(ProtectionMode.COP_ER)
+        first = rng.randbytes(64)
+        memory.write(0, first)
+        old = memory.entry_of[0]
+        data = pointer_alias_block(memory.formatter, old, rng)
+        monkeypatch.setattr(
+            type(memory.formatter),
+            "allocate_entry",
+            lambda self, block: (self.region.allocate(), True),
+        )
+        assert not memory.write(0, data).accepted
+        assert memory.stats.alias_rejects == 1
+        assert memory.entry_of == {0: old} and len(memory.region) == 1
+        assert memory.read(0).data == first
 
     def test_entry_freed_when_block_compresses(self, noise, text_block):
         memory = ProtectedMemory(ProtectionMode.COP_ER)

@@ -165,13 +165,10 @@ class TestCoperForcedFallbacks:
         memory = ProtectedMemory(ProtectionMode.COP_ER)
 
         def always_aliased(self, block):
-            index = self.region.allocate()
-            from repro.core.coper import StoredIncompressible
-
-            return StoredIncompressible(bytes(64), index, aliased=True)
+            return self.region.allocate(), True
 
         monkeypatch.setattr(
-            coper_mod.CoperBlockFormat, "store_incompressible", always_aliased
+            coper_mod.CoperBlockFormat, "allocate_entry", always_aliased
         )
         result = memory.write(0, random.Random(0).randbytes(64))
         assert not result.accepted

@@ -91,17 +91,21 @@ class TestMemzip:
     def test_explicit_metadata_is_the_point(self, text_block, noise):
         """MemZip tracks compression status in metadata; COP infers it.
 
-        The `_memzip_compressed` set is the dedicated storage the paper's
-        COP avoids ("dedicated compression metadata is not required").
+        The `compressed_blocks` table is the dedicated storage the paper's
+        COP avoids ("dedicated compression metadata is not required"):
+        MemZip reads it on every access, COP decodes the stored image.
         """
         memory = ProtectedMemory(ProtectionMode.MEMZIP)
         memory.write(0, text_block)
         memory.write(64, noise)
-        assert 0 in memory._memzip_compressed
-        assert 64 not in memory._memzip_compressed
+        assert 0 in memory.compressed_blocks
+        assert 64 not in memory.compressed_blocks
         # Status flips when data changes compressibility.
         memory.write(0, noise)
-        assert 0 not in memory._memzip_compressed
+        assert 0 not in memory.compressed_blocks
+        # The read trusts the metadata, not the image.
+        memory.compressed_blocks.add(64)
+        assert memory.read(64).compressed
 
     def test_storage_reserved_regardless(self, rng):
         """MemZip keeps the full ECC reservation even when everything

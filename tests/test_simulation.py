@@ -162,7 +162,7 @@ class TestEvictionChains:
 
         # DRAM holds the stale version; the only up-to-date copy of
         # dirty_addr lives in the (full) LLC.
-        assert sim.memory.fast_write(dirty_addr, True).accepted
+        assert sim.memory.write(dirty_addr, (True, False)).accepted
         assert sim.llc.insert(dirty_addr, bytes(64), dirty=True) is None
         assert sim.llc.insert(clean_addr, bytes(64)) is None
 
