@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench results report examples lint loc obs-smoke par-smoke chaos-smoke kernels-smoke bench-trajectory trace-smoke service-smoke service-chaos-smoke race-smoke clean
+.PHONY: install test bench results report examples lint loc perf-check obs-smoke par-smoke chaos-smoke kernels-smoke bench-trajectory trace-smoke service-smoke service-chaos-smoke race-smoke clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -48,6 +48,13 @@ loc:
 	done
 	@printf '%-14s %6d\n' "(top-level)" "$$(cat src/repro/*.py | wc -l)"
 	@printf '%-14s %6d\n' total "$$(find src/repro -name '*.py' -exec cat {} + | wc -l)"
+
+# The repository benchmark's own checks on one short Fig. 11 sweep (SMALL
+# scale, seed 11): exit 1 unless the sweep reproduces the recorded golden
+# digest, cold and warm sweeps agree, and Fig. 11 keeps its shape (see
+# BENCHMARK.json; perfbench/ is the benchmark's own code).
+perf-check:
+	$(PYTHON) perfbench/run.py --workload fig11_sweep --seed 11 --seconds 1 --trace 0
 
 # One SMOKE-scale experiment with tracing on, then verify the artifacts:
 # the trace JSONL must parse and the embedded metrics snapshot must be

@@ -13,7 +13,6 @@ COP needs two per-line bits beyond an ordinary LLC (Sections 3.1, 3.3):
 from repro.cache.cache import (
     CacheLine,
     CacheStats,
-    Eviction,
     OverflowRegion,
     SetAssocCache,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "SetAssocCache",
     "CacheLine",
     "CacheStats",
-    "Eviction",
     "OverflowRegion",
     "CacheHierarchy",
     "LevelConfig",

@@ -11,10 +11,10 @@ overflow area of Section 3.1, which exists for correctness, not speed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["CacheLine", "CacheStats", "Eviction", "OverflowRegion", "SetAssocCache"]
+__all__ = ["CacheLine", "CacheStats", "OverflowRegion", "SetAssocCache"]
 
 
 @dataclass(slots=True)
@@ -26,13 +26,6 @@ class CacheLine:
     dirty: bool = False
     alias: bool = False
     was_uncompressed: bool = False
-
-
-@dataclass(frozen=True)
-class Eviction:
-    """A victim pushed out by an insertion (writeback candidate if dirty)."""
-
-    line: CacheLine
 
 
 @dataclass
@@ -160,11 +153,12 @@ class SetAssocCache:
         dirty: bool = False,
         alias: bool = False,
         was_uncompressed: bool = False,
-    ) -> Optional[Eviction]:
-        """Install a line, returning the victim (if any).
+    ) -> Optional[CacheLine]:
+        """Install a line, returning the victim it pushed out (if any).
 
-        If the line is already resident its contents/flags are updated in
-        place and no eviction occurs.
+        A dirty victim is a writeback candidate.  If the line is already
+        resident its contents/flags are updated in place and no eviction
+        occurs.
         """
         addr -= addr % self.line_bytes
         if len(data) != self.line_bytes:
@@ -206,7 +200,7 @@ class SetAssocCache:
         stats.evictions += 1
         if victim.dirty:
             stats.writebacks += 1
-        return Eviction(victim)
+        return victim
 
     def invalidate(self, addr: int) -> Optional[CacheLine]:
         """Drop a line without writeback; returns it if it was resident."""

@@ -147,24 +147,21 @@ class CacheHierarchy:
         """Install into the given levels, cascading dirty victims outward."""
         writebacks = []
         for index, cache in enumerate(caches):
-            eviction = cache.insert(addr, data, dirty=dirty and index == 0)
-            if eviction is None or not eviction.line.dirty:
+            victim = cache.insert(addr, data, dirty=dirty and index == 0)
+            if victim is None or not victim.dirty:
                 continue
-            victim = eviction.line
             if cache is self.llc:
                 writebacks.append(victim)
             else:
                 # Push the dirty victim one level outward.
                 outer = caches[index + 1] if index + 1 < len(caches) else self.llc
-                outer_eviction = outer.insert(
-                    victim.addr, victim.data, dirty=True
-                )
+                outer_victim = outer.insert(victim.addr, victim.data, dirty=True)
                 if (
                     outer is self.llc
-                    and outer_eviction is not None
-                    and outer_eviction.line.dirty
+                    and outer_victim is not None
+                    and outer_victim.dirty
                 ):
-                    writebacks.append(outer_eviction.line)
+                    writebacks.append(outer_victim)
         return writebacks
 
     # -- observability -----------------------------------------------------------

@@ -40,7 +40,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple, Union
+from typing import Any, Callable, Collection, List, Optional, Sequence, Tuple
+from typing import Union, overload
+
+import numpy as np
 
 from repro._bits import bytes_to_int, int_to_bytes
 from repro.compression.base import BLOCK_BYTES
@@ -162,6 +165,11 @@ class AccessResult:
     ecc_reads: tuple[int, ...] = ()
     ecc_writes: tuple[int, ...] = ()
 
+
+#: Modes that keep a (523,512) whole-block code in a separate ECC block.
+_SIDE_ECC_MODES = frozenset(
+    {ProtectionMode.ECC_REGION, ProtectionMode.EMBEDDED_ECC, ProtectionMode.MEMZIP}
+)
 
 #: Shared outcomes.  ``AccessResult`` is frozen, so identical results can
 #: be one object — constructing a nine-field frozen dataclass per access
@@ -297,6 +305,27 @@ class ProtectedMemory:
             return self.baseline_ecc_addr(addr)
         return self.embedded_ecc_addr(addr)
 
+    def side_ecc_blocks(self, addrs: Collection[int]) -> set[int]:
+        """The ECC blocks that accesses to ``addrs`` may touch, in one pass.
+
+        Defined for the modes whose ECC block is a pure function of the
+        data address (ECC-Region, embedded ECC, and MemZip for its
+        incompressible blocks); empty for the others, COP-ER included,
+        whose entry blocks depend on allocation order.
+        """
+        mode = self.mode
+        if not addrs or mode not in _SIDE_ECC_MODES:
+            return set()
+        array = np.fromiter(addrs, dtype=np.int64, count=len(addrs))
+        if mode is ProtectionMode.ECC_REGION:
+            span = BLOCK_BYTES * _BASELINE_ENTRIES_PER_BLOCK
+            blocks = self.region_base + array // span * BLOCK_BYTES
+        else:
+            fields = self._mapper.map_arrays(array)
+            fields["col"][:] = self._mapper.geometry.blocks_per_row - 1
+            blocks = self._mapper.compose_arrays(fields)
+        return set(blocks.tolist())
+
     def _intern(self, ecc_addr: int, write: bool) -> AccessResult:
         """The data-free outcome of an access touching one ECC block.
 
@@ -324,13 +353,25 @@ class ProtectedMemory:
 
     # -- write path ------------------------------------------------------------
 
+    @overload
     def write(
         self,
         addr: int,
         data: Union[bytes, Tuple[bool, bool]],
         content: Optional[Callable[[], bytes]] = None,
         events: Optional[list] = None,
-    ) -> AccessResult:
+    ) -> AccessResult: ...
+
+    @overload
+    def write(self, addr: Sequence[int], data: List[Tuple[bool, bool]]) -> None: ...
+
+    def write(
+        self,
+        addr: Any,
+        data: Any,
+        content: Optional[Callable[[], bytes]] = None,
+        events: Optional[list] = None,
+    ) -> Optional[AccessResult]:
         """Store a block (a writeback from the LLC or initial population).
 
         ``data`` is the block's 64 bytes, or its ``(compressible, alias)``
@@ -340,11 +381,16 @@ class ProtectedMemory:
         takes ``content``, a thunk producing them.  ``events`` collects
         trace events for deferred emission (the simulator flushes them
         after its wave timing resolves); ``None`` emits directly.
+
+        A sequence of addresses with a *list* of classifications stores
+        them all at once and returns nothing (:meth:`_write_many`).
         """
         # 1. Classify.
         block: Optional[bytes] = None
         if isinstance(data, tuple):
             compressible, alias = data
+        elif isinstance(data, list):
+            return self._write_many(addr, data)
         else:
             if len(data) != BLOCK_BYTES:
                 raise ValueError("block must be 64 bytes")
@@ -406,6 +452,48 @@ class ProtectedMemory:
         stats.ecc_block_writes += 1
         ecc_addr = self._side_ecc_addr(addr)
         return self._ecc_writes.get(ecc_addr) or self._intern(ecc_addr, True)
+
+    def _write_many(
+        self, addrs: Sequence[int], kinds: List[Tuple[bool, bool]]
+    ) -> None:
+        """Store classified blocks in bulk, as if written one by one.
+
+        The same counters, stored-block table, compressed table,
+        ``ever_incompressible`` and ECC-block write counts as a classified
+        :meth:`write` per block, without a result per block.  Every block
+        must be accepted, so an incompressible COP alias is refused up
+        front; COP-ER is refused outright, since its entry indices depend
+        on the order of allocations and frees.  Nothing is stored when a
+        write is refused.
+        """
+        mode = self.mode
+        if mode is ProtectionMode.COP_ER:
+            raise ValueError(
+                "COP-ER allocates entries in write order; write one block at a time"
+            )
+        if len(addrs) != len(kinds):
+            raise ValueError("need one classification per address")
+        if any(addr % BLOCK_BYTES for addr in addrs):
+            raise ValueError("address must be block aligned")
+        if mode is ProtectionMode.COP and any(
+            alias and not compressible for compressible, alias in kinds
+        ):
+            raise ValueError("an incompressible alias is rejected; write it on its own")
+        packed: Sequence[int] = ()
+        raw: Sequence[int] = addrs
+        if self.codec is not None:
+            packed = [addr for addr, (packs, _) in zip(addrs, kinds) if packs]
+            raw = [addr for addr, (packs, _) in zip(addrs, kinds) if not packs]
+            self.ever_incompressible.update(raw)
+        self.contents.update(dict.fromkeys(addrs))
+        self.compressed_blocks.update(packed)
+        self.compressed_blocks.difference_update(raw)
+        stats = self.stats
+        stats.writes += len(addrs)
+        stats.compressed_writes += len(packed)
+        stats.raw_writes += len(raw)
+        if mode in _SIDE_ECC_MODES:
+            stats.ecc_block_writes += len(raw)
 
     def _coper_write_raw(
         self,

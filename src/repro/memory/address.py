@@ -112,6 +112,13 @@ class AddressMapper:
             block = block // size
         return fields
 
+    def compose_arrays(self, fields: dict[str, np.ndarray]) -> np.ndarray:
+        """Vectorised :meth:`compose`: the inverse of :meth:`map_arrays`."""
+        block = np.zeros_like(fields[self.order[0]])
+        for name in self.order:  # most significant first
+            block = block * self._sizes[name] + fields[name]
+        return block * self.geometry.block_bytes
+
     def compose(self, mapped: MappedAddress) -> int:
         """Inverse of :meth:`map`; returns the block-aligned byte address."""
         block = 0

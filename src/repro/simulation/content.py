@@ -80,25 +80,46 @@ class ContentOracle:
     def active(self) -> bool:
         return self._active
 
-    def prefetch(self, addrs_per_core: Sequence[np.ndarray]) -> None:
+    def prefetch(
+        self, addrs_per_core: Sequence[np.ndarray]
+    ) -> List[Tuple[int, List[int]]]:
         """Classify the first-touch (version 0) content of every address.
 
         One scalar content generation plus one *vectorised* classification
         per unique ``(source, addr)`` not already in the process store.
+        Returns each content stream's first core with the sorted addresses
+        its cores touch, leaving out any address that two streams touch:
+        which stream writes such a block first depends on simulated time.
         """
-        if not self._active:
-            return
-        by_store: Dict[int, Tuple[int, set]] = {}
+        grouped: Dict[int, Tuple[int, List[np.ndarray]]] = {}
         for core, addrs in enumerate(addrs_per_core):
-            store = self._stores[core]
-            entry = by_store.setdefault(id(store), (core, set()))
-            entry[1].update(np.unique(addrs).tolist())
+            grouped.setdefault(id(self._stores[core]), (core, []))[1].append(addrs)
+        streams = [
+            (core, np.unique(np.concatenate(arrays)))
+            for core, arrays in grouped.values()
+        ]
+        if self._active:
+            self._classify_first_touch(streams)
+        if len(streams) > 1:
+            every, counts = np.unique(
+                np.concatenate([addrs for _, addrs in streams]), return_counts=True
+            )
+            shared = every[counts > 1]
+            if shared.size:
+                streams = [
+                    (core, np.setdiff1d(addrs, shared, assume_unique=True))
+                    for core, addrs in streams
+                ]
+        return [(core, addrs.tolist()) for core, addrs in streams]
+
+    def _classify_first_touch(self, streams: List[Tuple[int, np.ndarray]]) -> None:
+        """Classify version 0 of each stream address the store lacks."""
         batch = self.batch
         assert batch is not None
-        for core, addr_set in by_store.values():
+        for core, addrs in streams:
             store = self._stores[core]
             source = self.sources[core]
-            todo = sorted(addr for addr in addr_set if (addr, 0) not in store)
+            todo = [addr for addr in addrs.tolist() if (addr, 0) not in store]
             if not todo:
                 continue
             blocks = [source.block(addr, 0) for addr in todo]

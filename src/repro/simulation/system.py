@@ -21,7 +21,7 @@ fresh.
 
 Cores are interleaved by simulated time (the core furthest behind runs
 next), which serialises DRAM contention realistically without an event
-queue.  The replay rests on three observations:
+queue.  The replay rests on four observations:
 
 Wave-deferred DRAM timing
     Within one MSHR wave every miss issues at the same time and no
@@ -30,9 +30,10 @@ Wave-deferred DRAM timing
     inline, merely *recording* the DRAM requests, and services the whole
     wave at the wave boundary through
     :meth:`~repro.memory.dram.DRAMSystem.service_wave`, which serves it in
-    arrival order and carries bank state across waves.  Trace addresses
-    are premapped into the DRAM location table first, so no request
-    decomposes its address.  Trace events are buffered in issue order and
+    arrival order and carries bank state across waves.  Trace addresses,
+    and the ECC blocks that are a pure function of them, are premapped
+    into the DRAM location table first, so almost no request decomposes
+    its address.  Trace events are buffered in issue order and
     flushed after timing resolves, so deferral never reorders or re-times
     an event.
 
@@ -48,6 +49,21 @@ Vectorised classification
     :class:`~repro.simulation.content.ContentOracle` classifies every
     trace address's first-touch content in one array pass and store-bumped
     versions lazily (see :mod:`repro.simulation.content`).
+
+First touches in one pass
+    A block's first touch is always an LLC miss that stores version 0 of
+    its content before reading it, and no earlier decision depends on
+    whether it is stored yet.  So ``run`` first stores the job's blocks
+    with one sequence-form ``ProtectedMemory.write`` of their
+    classifications and stamps their vulnerability clocks at t=0.
+    Population is warm-up traffic: it never reaches the DRAM model.  The
+    per-miss path (``_populate``) is kept only where the outcome depends
+    on *when* a block is stored.  That covers every COP-ER block, because
+    entry indices depend on how allocations interleave with writeback
+    frees.  It covers a COP alias, which is nudged to a storable version
+    and traced as ``alias_reject`` at first touch.  It also covers the
+    rare address that is one of the job's ECC blocks as well (embedded
+    layouts) or that two content streams share.
 """
 
 from __future__ import annotations
@@ -70,6 +86,9 @@ __all__ = ["CoreResult", "PerfResult", "MultiCoreSystem"]
 
 #: Stand-in line payload; the replay never reads cached bytes back.
 _PLACEHOLDER = bytes(BLOCK_BYTES)
+
+#: Classification of an incompressible alias under COP.
+_ALIAS = (False, True)
 
 
 @dataclass
@@ -180,9 +199,11 @@ class MultiCoreSystem:
             _CoreState(trace, ipc) for trace, ipc in zip(traces, perfect_ipcs)
         ]
         self.oracle = ContentOracle(sources, memory.codec, memory.mode)
-        #: addr -> content version; a store advances it.
+        #: addr -> content version (0 until a store advances it).
         self._versions: dict[int, int] = {}
-        #: addr -> core whose source generates the current content.
+        #: addr -> core that last stored to the block, whose source
+        #: generates its stored versions.  Only stored-to lines are ever
+        #: written back, so blocks never stored to need no entry.
         self._writer: dict[int, int] = {}
         #: Only COP-ER's entry allocation ever consumes raw bytes.
         self._need_content = memory.mode is ProtectionMode.COP_ER
@@ -190,13 +211,51 @@ class MultiCoreSystem:
         self._obs_enabled = self.obs.enabled
         self._cycle_ns = config.cycle_ns
 
-    def _protected(self, write_result) -> bool:
+    def _protected(self, compressed: bool) -> bool:
         mode = self.memory.mode
         if mode is ProtectionMode.UNPROTECTED:
             return False
         if mode is ProtectionMode.COP:
-            return write_result.compressed
+            return compressed
         return True  # COP-ER / ECC-Region / ECC-DIMM protect everything
+
+    # -- population ----------------------------------------------------------
+
+    def _populate_all(
+        self, streams: List[Tuple[int, List[int]]], clash: set[int]
+    ) -> None:
+        """Store the first touch of every stream address in one write.
+
+        See "First touches in one pass" in the module docstring.  Left to
+        :meth:`_populate` at their first miss: COP aliases, and the
+        ``clash`` addresses that are also ECC blocks of the job (the LLC
+        may cache one as metadata before its first data access, so its
+        first write may come at a later version, or never).
+        """
+        kind = self.oracle.kind
+        addrs: List[int] = []
+        kinds: List[Tuple[bool, bool]] = []
+        for core, stream in streams:
+            if self._classify:
+                firsts = [kind(core, addr, 0) for addr in stream]
+            else:
+                firsts = [UNCLASSIFIED] * len(stream)
+            if clash or _ALIAS in firsts:
+                kept = [
+                    (addr, first)
+                    for addr, first in zip(stream, firsts)
+                    if not first[1] and addr not in clash
+                ]
+                stream = [addr for addr, _ in kept]
+                firsts = [first for _, first in kept]
+            addrs += stream
+            kinds += firsts
+        self.memory.write(addrs, kinds)
+        if self.tracker is not None:
+            on_write = self.tracker.on_write
+            protected = self._protected
+            for addr, (compressible, _) in zip(addrs, kinds):
+                on_write(addr, 0.0, protected(compressible))
 
     # -- main loop ---------------------------------------------------------
 
@@ -206,7 +265,7 @@ class MultiCoreSystem:
         with self.obs.profile.phase("system.run"), self.obs.trace.span(
             "system.run", cores=len(cores)
         ):
-            self.oracle.prefetch([core.epochs.addrs for core in cores])
+            streams = self.oracle.prefetch([core.epochs.addrs for core in cores])
             plans = [
                 (
                     core.epochs.instructions.tolist(),
@@ -216,7 +275,11 @@ class MultiCoreSystem:
                 )
                 for core in cores
             ]
-            self.dram.premap(set().union(*(plan[2] for plan in plans)))
+            trace_addrs = set().union(*(plan[2] for plan in plans))
+            side = self.memory.side_ecc_blocks(trace_addrs)
+            self.dram.premap(trace_addrs | side)
+            if not self._need_content:
+                self._populate_all(streams, side.intersection(trace_addrs))
             cursors = [0] * len(cores)
             heap = [(0.0, i) for i in range(len(cores))]
             heapq.heapify(heap)
@@ -312,9 +375,9 @@ class MultiCoreSystem:
             if llc.lookup(ecc_addr) is None:
                 ecc_idxs.append(len(requests))
                 requests.append((ecc_addr, False))
-                eviction = llc.insert(ecc_addr, _PLACEHOLDER)
-                if eviction is not None:
-                    self._handle_eviction(core_index, eviction, wave)
+                victim = llc.insert(ecc_addr, _PLACEHOLDER)
+                if victim is not None:
+                    self._handle_eviction(core_index, victim, wave)
 
         payload: Optional[dict] = None
         if self._obs_enabled:
@@ -345,14 +408,14 @@ class MultiCoreSystem:
         if is_store:
             self._versions[addr] = self._versions.get(addr, 0) + 1
             self._writer[addr] = core_index
-        eviction = llc.insert(
+        victim = llc.insert(
             addr,
             _PLACEHOLDER,
             dirty=is_store,
             was_uncompressed=read.was_uncompressed,
         )
-        if eviction is not None:
-            self._handle_eviction(core_index, eviction, wave)
+        if victim is not None:
+            self._handle_eviction(core_index, victim, wave)
 
     def _store(self, core_index: int, addr: int, version: int, wave: _Wave):
         """Write one content version of a block through the controller."""
@@ -371,8 +434,8 @@ class MultiCoreSystem:
         )
 
     def _populate(self, core_index: int, addr: int, wave: _Wave) -> None:
-        """First touch: materialise the block in DRAM."""
-        version = self._versions.setdefault(addr, 0)
+        """First touch of a block :meth:`_populate_all` left out."""
+        version = self._versions.get(addr, 0)
         result = self._store(core_index, addr, version, wave)
         while not result.accepted:
             # The freshly generated block is an incompressible alias (odds
@@ -380,11 +443,10 @@ class MultiCoreSystem:
             version += 1
             self._versions[addr] = version
             result = self._store(core_index, addr, version, wave)
-        self._writer[addr] = core_index
         if self.tracker is not None:
             # The data existed in DRAM since program start: stamp t=0 so
             # its residency before this first read counts as vulnerable.
-            self.tracker.on_write(addr, 0.0, self._protected(result))
+            self.tracker.on_write(addr, 0.0, self._protected(result.compressed))
         # Population is warm-up traffic; it does not occupy the DRAM model.
 
     # -- writeback path ----------------------------------------------------
@@ -392,9 +454,9 @@ class MultiCoreSystem:
     def _writeback(self, core_index: int, victim, wave: _Wave):
         """Write one dirty (or alias-pinned) LLC victim back to memory.
 
-        Returns the follow-up :class:`Eviction` produced when a rejected
-        (incompressible-alias) writeback re-pins its line — that insertion
-        can push *another* line out, which the caller must handle in turn.
+        Returns the victim pushed out when a rejected (incompressible-alias)
+        writeback re-pins its line — that insertion can push *another* line
+        out, which the caller must handle in turn.
         """
         addr = victim.addr
         version = self._versions.get(addr, 0)
@@ -417,11 +479,13 @@ class MultiCoreSystem:
             )
         if not result.accepted:
             # Incompressible alias: it must stay cached, pinned.  The
-            # re-pin may displace another line — hand its eviction back
+            # re-pin may displace another line — hand its victim back
             # instead of silently dropping a dirty writeback.
             return self.llc.insert(addr, _PLACEHOLDER, dirty=True, alias=True)
         if self.tracker is not None:
-            self.tracker.on_write(addr, wave.now_ns, self._protected(result))
+            self.tracker.on_write(
+                addr, wave.now_ns, self._protected(result.compressed)
+            )
         wave.requests.append((addr, True))
         for ecc_addr in result.ecc_writes:
             line = self.llc.peek(ecc_addr)
@@ -431,7 +495,7 @@ class MultiCoreSystem:
                 wave.requests.append((ecc_addr, True))
         return None
 
-    def _handle_eviction(self, core_index: int, eviction, wave: _Wave) -> None:
+    def _handle_eviction(self, core_index: int, victim, wave: _Wave) -> None:
         # Alias re-pins can chain: each rejected writeback re-pins into a
         # set that may evict another dirty line.  Every link pins one more
         # way (pinned lines are never victims; a fully pinned set spills
@@ -439,21 +503,20 @@ class MultiCoreSystem:
         # the guard turns any violation of that invariant into a loud
         # failure rather than unbounded recursion.
         steps = 0
-        while eviction is not None:
+        while victim is not None:
             steps += 1
             if steps > self.llc.ways + 1:
                 raise RuntimeError(
                     "eviction chain exceeded LLC associativity "
                     f"({self.llc.ways} ways)"
                 )
-            victim = eviction.line
-            eviction = None
-            if self.memory.is_metadata_addr(victim.addr):
+            line, victim = victim, None
+            if self.memory.is_metadata_addr(line.addr):
                 # Dirty ECC metadata block: plain DRAM write, no re-encode.
-                if victim.dirty:
-                    wave.requests.append((victim.addr, True))
-            elif victim.dirty or victim.alias:
-                eviction = self._writeback(core_index, victim, wave)
+                if line.dirty:
+                    wave.requests.append((line.addr, True))
+            elif line.dirty or line.alias:
+                victim = self._writeback(core_index, line, wave)
 
     # -- wave flush --------------------------------------------------------
 

@@ -133,8 +133,10 @@ class TestBenchmarkParity:
 
     Each digest was recorded from that loop (``Epoch`` iterators, real
     ``write``/``read`` on generated bytes) at SMOKE scale before it was
-    deleted; any drift in the LLC, controller bookkeeping, DRAM timing or
-    trace emission changes a digest.
+    deleted, except ``SHARED_SPACE_DIGESTS``, recorded from the array
+    replay while it still populated every block at its first miss; any
+    drift in the LLC, controller bookkeeping, DRAM timing or trace
+    emission changes a digest.
     """
 
     MODE_DIGESTS = {
@@ -152,6 +154,13 @@ class TestBenchmarkParity:
         "omnetpp": "96116bc9557058762cccdcf62c3bfcaac3929f47291b8e0f539203d87e9e7cee",
         "canneal": "0be9fcea96737e3fa9dd8797a826f26936032d60a76d66e3bff624b2f3184deb",
     }
+    #: canneal, the shared-space run (its cores share one footprint and
+    #: one content stream), in the modes the other digests leave to gcc.
+    SHARED_SPACE_DIGESTS = {
+        ProtectionMode.UNPROTECTED: "21d708fcda497f55654145f9334084271bce7268a485be133847a80b600e6ce2",
+        ProtectionMode.ECC_REGION: "0b7e468b9fe1beb64d2d8a010401eadd3ebadc478f0fb4f108b3c1cfbd0bf284",
+        ProtectionMode.MEMZIP: "fe430d296f591bc34cc5671eb9b1afff4dca952716719c1ad74de81a24fbca56",
+    }
     MIX_DIGEST = "0622866740891b3ea416a699cc24f0c3f070a5414ed315d7ec5bd50bfe980bb1"
     #: mcf, COP, 2 cores: the metrics snapshot (wall-clock gauges
     #: stripped) as sorted JSON, and the trace events (``wall_ms``
@@ -168,6 +177,11 @@ class TestBenchmarkParity:
     def test_memory_intensive_benchmarks(self, bench):
         outcome = run_benchmark(bench, ProtectionMode.COP, scale=Scale.SMOKE, cores=2)
         assert _outcome_digest(outcome) == self.BENCH_DIGESTS[bench]
+
+    @pytest.mark.parametrize("mode", list(SHARED_SPACE_DIGESTS))
+    def test_shared_space_modes(self, mode):
+        outcome = run_benchmark("canneal", mode, scale=Scale.SMOKE, cores=2)
+        assert _outcome_digest(outcome) == self.SHARED_SPACE_DIGESTS[mode]
 
     def test_mix_parity(self):
         outcome = run_mix(("gcc", "lbm"), ProtectionMode.COP_ER, scale=Scale.SMOKE)
@@ -359,3 +373,39 @@ def test_differential_random_traces(ops):
     events."""
     for mode in ProtectionMode:
         _replay_both(mode, ops)
+
+
+#: Fresh blocks for one sequence-form write: ``(address slot, pool index)``.
+_FRESH = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=63),
+        st.integers(min_value=0, max_value=len(_POOL) - 1),
+    ),
+    max_size=24,
+    unique_by=lambda op: op[0],
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocks=_FRESH)
+def test_sequence_write_equals_one_by_one(blocks):
+    """One sequence-form ``write`` of fresh classified blocks leaves the
+    controller exactly as writing them one by one does, in every mode but
+    COP-ER (whose entry allocation is order dependent).  COP aliases are
+    left out: the sequence form refuses them."""
+    for mode in ProtectionMode:
+        if mode is ProtectionMode.COP_ER:
+            continue
+        single, bulk = ProtectedMemory(mode), ProtectedMemory(mode)
+        addrs, kinds = [], []
+        for slot, index in blocks:
+            kind = _classify(single, _POOL[index])
+            if mode is ProtectionMode.COP and kind[1]:
+                continue
+            addrs.append(slot * 64)
+            kinds.append(kind)
+            assert single.write(slot * 64, kind).accepted
+        assert bulk.write(addrs, kinds) is None
+        assert _memory_state(bulk) == _memory_state(single), mode
+        for addr in addrs:
+            assert _result_shape(bulk.read(addr)) == _result_shape(single.read(addr))

@@ -79,14 +79,14 @@ class TestLRU:
         cache.insert(a, bytes(64))
         cache.insert(b, bytes(64))
         cache.lookup(a)  # a is now MRU
-        eviction = cache.insert(c, bytes(64))
-        assert eviction.line.addr == b
+        victim = cache.insert(c, bytes(64))
+        assert victim.addr == b
 
     def test_eviction_reports_dirty_victim(self):
         cache = make_cache(sets=1, ways=1)
         cache.insert(0, bytes(64), dirty=True)
-        eviction = cache.insert(64, bytes(64))
-        assert eviction.line.dirty
+        victim = cache.insert(64, bytes(64))
+        assert victim.dirty
         assert cache.stats.writebacks == 1
 
     def test_no_eviction_until_full(self):
@@ -101,8 +101,8 @@ class TestAliasPinning:
         cache = make_cache(sets=1, ways=2)
         cache.insert(0, bytes(64), alias=True)
         cache.insert(64, bytes(64))
-        eviction = cache.insert(128, bytes(64))
-        assert eviction.line.addr == 64  # the non-alias way
+        victim = cache.insert(128, bytes(64))
+        assert victim.addr == 64  # the non-alias way
         assert cache.peek(0) is not None
 
     def test_all_ways_pinned_spills_to_overflow(self):
@@ -263,14 +263,14 @@ class TestLRUDifferential:
         for op, block, dirty, pin, was_uncompressed in ops:
             addr = block * 64
             if op == "insert":
-                eviction = cache.insert(
+                victim = cache.insert(
                     addr,
                     bytes(64),
                     dirty=dirty,
                     alias=pin == 0,
                     was_uncompressed=was_uncompressed,
                 )
-                got = None if eviction is None else _fields(eviction.line)
+                got = None if victim is None else _fields(victim)
                 assert got == ref.insert(addr, dirty, pin == 0, was_uncompressed)
             else:
                 assert _fields(getattr(cache, op)(addr)) == getattr(ref, op)(addr)

@@ -50,6 +50,55 @@ class TestValidation:
             memory.flip_bit(64, 0)
 
 
+class TestSequenceWrite:
+    """``write(addrs, [classification, ...])``: bulk first-touch population."""
+
+    def test_coper_is_refused(self):
+        memory = ProtectedMemory(ProtectionMode.COP_ER)
+        with pytest.raises(ValueError, match="COP-ER"):
+            memory.write([0], [(True, False)])
+        assert not memory.contents and memory.stats.writes == 0
+
+    def test_cop_alias_is_refused_before_anything_is_stored(self):
+        memory = ProtectedMemory(ProtectionMode.COP)
+        with pytest.raises(ValueError, match="alias"):
+            memory.write([0, 64], [(True, False), (False, True)])
+        assert not memory.contents and memory.stats.writes == 0
+        assert not memory.ever_incompressible
+
+    def test_alias_flag_matters_only_under_cop(self):
+        memory = ProtectedMemory(ProtectionMode.MEMZIP)
+        memory.write([0], [(False, True)])
+        assert memory.stats.raw_writes == memory.stats.ecc_block_writes == 1
+
+    def test_validates_alignment_and_lengths(self):
+        memory = ProtectedMemory(ProtectionMode.COP)
+        with pytest.raises(ValueError, match="aligned"):
+            memory.write([0, 7], [(True, False), (True, False)])
+        with pytest.raises(ValueError, match="one classification"):
+            memory.write([0, 64], [(True, False)])
+        assert not memory.contents
+
+    @pytest.mark.parametrize(
+        "mode",
+        [ProtectionMode.ECC_REGION, ProtectionMode.EMBEDDED_ECC, ProtectionMode.MEMZIP],
+    )
+    def test_side_ecc_blocks_match_the_per_access_addresses(self, mode):
+        memory = ProtectedMemory(mode)
+        rng = random.Random(9)
+        addrs = {rng.randrange(3 << 40) // 64 * 64 for _ in range(300)}
+        assert memory.side_ecc_blocks(addrs) == {
+            memory._side_ecc_addr(addr) for addr in addrs
+        }
+
+    @pytest.mark.parametrize(
+        "mode",
+        [ProtectionMode.UNPROTECTED, ProtectionMode.COP, ProtectionMode.COP_ER],
+    )
+    def test_no_side_ecc_blocks_elsewhere(self, mode):
+        assert ProtectedMemory(mode).side_ecc_blocks({0, 64}) == set()
+
+
 class TestUnprotected:
     def test_flips_corrupt_silently(self, text_block):
         memory = ProtectedMemory(ProtectionMode.UNPROTECTED)

@@ -63,6 +63,20 @@ class TestAddressMapper:
         aligned = addr - addr % 64
         assert mapper.compose(mapper.map(addr)) == aligned
 
+    @pytest.mark.parametrize(
+        "order",
+        [AddressMapper.DEFAULT_ORDER, ("channel", "col", "row", "bank", "rank")],
+    )
+    def test_compose_arrays_matches_compose(self, order):
+        import numpy as np
+
+        mapper = AddressMapper(order=order)
+        rng = random.Random(4)
+        addrs = [rng.randrange(3 << 40) // 64 * 64 for _ in range(200)]
+        fields = mapper.map_arrays(np.array(addrs, dtype=np.int64))
+        got = mapper.compose_arrays(fields).tolist()
+        assert got == [mapper.compose(mapper.map(addr)) for addr in addrs]
+
     def test_fields_within_bounds(self):
         mapper = AddressMapper()
         g = mapper.geometry

@@ -199,8 +199,8 @@ class TestCacheCornerStates:
         cache.insert(64, bytes(64), alias=True)
         # Re-insert one line without the alias flag: now evictable.
         cache.insert(0, bytes(64), alias=False)
-        eviction = cache.insert(128, bytes(64))
-        assert eviction is not None and eviction.line.addr == 0
+        victim = cache.insert(128, bytes(64))
+        assert victim is not None and victim.addr == 0
 
     def test_overflow_line_update_in_place(self):
         from repro.cache.cache import SetAssocCache

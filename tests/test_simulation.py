@@ -2,14 +2,19 @@
 
 import pytest
 
-from repro.cache.cache import CacheLine, Eviction
+import numpy as np
+
+from repro.cache.cache import CacheLine
 from repro.core.controller import ProtectedMemory, ProtectionMode
+from repro.experiments.common import Scale
+from repro.experiments.simruns import run_benchmark
 from repro.reliability.parma import VulnerabilityTracker
 from repro.simulation.config import SCALED_SYSTEM, TABLE1_SYSTEM, SystemConfig
+from repro.simulation.content import ContentOracle
 from repro.simulation.system import MultiCoreSystem, PerfResult, _Wave
 from repro.workloads.blocks import BlockSource
 from repro.workloads.profiles import PROFILES
-from repro.workloads.tracegen import EpochArrays, TraceGenerator
+from repro.workloads.tracegen import Access, Epoch, EpochArrays, TraceGenerator
 
 
 def build_system(
@@ -155,7 +160,7 @@ class TestEvictionChains:
         return sim
 
     def test_alias_repin_eviction_writes_back_dirty_victim(self):
-        """Regression: the Eviction returned by an alias re-pin was dropped,
+        """Regression: the victim returned by an alias re-pin was dropped,
         losing the displaced dirty line's data forever."""
         sim = self._one_set_system()
         dirty_addr, clean_addr = 0x0, 0x40
@@ -170,7 +175,7 @@ class TestEvictionChains:
         # re-pin displaces the LRU line — the dirty one.
         wave = _Wave(0.0)
         victim = CacheLine(addr=self.ALIAS_ADDR, data=bytes(64), dirty=True)
-        sim._handle_eviction(0, Eviction(victim), wave)
+        sim._handle_eviction(0, victim, wave)
 
         pinned = sim.llc.peek(self.ALIAS_ADDR)
         assert pinned is not None and pinned.alias
@@ -186,7 +191,7 @@ class TestEvictionChains:
         sim = self._one_set_system()
         wave = _Wave(0.0)
         victim = CacheLine(addr=self.ALIAS_ADDR, data=bytes(64), dirty=True)
-        sim._handle_eviction(0, Eviction(victim), wave)
+        sim._handle_eviction(0, victim, wave)
         assert sim.llc.peek(self.ALIAS_ADDR).alias
         assert sim.memory.stats.reads == 0
         assert sim.memory.stats.alias_rejects == 1
@@ -203,14 +208,121 @@ class TestEvictionChains:
             ways = 2
 
             def insert(self, addr, data, dirty=False, alias=False):
-                return Eviction(
-                    CacheLine(addr=addr + 0x40, data=data, dirty=True)
-                )
+                return CacheLine(addr=addr + 0x40, data=data, dirty=True)
 
         sim.llc = _EndlessCache()
         victim = CacheLine(addr=0x0, data=bytes(64), dirty=True)
         with pytest.raises(RuntimeError, match="eviction chain"):
-            sim._handle_eviction(0, Eviction(victim), _Wave(0.0))
+            sim._handle_eviction(0, victim, _Wave(0.0))
+
+
+class TestFirstTouchPopulation:
+    """Which blocks ``run`` stores up front and which wait for a miss."""
+
+    @pytest.fixture
+    def populated(self, monkeypatch):
+        """Addresses stored by the per-miss first-touch path."""
+        seen = []
+        real = MultiCoreSystem._populate
+
+        def spy(sim, core_index, addr, wave):
+            seen.append(addr)
+            return real(sim, core_index, addr, wave)
+
+        monkeypatch.setattr(MultiCoreSystem, "_populate", spy)
+        return seen
+
+    @pytest.mark.parametrize(
+        "mode",
+        [mode for mode in ProtectionMode if mode is not ProtectionMode.COP_ER],
+    )
+    def test_only_cop_er_populates_per_miss(self, mode, populated):
+        """Apart from COP-ER, only a data address that is also an ECC
+        block of the job waits for its miss."""
+        sim = build_system(mode=mode, epochs=80)
+        sim.run()
+        touched = set().union(*(core.epochs.addrs.tolist() for core in sim._cores))
+        side = sim.memory.side_ecc_blocks(touched)
+        assert set(populated) <= side
+        # Such a block may be cached as metadata until the run ends.
+        assert set(sim.memory.contents) <= touched
+        assert touched - set(sim.memory.contents) <= side
+
+    def test_cop_er_populates_every_block_at_its_first_miss(self, populated):
+        sim = build_system(mode=ProtectionMode.COP_ER, epochs=80)
+        sim.run()
+        assert len(populated) == len(set(populated)) == len(sim.memory.contents)
+
+    def test_cop_alias_waits_for_its_first_miss(self, populated, monkeypatch):
+        """A first-touch alias is nudged to a storable version at its miss,
+        which is where its ``alias_reject`` belongs."""
+        sim = build_system(mode=ProtectionMode.COP, cores=1, epochs=40)
+        alias_addr = int(sim._cores[0].epochs.addrs[5])
+        real_kind = sim.oracle.kind
+        sim.oracle.kind = lambda core, addr, version: (
+            (False, True)
+            if (addr, version) == (alias_addr, 0)
+            else real_kind(core, addr, version)
+        )
+        sim.run()
+        assert populated == [alias_addr]
+        assert sim.memory.stats.alias_rejects >= 1
+        assert sim._versions[alias_addr] >= 1
+
+    def test_ecc_block_hit_before_its_first_miss_is_never_written(self, populated):
+        """Under embedded ECC a data address can be its row's ECC block.
+        When a miss in that row caches it as metadata first, its data
+        access hits, so the block is never stored as data."""
+        memory = ProtectedMemory(ProtectionMode.EMBEDDED_ECC)
+        ecc_addr = memory.embedded_ecc_addr(0)
+        trace = EpochArrays.from_epochs(
+            [Epoch(10, (Access(0, False), Access(ecc_addr, True)))]
+        )
+        profile = PROFILES["gcc"]
+        sim = MultiCoreSystem(
+            memory, [trace], [BlockSource(profile, seed=3)], [1.0], SCALED_SYSTEM
+        )
+        sim.run()
+        assert set(memory.contents) == {0}
+        assert memory.stats.writes == 1
+        assert sim.llc.peek(ecc_addr).dirty
+
+    def test_addresses_two_content_streams_share_are_left_out(self):
+        profile = PROFILES["gcc"]
+        oracle = ContentOracle(
+            [BlockSource(profile, seed=1), BlockSource(profile, seed=2)],
+            ProtectedMemory(ProtectionMode.COP).codec,
+            ProtectionMode.COP,
+        )
+        streams = oracle.prefetch(
+            [np.array([0, 64, 128], dtype=np.int64), np.array([128, 192])]
+        )
+        assert streams == [(0, [0, 64]), (1, [192])]
+        # Still classified, for its first touch at a miss.
+        assert (128, 0) in oracle._stores[0] and (128, 0) in oracle._stores[1]
+
+    def test_cores_sharing_a_stream_share_one_owner(self):
+        profile = PROFILES["canneal"]
+        source = BlockSource(profile, seed=1)
+        oracle = ContentOracle(
+            [source, BlockSource(profile, seed=1)],
+            ProtectedMemory(ProtectionMode.COP).codec,
+            ProtectionMode.COP,
+        )
+        streams = oracle.prefetch([np.array([64, 0]), np.array([0, 128])])
+        assert streams == [(0, [0, 64, 128])]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="modelling bug: rate-mode cores k>=1 sit at k * 2**40, above the "
+    "default 8 GiB memory's region_base, so their data counts as ECC "
+    "metadata and dirty evictions of it skip the controller",
+)
+@pytest.mark.parametrize("mode", [ProtectionMode.COP, ProtectionMode.ECC_REGION])
+def test_rate_mode_data_is_never_metadata(mode):
+    memory = run_benchmark("mcf", mode, scale=Scale.SMOKE, cores=2).memory
+    assert not [addr for addr in memory.contents if memory.is_metadata_addr(addr)]
 
 
 class TestVulnerabilityIntegration:
