@@ -21,7 +21,7 @@ report:
 	$(PYTHON) -m repro.experiments.cli report
 
 examples:
-	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f || exit 1; done
+	for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src $(PYTHON) $$f || exit 1; done
 
 # Static analysis gate: the repo-specific AST linter (eleven invariant
 # rules, see docs/static-analysis.md) always runs; mypy and ruff run

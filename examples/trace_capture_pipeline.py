@@ -57,9 +57,7 @@ def main() -> None:
         ),
     )
 
-    misses = hierarchy.filter_accesses(
-        0, raw_stream(profile, 17), data_of=source.block
-    )
+    misses = hierarchy.filter_accesses(0, raw_stream(profile, 17))
 
     stats = hierarchy.stats
     print(f"benchmark: {BENCH}; raw stream: {stats.accesses} accesses")

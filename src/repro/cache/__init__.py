@@ -1,19 +1,16 @@
 """Cache substrate: a set-associative write-back LLC with COP metadata.
 
-COP needs two per-line bits beyond an ordinary LLC (Sections 3.1, 3.3):
-
-* ``alias`` — the line is an incompressible alias and must never be written
-  back to DRAM; victim selection skips pinned lines, and the exceedingly
-  rare all-ways-pinned set overflows into a spill region modelled after the
-  paper's linked-list scheme.
-* ``was_uncompressed`` — set when the block was read from DRAM in
-  uncompressed format, so COP-ER knows an ECC entry already exists for it.
+COP needs one per-line bit beyond an ordinary LLC (Section 3.1):
+``ALIAS`` marks an incompressible alias that must never be written back
+to DRAM.  Victim selection skips pinned lines, and the exceedingly rare
+all-ways-pinned set overflows into a spill dict modelled after the
+paper's linked-list scheme.  A line is a flag word of ``DIRTY | ALIAS``.
 """
 
 from repro.cache.cache import (
-    CacheLine,
+    ALIAS,
+    DIRTY,
     CacheStats,
-    OverflowRegion,
     SetAssocCache,
 )
 from repro.cache.hierarchy import (
@@ -25,9 +22,9 @@ from repro.cache.hierarchy import (
 
 __all__ = [
     "SetAssocCache",
-    "CacheLine",
+    "ALIAS",
+    "DIRTY",
     "CacheStats",
-    "OverflowRegion",
     "CacheHierarchy",
     "LevelConfig",
     "TABLE1_LEVELS",

@@ -1,12 +1,16 @@
 """Set-associative write-back cache with COP's per-line metadata.
 
-Addresses are byte addresses; lines are 64 bytes.  The cache stores block
-*data* (bytes) so the functional simulation can track contents end-to-end,
-plus the COP flag bits.  Replacement is LRU with alias pinning: lines whose
-``alias`` flag is set are not eligible victims (they cannot be written back
-to DRAM without confusing the decoder), and if every way of a set is pinned
-the insertion spills to an :class:`OverflowRegion` — the linked-list
-overflow area of Section 3.1, which exists for correctness, not speed.
+Addresses are byte addresses; lines are 64 bytes.  A resident line is a
+block address mapped to a small int *flag word*: :data:`DIRTY` and
+:data:`ALIAS`.  The cache stores no block data: nothing downstream reads
+cached bytes back (the fault-free replay moves classifications, not
+payloads), so a fill allocates no per-line object.
+
+Replacement is LRU with alias pinning: lines whose :data:`ALIAS` flag is
+set are not eligible victims (they cannot be written back to DRAM without
+confusing the decoder), and if every way of a set is pinned the insertion
+spills to the overflow dict, the linked-list overflow area of Section 3.1,
+which exists for correctness, not speed.
 """
 
 from __future__ import annotations
@@ -14,18 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["CacheLine", "CacheStats", "OverflowRegion", "SetAssocCache"]
+__all__ = ["ALIAS", "DIRTY", "CacheStats", "SetAssocCache"]
 
-
-@dataclass(slots=True)
-class CacheLine:
-    """One resident line.  ``addr`` is the block-aligned byte address."""
-
-    addr: int
-    data: bytes
-    dirty: bool = False
-    alias: bool = False
-    was_uncompressed: bool = False
+#: Flag-word bits of a resident line.
+DIRTY = 1
+ALIAS = 2
 
 
 @dataclass
@@ -59,38 +56,14 @@ class CacheStats:
         return self
 
 
-class OverflowRegion:
-    """Spill area for sets whose every way is a pinned alias.
-
-    The paper arranges overflow blocks as a linked list in a reserved
-    sliver of DRAM, found via a per-set overflow flag and a repurposed tag.
-    Functionally that is an address-indexed side store with higher access
-    latency; the performance model charges ``extra_hops`` DRAM-class
-    accesses per lookup that reaches it.
-    """
-
-    def __init__(self, extra_hops: int = 2) -> None:
-        self.blocks: dict[int, CacheLine] = {}
-        self.extra_hops = extra_hops
-
-    def insert(self, line: CacheLine) -> None:
-        self.blocks[line.addr] = line
-
-    def lookup(self, addr: int) -> Optional[CacheLine]:
-        return self.blocks.get(addr)
-
-    def remove(self, addr: int) -> Optional[CacheLine]:
-        return self.blocks.pop(addr, None)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-
 class SetAssocCache:
     """LRU set-associative cache keyed by block-aligned byte addresses.
 
-    Each set is a dict in LRU order: a hit or refill moves its line to the
-    end, so the victim is the first line that is not a pinned alias.
+    Each set is a dict from block address to flag word in LRU order: a
+    hit or refill moves its line to the end, so the victim is the first
+    line that is not a pinned alias.  ``overflow`` is the spill area for
+    sets whose every way is pinned: the paper's per-set linked list in
+    reserved DRAM, modelled as one address-indexed flag dict.
     """
 
     def __init__(
@@ -108,117 +81,113 @@ class SetAssocCache:
         if self.num_sets < 1:
             raise ValueError("cache must have at least one set")
         self.name = name
-        self._sets: list[dict[int, CacheLine]] = [
-            {} for _ in range(self.num_sets)
-        ]
-        self.overflow = OverflowRegion()
+        self._sets: list[dict[int, int]] = [{} for _ in range(self.num_sets)]
+        self.overflow: dict[int, int] = {}
         self.stats = CacheStats()
 
     # -- operations ----------------------------------------------------------
 
-    def lookup(self, addr: int) -> Optional[CacheLine]:
-        """Return the line holding ``addr`` (updating LRU), or None."""
+    def lookup(self, addr: int, store: bool = False) -> bool:
+        """Whether ``addr`` is cached, updating LRU; a store hit sets DIRTY."""
         addr -= addr % self.line_bytes
         cache_set = self._sets[(addr // self.line_bytes) % self.num_sets]
-        line = cache_set.pop(addr, None)
-        if line is not None:
-            cache_set[addr] = line  # now the most recently used
+        flags = cache_set.pop(addr, None)
+        if flags is not None:
+            # Now the most recently used.
+            cache_set[addr] = flags | DIRTY if store else flags
             self.stats.hits += 1
-            return line
-        spilled = (
-            self.overflow.blocks.get(addr) if self.overflow.blocks else None
-        )
-        if spilled is not None:
-            # An overflowed line still counts as cached (it must: aliases
-            # cannot live in DRAM), but the performance model charges the
-            # pointer-chasing cost via ``overflow.extra_hops``.
+            return True
+        overflow = self.overflow
+        if overflow and addr in overflow:
+            # An overflowed line still counts as cached: aliases cannot
+            # live in DRAM.
+            if store:
+                overflow[addr] |= DIRTY
             self.stats.hits += 1
             self.stats.overflow_hits += 1
-            return spilled
+            return True
         self.stats.misses += 1
-        return None
+        return False
 
-    def peek(self, addr: int) -> Optional[CacheLine]:
-        """Lookup without touching LRU state or stats."""
-        addr -= addr % self.line_bytes
-        line = self._sets[(addr // self.line_bytes) % self.num_sets].get(addr)
-        if line is not None:
-            return line
-        return self.overflow.lookup(addr)
+    def peek(self, addr: int, store: bool = False) -> Optional[int]:
+        """The flag word of ``addr``, or None, without touching LRU or stats.
 
-    def insert(
-        self,
-        addr: int,
-        data: bytes,
-        dirty: bool = False,
-        alias: bool = False,
-        was_uncompressed: bool = False,
-    ) -> Optional[CacheLine]:
-        """Install a line, returning the victim it pushed out (if any).
-
-        A dirty victim is a writeback candidate.  If the line is already
-        resident its contents/flags are updated in place and no eviction
-        occurs.
+        ``store`` sets DIRTY on a resident line in place.
         """
         addr -= addr % self.line_bytes
-        if len(data) != self.line_bytes:
-            raise ValueError(f"line data must be {self.line_bytes} bytes")
+        lines = self._sets[(addr // self.line_bytes) % self.num_sets]
+        flags = lines.get(addr)
+        if flags is None:
+            lines = self.overflow
+            flags = lines.get(addr)
+            if flags is None:
+                return None
+        if store:
+            flags |= DIRTY
+            lines[addr] = flags  # an existing key keeps its LRU position
+        return flags
+
+    def insert(
+        self, addr: int, dirty: bool = False, alias: bool = False
+    ) -> Optional[tuple[int, int]]:
+        """Install a line; returns the ``(addr, flags)`` victim it pushed out.
+
+        A dirty victim is a writeback candidate.  If the line is already
+        resident its flags are updated in place (DIRTY is sticky) and no
+        eviction occurs.
+        """
+        addr -= addr % self.line_bytes
         stats = self.stats
+        flags = DIRTY if dirty else 0
         if alias:
+            flags |= ALIAS
             stats.alias_pins += 1
         cache_set = self._sets[(addr // self.line_bytes) % self.num_sets]
         existing = cache_set.pop(addr, None)
         if existing is not None:
-            cache_set[addr] = existing  # now the most recently used
-        elif self.overflow.blocks:
-            existing = self.overflow.blocks.get(addr)
-        if existing is not None:
-            existing.data = data
-            existing.dirty = existing.dirty or dirty
-            existing.alias = alias
-            existing.was_uncompressed = was_uncompressed
+            cache_set[addr] = (existing & DIRTY) | flags  # now the MRU line
             return None
-
-        new_line = CacheLine(addr, data, dirty, alias, was_uncompressed)
+        overflow = self.overflow
+        if overflow and addr in overflow:
+            overflow[addr] = (overflow[addr] & DIRTY) | flags
+            return None
         if len(cache_set) < self.ways:
-            cache_set[addr] = new_line
+            cache_set[addr] = flags
             return None
 
-        victim: Optional[CacheLine] = None
-        for line in cache_set.values():
-            if not line.alias:
-                victim = line
+        for victim, victim_flags in cache_set.items():
+            if not victim_flags & ALIAS:
                 break
-        if victim is None:
+        else:
             # Every way pinned by incompressible aliases: spill the new line
             # (clean insertion order keeps resident aliases untouched).
             stats.overflow_spills += 1
-            self.overflow.insert(new_line)
+            overflow[addr] = flags
             return None
-        del cache_set[victim.addr]
-        cache_set[addr] = new_line
+        del cache_set[victim]
+        cache_set[addr] = flags
         stats.evictions += 1
-        if victim.dirty:
+        if victim_flags & DIRTY:
             stats.writebacks += 1
-        return victim
+        return victim, victim_flags
 
-    def invalidate(self, addr: int) -> Optional[CacheLine]:
-        """Drop a line without writeback; returns it if it was resident."""
+    def invalidate(self, addr: int) -> Optional[int]:
+        """Drop a line without writeback; returns its flags if it was cached."""
         addr -= addr % self.line_bytes
-        line = self._sets[(addr // self.line_bytes) % self.num_sets].pop(addr, None)
-        if line is not None:
-            return line
-        return self.overflow.remove(addr)
+        flags = self._sets[(addr // self.line_bytes) % self.num_sets].pop(addr, None)
+        if flags is not None:
+            return flags
+        return self.overflow.pop(addr, None)
 
-    def resident_lines(self) -> list[CacheLine]:
-        """All lines currently held (including overflow), unordered."""
-        lines = [line for cache_set in self._sets for line in cache_set.values()]
-        lines.extend(self.overflow.blocks.values())
+    def resident_lines(self) -> list[tuple[int, int]]:
+        """Every ``(addr, flags)`` currently held (including overflow)."""
+        lines = [line for cache_set in self._sets for line in cache_set.items()]
+        lines.extend(self.overflow.items())
         return lines
 
     def pinned_lines(self) -> int:
         """Lines currently alias-pinned (resident + overflow)."""
-        return sum(1 for line in self.resident_lines() if line.alias)
+        return sum(1 for _, flags in self.resident_lines() if flags & ALIAS)
 
     def publish_metrics(self, registry, prefix: Optional[str] = None) -> None:
         """Mirror this cache's counters into a metrics registry.

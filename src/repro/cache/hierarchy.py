@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.cache.cache import SetAssocCache
+from repro.cache.cache import DIRTY, SetAssocCache
 from repro.workloads.tracegen import Access
 
 __all__ = ["LevelConfig", "TABLE1_LEVELS", "CacheHierarchy", "FilterStats"]
@@ -48,6 +48,7 @@ class FilterStats:
     accesses: int = 0
     hits_by_level: dict[str, int] = field(default_factory=dict)
     llc_misses: int = 0
+    llc_writebacks: int = 0
 
     def hit_rate(self, level: str) -> float:
         if not self.accesses:
@@ -55,7 +56,11 @@ class FilterStats:
         return self.hits_by_level.get(level, 0) / self.accesses
 
     def as_dict(self) -> dict[str, int]:
-        out = {"accesses": self.accesses, "llc_misses": self.llc_misses}
+        out = {
+            "accesses": self.accesses,
+            "llc_misses": self.llc_misses,
+            "llc_writebacks": self.llc_writebacks,
+        }
         for level, hits in self.hits_by_level.items():
             out[f"hits.{level}"] = hits
         return out
@@ -63,6 +68,7 @@ class FilterStats:
     def merge(self, other: "FilterStats") -> "FilterStats":
         self.accesses += other.accesses
         self.llc_misses += other.llc_misses
+        self.llc_writebacks += other.llc_writebacks
         for level, hits in other.hits_by_level.items():
             self.hits_by_level[level] = self.hits_by_level.get(level, 0) + hits
         return self
@@ -110,25 +116,17 @@ class CacheHierarchy:
     def access(self, core: int, addr: int, is_store: bool) -> Optional[str]:
         """One access; returns the level name that hit, or None (L3 miss).
 
-        On an L3 miss the line is installed at every level (the caller is
-        expected to service the miss from memory).  Dirty victims
-        propagate one level outward; a dirty L3 victim is the hierarchy's
-        writeback to DRAM, surfaced via :attr:`pending_writebacks`.
+        A hit fills the levels inside the one that hit.  On an L3 miss
+        nothing is installed: the caller services the miss from memory
+        and calls :meth:`install`.
         """
         self.stats.accesses += 1
         caches = self._core_levels(core) + [self.llc]
         for index, cache in enumerate(caches):
-            line = cache.lookup(addr)
-            if line is not None:
-                if is_store:
-                    line.dirty = True
+            if cache.lookup(addr, is_store):
                 # Fill the inner levels (NINE: no back-invalidation).
-                self._fill(caches[:index], addr, line.data, is_store)
-                name = (
-                    self.levels[index].name
-                    if index < len(self.levels)
-                    else self.llc.name
-                )
+                self._fill(caches, index, addr, is_store)
+                name = self.levels[index].name
                 self.stats.hits_by_level[name] = (
                     self.stats.hits_by_level.get(name, 0) + 1
                 )
@@ -136,32 +134,35 @@ class CacheHierarchy:
         self.stats.llc_misses += 1
         return None
 
-    def install(self, core: int, addr: int, data: bytes, is_store: bool) -> list:
+    def install(
+        self, core: int, addr: int, is_store: bool
+    ) -> list[tuple[int, int]]:
         """Install a memory fill at every level; returns dirty L3 victims."""
         caches = self._core_levels(core) + [self.llc]
-        return self._fill(caches, addr, data, is_store)
+        return self._fill(caches, len(caches), addr, is_store)
 
     def _fill(
-        self, caches: list[SetAssocCache], addr: int, data: bytes, dirty: bool
-    ) -> list:
-        """Install into the given levels, cascading dirty victims outward."""
+        self, caches: list[SetAssocCache], count: int, addr: int, dirty: bool
+    ) -> list[tuple[int, int]]:
+        """Install ``addr`` into the innermost ``count`` of ``caches``.
+
+        A dirty victim moves one level outward, and the dirty victim that
+        insertion displaces moves on in turn.  A dirty victim of the last
+        level is a writeback to DRAM: it is returned as ``(addr, flags)``
+        and counted in ``stats.llc_writebacks``.
+        """
+        last = len(caches) - 1
         writebacks = []
-        for index, cache in enumerate(caches):
-            victim = cache.insert(addr, data, dirty=dirty and index == 0)
-            if victim is None or not victim.dirty:
-                continue
-            if cache is self.llc:
-                writebacks.append(victim)
-            else:
-                # Push the dirty victim one level outward.
-                outer = caches[index + 1] if index + 1 < len(caches) else self.llc
-                outer_victim = outer.insert(victim.addr, victim.data, dirty=True)
-                if (
-                    outer is self.llc
-                    and outer_victim is not None
-                    and outer_victim.dirty
-                ):
-                    writebacks.append(outer_victim)
+        for index in range(count):
+            victim = caches[index].insert(addr, dirty=dirty and index == 0)
+            level = index
+            while victim is not None and victim[1] & DIRTY:
+                if level == last:
+                    writebacks.append(victim)
+                    break
+                level += 1
+                victim = caches[level].insert(victim[0], dirty=True)
+        self.stats.llc_writebacks += len(writebacks)
         return writebacks
 
     # -- observability -----------------------------------------------------------
@@ -187,21 +188,15 @@ class CacheHierarchy:
 
     # -- trace filtering --------------------------------------------------------
 
-    def filter_accesses(
-        self,
-        core: int,
-        accesses: Iterable[Access],
-        data_of=lambda addr: bytes(64),
-    ) -> list[Access]:
+    def filter_accesses(self, core: int, accesses: Iterable[Access]) -> list[Access]:
         """Reduce a raw access stream to its L3 misses.
 
         This is the Sniper role in the paper's methodology: the interval
-        simulator only sees references that reach DRAM.  ``data_of``
-        supplies fill contents (a :class:`BlockSource` in practice).
+        simulator only sees references that reach DRAM.
         """
         misses = []
         for access in accesses:
             if self.access(core, access.addr, access.is_store) is None:
-                self.install(core, access.addr, data_of(access.addr), access.is_store)
+                self.install(core, access.addr, access.is_store)
                 misses.append(access)
         return misses

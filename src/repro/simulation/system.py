@@ -42,8 +42,9 @@ Content-free fault-free accesses
     never reach an observable output.  Only a block's *classification*
     (compressible / alias) and the mode bookkeeping matter, so the replay
     writes classifications rather than bytes through the controller's
-    ``write`` / ``read`` (no image is stored) and LLC lines carry a
-    placeholder payload.
+    ``write`` / ``read`` (no image is stored).  The LLC holds no payload
+    either: a line is a flag word of ``DIRTY | ALIAS``, so a fill
+    allocates no object for the garbage collector to track.
 
 Vectorised classification
     :class:`~repro.simulation.content.ContentOracle` classifies every
@@ -72,8 +73,7 @@ import heapq
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.cache.cache import SetAssocCache
-from repro.compression.base import BLOCK_BYTES
+from repro.cache.cache import DIRTY, SetAssocCache
 from repro.core.controller import ProtectedMemory, ProtectionMode
 from repro.memory.dram import DRAMSystem
 from repro.reliability.parma import VulnerabilityTracker
@@ -83,9 +83,6 @@ from repro.workloads.blocks import BlockSource
 from repro.workloads.tracegen import EpochArrays
 
 __all__ = ["CoreResult", "PerfResult", "MultiCoreSystem"]
-
-#: Stand-in line payload; the replay never reads cached bytes back.
-_PLACEHOLDER = bytes(BLOCK_BYTES)
 
 #: Classification of an incompressible alias under COP.
 _ALIAS = (False, True)
@@ -312,6 +309,10 @@ class MultiCoreSystem:
         lo: int,
         hi: int,
     ) -> None:
+        """Replay one epoch's accesses in order.
+
+        A miss is serviced inline; its timing resolves at the wave flush.
+        """
         core = self._cores[core_index]
         config = self.config
         compute_ns = (instructions / core.perfect_ipc) * config.cycle_ns
@@ -321,20 +322,26 @@ class MultiCoreSystem:
         outstanding = 0
         mshrs = config.mshrs
         lookup = self.llc.lookup
+        insert = self.llc.insert
+        memory = self.memory
+        contents = memory.contents
+        read = memory.read
+        on_read = self.tracker.on_read if self.tracker is not None else None
+        handle_eviction = self._handle_eviction
         versions = self._versions
         versions_get = versions.get
         writer = self._writer
-        miss = self._miss
+        obs_enabled = self._obs_enabled
+        cycle_ns = self._cycle_ns
         wave = _Wave(now_ns)
         for i in range(lo, hi):
             addr = addrs[i]
-            line = lookup(addr)
-            if line is not None:
-                if stores[i]:
+            is_store = stores[i]
+            if lookup(addr, is_store):
+                if is_store:
                     # The store rewrites the line: advance its version.
                     versions[addr] = versions_get(addr, 0) + 1
                     writer[addr] = core_index
-                    line.dirty = True
                 continue
             # MSHR limit: once a full wave of misses is outstanding, the
             # next wave issues when the current one has drained.
@@ -342,8 +349,53 @@ class MultiCoreSystem:
                 stall_until = self._flush_wave(wave, stall_until)
                 outstanding = 0
                 wave = _Wave(stall_until)
-            miss(core_index, addr, stores[i], wave)
             outstanding += 1
+
+            if addr not in contents:
+                self._populate(core_index, addr, wave)
+            result = read(addr)
+            if on_read is not None:
+                on_read(addr, wave.now_ns)
+            requests = wave.requests
+            data_idx = len(requests)
+            requests.append((addr, False))
+            ecc_idxs: List[int] = []
+            for ecc_addr in result.ecc_reads:
+                if not lookup(ecc_addr):
+                    ecc_idxs.append(len(requests))
+                    requests.append((ecc_addr, False))
+                    victim = insert(ecc_addr)
+                    if victim is not None and victim[1]:
+                        handle_eviction(core_index, victim, wave)
+
+            payload: Optional[dict] = None
+            if obs_enabled:
+                self.obs.profile.count("misses")
+                payload = {
+                    "t_ns": round(wave.now_ns, 3),
+                    "core": core_index,
+                    "addr": addr,
+                    "store": is_store,
+                    "mode": memory.mode.value,
+                    "compressed": result.compressed,
+                    "uncompressed": result.was_uncompressed,
+                    "corrected": result.corrected,
+                    "ecc_blocks": len(result.ecc_reads),
+                    "row_hit": None,  # patched at wave flush
+                    "latency_ns": None,  # patched at wave flush
+                }
+                wave.events.append(("access", payload))
+            wave.misses.append(
+                (data_idx, ecc_idxs, result.decompress_cycles * cycle_ns, payload)
+            )
+
+            if is_store:
+                versions[addr] = versions_get(addr, 0) + 1
+                writer[addr] = core_index
+            victim = insert(addr, is_store)
+            # A clean, unpinned victim (flag word 0) is simply dropped.
+            if victim is not None and victim[1]:
+                handle_eviction(core_index, victim, wave)
         stall_until = self._flush_wave(wave, stall_until)
 
         core.time_ns = stall_until
@@ -353,69 +405,6 @@ class MultiCoreSystem:
         core.result.epochs += 1
 
     # -- miss path ---------------------------------------------------------
-
-    def _miss(
-        self, core_index: int, addr: int, is_store: bool, wave: _Wave
-    ) -> None:
-        """Service one LLC miss; its timing resolves at the wave flush."""
-        memory = self.memory
-        llc = self.llc
-        now_ns = wave.now_ns
-        requests = wave.requests
-        if addr not in memory.contents:
-            self._populate(core_index, addr, wave)
-        read = memory.read(addr)
-        if self.tracker is not None:
-            self.tracker.on_read(addr, now_ns)
-
-        data_idx = len(requests)
-        requests.append((addr, False))
-        ecc_idxs: List[int] = []
-        for ecc_addr in read.ecc_reads:
-            if llc.lookup(ecc_addr) is None:
-                ecc_idxs.append(len(requests))
-                requests.append((ecc_addr, False))
-                victim = llc.insert(ecc_addr, _PLACEHOLDER)
-                if victim is not None:
-                    self._handle_eviction(core_index, victim, wave)
-
-        payload: Optional[dict] = None
-        if self._obs_enabled:
-            self.obs.profile.count("misses")
-            payload = {
-                "t_ns": round(now_ns, 3),
-                "core": core_index,
-                "addr": addr,
-                "store": is_store,
-                "mode": memory.mode.value,
-                "compressed": read.compressed,
-                "uncompressed": read.was_uncompressed,
-                "corrected": read.corrected,
-                "ecc_blocks": len(read.ecc_reads),
-                "row_hit": None,  # patched at wave flush
-                "latency_ns": None,  # patched at wave flush
-            }
-            wave.events.append(("access", payload))
-        wave.misses.append(
-            (
-                data_idx,
-                ecc_idxs,
-                read.decompress_cycles * self._cycle_ns,
-                payload,
-            )
-        )
-
-        if is_store:
-            self._versions[addr] = self._versions.get(addr, 0) + 1
-            self._writer[addr] = core_index
-        victim = llc.insert(
-            addr,
-            _PLACEHOLDER,
-            dirty=is_store,
-            was_uncompressed=read.was_uncompressed,
-        )
-        if victim is not None:
-            self._handle_eviction(core_index, victim, wave)
 
     def _store(self, core_index: int, addr: int, version: int, wave: _Wave):
         """Write one content version of a block through the controller."""
@@ -451,14 +440,13 @@ class MultiCoreSystem:
 
     # -- writeback path ----------------------------------------------------
 
-    def _writeback(self, core_index: int, victim, wave: _Wave):
+    def _writeback(self, core_index: int, addr: int, wave: _Wave):
         """Write one dirty (or alias-pinned) LLC victim back to memory.
 
-        Returns the victim pushed out when a rejected (incompressible-alias)
-        writeback re-pins its line — that insertion can push *another* line
-        out, which the caller must handle in turn.
+        Returns the ``(addr, flags)`` victim pushed out when a rejected
+        (incompressible-alias) writeback re-pins its line — that insertion
+        can push *another* line out, which the caller must handle in turn.
         """
-        addr = victim.addr
         version = self._versions.get(addr, 0)
         writer = self._writer.get(addr, core_index)
         result = self._store(writer, addr, version, wave)
@@ -481,17 +469,15 @@ class MultiCoreSystem:
             # Incompressible alias: it must stay cached, pinned.  The
             # re-pin may displace another line — hand its victim back
             # instead of silently dropping a dirty writeback.
-            return self.llc.insert(addr, _PLACEHOLDER, dirty=True, alias=True)
+            return self.llc.insert(addr, dirty=True, alias=True)
         if self.tracker is not None:
             self.tracker.on_write(
                 addr, wave.now_ns, self._protected(result.compressed)
             )
         wave.requests.append((addr, True))
         for ecc_addr in result.ecc_writes:
-            line = self.llc.peek(ecc_addr)
-            if line is not None:
-                line.dirty = True
-            else:
+            # A cached ECC block absorbs the write (dirtied in place).
+            if self.llc.peek(ecc_addr, store=True) is None:
                 wave.requests.append((ecc_addr, True))
         return None
 
@@ -510,13 +496,13 @@ class MultiCoreSystem:
                     "eviction chain exceeded LLC associativity "
                     f"({self.llc.ways} ways)"
                 )
-            line, victim = victim, None
-            if self.memory.is_metadata_addr(line.addr):
+            (addr, flags), victim = victim, None
+            if self.memory.is_metadata_addr(addr):
                 # Dirty ECC metadata block: plain DRAM write, no re-encode.
-                if line.dirty:
-                    wave.requests.append((line.addr, True))
-            elif line.dirty or line.alias:
-                victim = self._writeback(core_index, line, wave)
+                if flags & DIRTY:
+                    wave.requests.append((addr, True))
+            elif flags:  # dirty or alias-pinned
+                victim = self._writeback(core_index, addr, wave)
 
     # -- wave flush --------------------------------------------------------
 

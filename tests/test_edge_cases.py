@@ -195,21 +195,22 @@ class TestCacheCornerStates:
         from repro.cache.cache import SetAssocCache
 
         cache = SetAssocCache(2 * 64, 2)
-        cache.insert(0, bytes(64), alias=True)
-        cache.insert(64, bytes(64), alias=True)
+        cache.insert(0, alias=True)
+        cache.insert(64, alias=True)
         # Re-insert one line without the alias flag: now evictable.
-        cache.insert(0, bytes(64), alias=False)
-        victim = cache.insert(128, bytes(64))
-        assert victim is not None and victim.addr == 0
+        cache.insert(0, alias=False)
+        assert cache.insert(128) == (0, 0)
 
     def test_overflow_line_update_in_place(self):
         from repro.cache.cache import SetAssocCache
 
+        from repro.cache.cache import ALIAS, DIRTY
+
         cache = SetAssocCache(64, 1)
-        cache.insert(0, bytes(64), alias=True)
-        cache.insert(64, b"\x01" * 64)  # spills
-        cache.insert(64, b"\x02" * 64)  # updates the spilled line
-        assert cache.peek(64).data == b"\x02" * 64
+        cache.insert(0, alias=True)
+        cache.insert(64)  # spills
+        cache.insert(64, dirty=True, alias=True)  # updates the spilled line
+        assert cache.peek(64) == DIRTY | ALIAS
         assert len(cache.overflow) == 1
 
 

@@ -4,7 +4,7 @@ import pytest
 
 import numpy as np
 
-from repro.cache.cache import CacheLine
+from repro.cache.cache import ALIAS, DIRTY
 from repro.core.controller import ProtectedMemory, ProtectionMode
 from repro.experiments.common import Scale
 from repro.experiments.simruns import run_benchmark
@@ -168,17 +168,15 @@ class TestEvictionChains:
         # DRAM holds the stale version; the only up-to-date copy of
         # dirty_addr lives in the (full) LLC.
         assert sim.memory.write(dirty_addr, (True, False)).accepted
-        assert sim.llc.insert(dirty_addr, bytes(64), dirty=True) is None
-        assert sim.llc.insert(clean_addr, bytes(64)) is None
+        assert sim.llc.insert(dirty_addr, dirty=True) is None
+        assert sim.llc.insert(clean_addr) is None
 
         # Evict an incompressible alias: its writeback is rejected, the
         # re-pin displaces the LRU line — the dirty one.
         wave = _Wave(0.0)
-        victim = CacheLine(addr=self.ALIAS_ADDR, data=bytes(64), dirty=True)
-        sim._handle_eviction(0, victim, wave)
+        sim._handle_eviction(0, (self.ALIAS_ADDR, DIRTY), wave)
 
-        pinned = sim.llc.peek(self.ALIAS_ADDR)
-        assert pinned is not None and pinned.alias
+        assert sim.llc.peek(self.ALIAS_ADDR) == DIRTY | ALIAS
         assert sim.llc.peek(dirty_addr) is None
         # The displaced dirty line must have been written back to memory.
         assert sim.memory.stats.alias_rejects == 1
@@ -190,9 +188,8 @@ class TestEvictionChains:
         whatever it had."""
         sim = self._one_set_system()
         wave = _Wave(0.0)
-        victim = CacheLine(addr=self.ALIAS_ADDR, data=bytes(64), dirty=True)
-        sim._handle_eviction(0, victim, wave)
-        assert sim.llc.peek(self.ALIAS_ADDR).alias
+        sim._handle_eviction(0, (self.ALIAS_ADDR, DIRTY), wave)
+        assert sim.llc.peek(self.ALIAS_ADDR) == DIRTY | ALIAS
         assert sim.memory.stats.reads == 0
         assert sim.memory.stats.alias_rejects == 1
         assert not sim.memory.contents
@@ -207,13 +204,12 @@ class TestEvictionChains:
         class _EndlessCache:
             ways = 2
 
-            def insert(self, addr, data, dirty=False, alias=False):
-                return CacheLine(addr=addr + 0x40, data=data, dirty=True)
+            def insert(self, addr, dirty=False, alias=False):
+                return addr + 0x40, DIRTY
 
         sim.llc = _EndlessCache()
-        victim = CacheLine(addr=0x0, data=bytes(64), dirty=True)
         with pytest.raises(RuntimeError, match="eviction chain"):
-            sim._handle_eviction(0, victim, _Wave(0.0))
+            sim._handle_eviction(0, (0x0, DIRTY), _Wave(0.0))
 
 
 class TestFirstTouchPopulation:
@@ -285,7 +281,7 @@ class TestFirstTouchPopulation:
         sim.run()
         assert set(memory.contents) == {0}
         assert memory.stats.writes == 1
-        assert sim.llc.peek(ecc_addr).dirty
+        assert sim.llc.peek(ecc_addr) == DIRTY
 
     def test_addresses_two_content_streams_share_are_left_out(self):
         profile = PROFILES["gcc"]

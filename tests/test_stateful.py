@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.cache.cache import SetAssocCache
+from repro.cache.cache import ALIAS, DIRTY, SetAssocCache
 from repro.core.coper import DISPLACED_BITS, ECCRegion
 
 
@@ -72,49 +72,75 @@ class CacheMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.cache = SetAssocCache(self.SETS * self.WAYS * 64, self.WAYS)
-        self.shadow: dict[int, bytes] = {}
-        self.pinned: set[int] = set()
+        #: addr -> expected flag word of every line inserted and not
+        #: invalidated (an evicted line leaves the cache, not the shadow).
+        self.shadow: dict[int, int] = {}
+
+    def _expect_resident(self, addr):
+        flags = self.cache.peek(addr)
+        if flags is not None:
+            assert flags == self.shadow[addr]
+        return flags
 
     @rule(slot=st.integers(min_value=0, max_value=11),
-          fill=st.integers(min_value=0, max_value=255),
+          dirty=st.booleans(),
           alias=st.booleans())
-    def insert(self, slot, fill, alias):
+    def insert(self, slot, dirty, alias):
         addr = slot * 64
-        data = bytes([fill]) * 64
-        self.cache.insert(addr, data, dirty=True, alias=alias)
-        self.shadow[addr] = data
-        if alias:
-            self.pinned.add(addr)
-        else:
-            self.pinned.discard(addr)
+        resident = self.cache.peek(addr)
+        victim = self.cache.insert(addr, dirty=dirty, alias=alias)
+        if victim is not None:
+            victim_addr, victim_flags = victim
+            assert not victim_flags & ALIAS, "a pinned alias was evicted"
+            assert victim_flags == self.shadow[victim_addr]
+        kept = resident & DIRTY if resident is not None else 0
+        self.shadow[addr] = kept | (DIRTY if dirty else 0) | (ALIAS if alias else 0)
+
+    @precondition(lambda self: self.shadow)
+    @rule(choice=st.integers(min_value=0, max_value=1 << 30),
+          store=st.booleans())
+    def lookup_present_or_evicted(self, choice, store):
+        addr = sorted(self.shadow)[choice % len(self.shadow)]
+        resident = self._expect_resident(addr) is not None
+        assert self.cache.lookup(addr, store) is resident
+        if resident and store:
+            self.shadow[addr] |= DIRTY
 
     @precondition(lambda self: self.shadow)
     @rule(choice=st.integers(min_value=0, max_value=1 << 30))
-    def lookup_present_or_evicted(self, choice):
+    def mark_dirty(self, choice):
         addr = sorted(self.shadow)[choice % len(self.shadow)]
-        line = self.cache.peek(addr)
-        if line is not None:
-            assert line.data == self.shadow[addr]
+        if self._expect_resident(addr) is not None:
+            self.shadow[addr] |= DIRTY
+        flags = self.cache.peek(addr, store=True)
+        assert flags is None or flags == self.shadow[addr]
 
     @precondition(lambda self: self.shadow)
     @rule(choice=st.integers(min_value=0, max_value=1 << 30))
     def invalidate(self, choice):
         addr = sorted(self.shadow)[choice % len(self.shadow)]
-        self.cache.invalidate(addr)
+        flags = self._expect_resident(addr)
+        assert self.cache.invalidate(addr) == flags
         del self.shadow[addr]
-        self.pinned.discard(addr)
 
     @invariant()
     def pinned_aliases_never_dropped(self):
-        for addr in self.pinned:
-            line = self.cache.peek(addr)
-            assert line is not None, f"pinned alias {addr:#x} vanished"
-            assert line.data == self.shadow[addr]
+        for addr, flags in self.shadow.items():
+            if flags & ALIAS:
+                assert self.cache.peek(addr) == flags, (
+                    f"pinned alias {addr:#x} vanished"
+                )
 
     @invariant()
     def sets_never_overflow_ways(self):
         for cache_set in self.cache._sets:
             assert len(cache_set) <= self.WAYS
+
+    @invariant()
+    def no_line_in_both_set_and_overflow(self):
+        cache = self.cache
+        for addr in cache.overflow:
+            assert addr not in cache._sets[(addr // 64) % cache.num_sets]
 
 
 TestECCRegionMachine = ECCRegionMachine.TestCase
