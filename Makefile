@@ -119,22 +119,29 @@ kernels-smoke:
 # Artifacts land in /tmp/cop-bench-results/BENCH_<suite>.json
 # (see docs/perf-trajectory.md).  The sim suite (Fig. 11 sweeps at
 # SMALL scale) is the heaviest; it runs and is gated like the others.
+# Between the runs a torn entry is appended, as a crash mid-append would
+# leave it; the second run must cut it off, so the history ends up with
+# exactly 10 entries (5 suites x 2 runs).
 bench-trajectory:
 	rm -rf /tmp/cop-bench-results
 	REPRO_RESULTS_DIR=/tmp/cop-bench-results PYTHONPATH=src \
 		$(PYTHON) -m repro.experiments.cli bench --scale smoke \
 		--suite kernels --suite runner --suite service --suite lint \
 		--suite sim
+	printf '{"suite":"torn' >> /tmp/cop-bench-results/trajectory.jsonl
 	REPRO_RESULTS_DIR=/tmp/cop-bench-results PYTHONPATH=src \
 		$(PYTHON) -m repro.experiments.cli bench --scale smoke \
 		--suite kernels --suite runner --suite service --suite lint \
 		--suite sim --compare --gate 200
+	PYTHONPATH=src $(PYTHON) -c "from repro.bench import load_trajectory; \
+		n = len(load_trajectory('/tmp/cop-bench-results/trajectory.jsonl')); \
+		assert n == 10, f'trajectory has {n} entries, expected 10'"
 	@test -s /tmp/cop-bench-results/BENCH_kernels.json
 	@test -s /tmp/cop-bench-results/BENCH_runner.json
 	@test -s /tmp/cop-bench-results/BENCH_service.json
 	@test -s /tmp/cop-bench-results/BENCH_lint.json
 	@test -s /tmp/cop-bench-results/BENCH_sim.json
-	@echo "bench-trajectory: artifacts written, compare + gate exercised"
+	@echo "bench-trajectory: artifacts written, compare + gate exercised, torn tail survived"
 
 # Cross-worker tracing gate: the same traced figure serially and with
 # --jobs 4; the merged shard stream must be byte-identical to the

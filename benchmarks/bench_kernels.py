@@ -169,15 +169,6 @@ def test_batch_decode_throughput(benchmark, blocks):
     benchmark(lambda: batch.decode_many(stored))
 
 
-def test_batch_encode_throughput(benchmark, blocks):
-    from repro.kernels import BatchCodec, blocks_to_array
-
-    batch = BatchCodec(COPCodec())
-    arr = blocks_to_array(blocks)
-    batch.encode_many(arr)
-    benchmark(lambda: batch.encode_many(arr))
-
-
 def test_syndrome_scan_speedup_guard():
     """Acceptance gate: the vectorised 512-word syndrome scan must beat
     the scalar loop by at least 5x (measured ~17x; the assert leaves

@@ -138,8 +138,9 @@ def test_wal_write_path_overhead_under_10_percent(tmp_path):
     Numerator: the full WAL cost per record — framed append plus the
     amortized flush+fdatasync of a ``_WAL_BATCH``-record group commit —
     timed directly against a real journal file.  Denominator: a cold
-    (memo-miss) write through the shard batch path, timed over distinct
-    random palettes so the codec memo never amortizes the encode away.
+    (memo-miss) write through the shard's drain path, one scalar encode
+    per write, timed over distinct random palettes so the codec memo
+    never amortizes the encode away.
     """
     rng = random.Random(7)
     shard = Shard(

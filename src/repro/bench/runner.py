@@ -452,15 +452,19 @@ class BenchRunner:
     def append_trajectory(
         artifacts: Sequence[BenchArtifact], results: Union[str, Path]
     ) -> Path:
-        """Append one compact entry per artifact to the history."""
+        """Append one compact entry per artifact to the history.
+
+        A torn final fragment (a crash mid-append) is cut off first, so
+        the new entries start on a line of their own; terminating it with
+        a newline instead would make it a corrupt mid-file line, which
+        :func:`load_trajectory` rejects.
+        """
         path = trajectory_path(results)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "a", encoding="utf-8") as handle:
+        with open(path, "a+b") as handle:
+            handle.seek(0)
+            handle.truncate(handle.read().rfind(b"\n") + 1)
             for artifact in artifacts:
-                handle.write(
-                    json.dumps(
-                        artifact.trajectory_entry(), separators=(",", ":")
-                    )
-                    + "\n"
-                )
+                line = json.dumps(artifact.trajectory_entry(), separators=(",", ":"))
+                handle.write(line.encode("utf-8") + b"\n")
         return path

@@ -117,7 +117,6 @@ class HsiaoCode:
         self._enc_tables = self._build_tables(first=0, limit=k)
         self._syn_tables = self._build_tables(first=0, limit=n)
         self._np_syn_tables: Optional[np.ndarray] = None
-        self._np_enc_tables: Optional[np.ndarray] = None
         self._np_corr_table: Optional[np.ndarray] = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -133,7 +132,6 @@ class HsiaoCode:
         """
         state = self.__dict__.copy()
         state["_np_syn_tables"] = None
-        state["_np_enc_tables"] = None
         state["_np_corr_table"] = None
         return state
 
@@ -241,42 +239,6 @@ class HsiaoCode:
     def valid_many(self, words: np.ndarray) -> np.ndarray:
         """Boolean validity (zero syndrome) for a batch of words."""
         return self.syndrome_many(words) == 0
-
-    @property
-    def data_bytes(self) -> int:
-        """Bytes holding the data field; requires a byte-aligned ``k``."""
-        if self.k % 8:
-            raise ValueError(f"k={self.k} is not byte aligned")
-        return self.k // 8
-
-    def _np_tables_enc(self) -> np.ndarray:
-        if self._np_enc_tables is None:
-            arr = np.zeros((len(self._enc_tables), 256), dtype=np.uint32)
-            for j, table in enumerate(self._enc_tables):
-                arr[j, :] = table
-            self._np_enc_tables = arr
-        return self._np_enc_tables
-
-    def encode_many(self, data: np.ndarray) -> np.ndarray:
-        """Encode a batch of data rows into codeword rows.
-
-        ``data`` is a ``(N, k // 8)`` uint8 array of little-endian data
-        fields (requires a byte-aligned ``k``, which every COP geometry
-        has).  Returns ``(N, codeword_bytes)`` uint8 little-endian
-        codewords, bit-for-bit equal to :meth:`encode` per row.
-        """
-        nbytes = self.data_bytes
-        if data.ndim != 2 or data.shape[1] != nbytes:
-            raise ValueError(f"expected shape (N, {nbytes}), got {data.shape}")
-        tables = self._np_tables_enc()
-        check = np.zeros(data.shape[0], dtype=np.uint32)
-        for j in range(nbytes):
-            check ^= tables[j, data[:, j]]
-        out = np.zeros((data.shape[0], self.codeword_bytes), dtype=np.uint8)
-        out[:, :nbytes] = data
-        for b in range(self.codeword_bytes - nbytes):
-            out[:, nbytes + b] = (check >> (8 * b)) & 0xFF
-        return out
 
     def correction_table(self) -> np.ndarray:
         """Syndrome -> errored bit position LUT for batch correction.

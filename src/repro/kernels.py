@@ -10,20 +10,23 @@ the scalar codec (enforced by the parity suite in ``tests/test_kernels.py``
 and the ``make kernels-smoke`` byte-diff):
 
 :class:`BatchCodec`
-    Vectorises the full pipeline over ``(N, 64)`` uint8 block arrays:
-    hash-mask removal as a broadcast XOR, syndrome evaluation through the
-    per-byte numpy LUTs of :class:`~repro.ecc.hsiao.HsiaoCode`, batch
-    single-bit correction via the syndrome -> bit-position table, and
-    payload reassembly only for the blocks actually classified
-    compressed.  Compression/decompression itself stays scalar (the
-    schemes are bit-serial by nature); everything around it is numpy.
+    Vectorises decode and classification over ``(N, 64)`` uint8 block
+    arrays: hash-mask removal as a broadcast XOR, syndrome evaluation
+    through the per-byte numpy LUTs of :class:`~repro.ecc.hsiao.HsiaoCode`,
+    batch single-bit correction via the syndrome -> bit-position table,
+    and payload reassembly only for the blocks actually classified
+    compressed.  Decompression itself stays scalar (the schemes are
+    bit-serial by nature); everything around it is numpy.  Its callers
+    pass thousands of rows per call (fault injection, the alias census,
+    the simulator's content oracle); there is no array encoder.
 
 :class:`MemoizedCodec`
     A content-keyed memo cache in front of a scalar codec.  The codec is
     a pure function of block content, and synthetic traces repeat block
     contents heavily, so memoisation is both safe and effective.  Hit /
     miss / eviction counters land in a :mod:`repro.obs` metrics registry
-    under ``kernels.memo.*``.
+    under ``kernels.memo.*``.  The service shards run every request
+    through one.
 
 Layout conventions match the rest of the library: a block row is the 64
 stored bytes, and code words within it are little-endian byte slices
@@ -158,7 +161,7 @@ def _rle_compressible(
 
 
 class BatchCodec:
-    """Vectorised encode/decode/classify over ``(N, 64)`` block arrays.
+    """Vectorised decode/classify over ``(N, 64)`` block arrays.
 
     Wraps (and defers compression to) a scalar :class:`COPCodec`; every
     batch method is bit-for-bit equivalent to mapping the corresponding
@@ -240,43 +243,6 @@ class BatchCodec:
             ],
             dtype=bool,
         )
-
-    # -- encoder ------------------------------------------------------------
-
-    def encode_many(self, blocks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Vector form of ``encode``: compress + protect each row.
-
-        Returns ``(stored, compressed)``: the ``(N, 64)`` uint8 stored
-        images and an ``(N,)`` bool mask of rows stored compressed.  The
-        per-scheme compression search stays scalar; SECDED encoding,
-        hash-mask application and packing are vectorised across the
-        compressible rows.
-        """
-        _check_array(blocks)
-        capacity_bits = self.config.capacity_bits
-        payload_bytes = self._num_words * self._data_bytes
-        payloads: List[Optional[Bits]] = [
-            self.codec.compressor.compress(row.tobytes(), capacity_bits)
-            for row in blocks
-        ]
-        compressed = np.array(
-            [payload is not None for payload in payloads], dtype=bool
-        )
-        stored = blocks.copy()
-        rows = np.nonzero(compressed)[0]
-        if rows.size:
-            data = np.frombuffer(
-                b"".join(
-                    int_to_bytes(payloads[i].value, payload_bytes)  # type: ignore[union-attr]
-                    for i in rows
-                ),
-                dtype=np.uint8,
-            ).reshape(rows.size * self._num_words, self._data_bytes)
-            words = self.codec.code.encode_many(data).reshape(
-                rows.size, BLOCK_BYTES
-            )
-            stored[rows] = words ^ self._mask_row
-        return stored, compressed
 
     # -- decoder ------------------------------------------------------------
 
@@ -373,14 +339,6 @@ class MemoizedCodec:
     serial caller would observe.  The lock is dropped from the pickled
     state (and recreated on unpickle) so codecs still ride into fork-pool
     workers.
-
-    The ``has_*``/``seed_*`` methods are the batch-warming surface the
-    service shards use: ``seed_encode(block, encoded)`` inserts an entry
-    computed elsewhere (by :class:`BatchCodec`, over a whole batch) and
-    counts it as a miss — it *is* a computed entry, exactly what a serial
-    scalar first encounter would have produced — after which the
-    in-place operation hits.  Seeding a present key is a no-op, so
-    counters stay consistent however callers interleave.
     """
 
     def __init__(
@@ -456,23 +414,6 @@ class MemoizedCodec:
             cache[key] = value
             return value
 
-    def _seed(self, cache: Dict[bytes, object], block: bytes, value: object) -> None:
-        key = bytes(block)
-        with self._lock:
-            if key in cache:
-                return
-            self._m_misses.inc()
-            self._evict_if_full(cache)
-            cache[key] = value
-
-    def _has(self, cache: Dict[bytes, object], block: bytes) -> bool:
-        with self._lock:
-            return bytes(block) in cache
-
-    def _peek(self, cache: Dict[bytes, object], block: bytes) -> object:
-        with self._lock:
-            return cache.get(bytes(block))
-
     def encode(self, block: bytes) -> EncodedBlock:
         return self._memo(self._encode_cache, block, self.codec.encode)  # type: ignore[arg-type,return-value]
 
@@ -487,49 +428,6 @@ class MemoizedCodec:
     def is_alias(self, block: bytes) -> bool:
         """Alias check through the shared codeword-count cache."""
         return self.codeword_count(block) >= self.config.codeword_threshold
-
-    # -- batch-warming surface (service shards; see docs/kernels.md) --------
-
-    def has_encode(self, block: bytes) -> bool:
-        """Is this content's encode result already cached (no counters)?"""
-        return self._has(self._encode_cache, block)  # type: ignore[arg-type]
-
-    def has_decode(self, stored: bytes) -> bool:
-        """Is this stored image's decode result already cached?"""
-        return self._has(self._decode_cache, stored)  # type: ignore[arg-type]
-
-    def has_count(self, stored: bytes) -> bool:
-        """Is this content's codeword count already cached?"""
-        return self._has(self._count_cache, stored)  # type: ignore[arg-type]
-
-    def peek_encode(self, block: bytes) -> Optional[EncodedBlock]:
-        """Cached encode result, or ``None`` — never touches the counters.
-
-        The batch-prewarm path uses peeks to decide what to seed and to
-        simulate controller state within a batch; a peek must not count
-        as a hit or the hit totals would depend on batch boundaries.
-        """
-        return self._peek(self._encode_cache, block)  # type: ignore[arg-type,return-value]
-
-    def peek_decode(self, stored: bytes) -> Optional[DecodedBlock]:
-        """Cached decode result, or ``None`` (counter-free)."""
-        return self._peek(self._decode_cache, stored)  # type: ignore[arg-type,return-value]
-
-    def peek_count(self, stored: bytes) -> Optional[int]:
-        """Cached codeword count, or ``None`` (counter-free)."""
-        return self._peek(self._count_cache, stored)  # type: ignore[arg-type,return-value]
-
-    def seed_encode(self, block: bytes, encoded: EncodedBlock) -> None:
-        """Insert a batch-computed encode result (counts one miss)."""
-        self._seed(self._encode_cache, block, encoded)  # type: ignore[arg-type]
-
-    def seed_decode(self, stored: bytes, decoded: DecodedBlock) -> None:
-        """Insert a batch-computed decode result (counts one miss)."""
-        self._seed(self._decode_cache, stored, decoded)  # type: ignore[arg-type]
-
-    def seed_count(self, stored: bytes, count: int) -> None:
-        """Insert a batch-computed codeword count (counts one miss)."""
-        self._seed(self._count_cache, stored, count)  # type: ignore[arg-type]
 
     @property
     def cache_sizes(self) -> Dict[str, int]:

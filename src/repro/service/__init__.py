@@ -3,9 +3,10 @@
 The paper's controller is pure per-block logic, which makes it trivially
 shardable: this package fronts ``N`` independent
 :class:`~repro.core.controller.ProtectedMemory` instances (shard =
-address hash) with bounded queues, micro-batches each shard's in-flight
-requests through the :class:`~repro.kernels.BatchCodec` array kernels,
-and serves clients over newline-delimited JSON on TCP.
+address hash) with bounded queues, drains each shard's in-flight
+requests in micro-batches that execute through a memoised scalar codec
+and share one WAL group commit, and serves clients over
+newline-delimited JSON on TCP.
 
 The service is self-healing: each shard journals acknowledged writes to
 an append-only write-ahead log, a :class:`~repro.service.supervisor.Supervisor`
@@ -15,7 +16,7 @@ service-layer faults (worker kills, delays, connection drops) to prove
 all of it under load.
 
 * :mod:`repro.service.protocol` — requests, typed response statuses, wire format
-* :mod:`repro.service.shard` — single-owner shard workers + batch prewarm
+* :mod:`repro.service.shard` — single-owner shard workers + micro-batch drain
 * :mod:`repro.service.wal` — per-shard durable write-ahead log (COPW1)
 * :mod:`repro.service.supervisor` — crash detection + recovery loop
 * :mod:`repro.service.chaos` — deterministic service-layer fault injection

@@ -23,8 +23,8 @@ schedule serially, one request per batch, on a fresh replica
 (:meth:`~repro.service.shard.Shard.process_serially`).
 
 The memo-counter half of the contract additionally requires that the
-memo never evicts (seeding is counted as a miss exactly once per
-distinct content; an eviction would re-count it).  The verifier asserts
+memo never evicts (a content counts as a miss exactly once per
+operation; an eviction would re-count it).  The verifier asserts
 ``kernels.memo.evictions == 0`` — size ``content_versions`` /
 ``blocks_per_tenant`` below the memo capacity if you grow the config.
 

@@ -1,8 +1,7 @@
 """One shard of the COP service: a single-owner worker over a bounded queue.
 
 Each shard owns a :class:`~repro.core.controller.ProtectedMemory` (and,
-through it, a :class:`~repro.kernels.MemoizedCodec`), a
-:class:`~repro.kernels.BatchCodec` for batch prewarming, and a private
+through it, a :class:`~repro.kernels.MemoizedCodec`) and a private
 :class:`~repro.obs.metrics.MetricsRegistry`.  All controller state is
 touched by exactly one worker thread; callers only interact with the
 bounded request queue, so the controller itself needs no locking.
@@ -10,32 +9,22 @@ bounded request queue, so the controller itself needs no locking.
 Micro-batching
 --------------
 
-The worker drains up to ``batch_max`` queued requests at a time and runs
-a *prewarm* pass before executing them one by one: every codec result
-the batch will need (encodes for writes, codeword counts for the alias
-checks those writes trigger, decodes for reads) is computed in one
-``BatchCodec`` array pass and seeded into the shard's ``MemoizedCodec``.
-Execution then services each request in arrival order through the plain
-scalar library path — and hits the memo on every codec call.
+The worker drains up to ``batch_max`` queued requests at a time,
+executes them in arrival order through the plain scalar library path,
+group-commits the WAL once for the batch, and then acks.  The codec is
+memoised: the first call on a content computes it (a memo miss), and
+later calls on that content hit.
 
-Seeding counts a memo miss (see ``MemoizedCodec`` in docs/kernels.md),
-so the counters are independent of where batch boundaries fall: misses
-equal the number of distinct contents, hits equal the number of codec
-calls, exactly what replaying the same per-shard request sequence one
-request at a time produces.  This is the invariant the parity suite
-checks (threaded daemon vs. serial replay), and it holds provided the
-memo never evicts — size the memo above the working set (the load
-generator asserts ``kernels.memo.evictions == 0``).
+Every codec call happens during execution, in arrival order, so the memo
+counters are independent of where batch boundaries fall: misses equal
+the number of distinct contents per operation, hits equal the codec
+calls minus the misses, exactly what replaying the same per-shard
+request sequence one request at a time produces.  This is the invariant
+the parity suite checks (threaded daemon vs. serial replay), and it
+holds provided the memo never evicts — size the memo above the working
+set (the load generator asserts ``kernels.memo.evictions == 0``).
 
-Prewarm simulates the batch's writes on a content overlay so that a read
-of an address written *earlier in the same batch* still prewarms against
-the exact stored image that write will install (including alias-rejected
-writes, which install nothing).
-
-Prewarm runs only in ``COP`` mode.  The other codec-backed modes
-(COP-ER, MemZip) execute scalar through the memo — still correct, and
-still batch-boundary independent, just not vectorised.  COP-ER is
-additionally excluded from the cross-thread parity contract because its
+COP-ER is excluded from the cross-thread parity contract because its
 ECC-region entry indices depend on the global allocation order, which
 thread interleaving perturbs (docs/service.md).
 
@@ -57,13 +46,12 @@ restarts the worker.  Requests arriving mid-recovery are answered
 Three more shedding mechanisms keep the shard honest under pressure:
 requests whose ``deadline_ms`` elapsed in the queue are shed *before*
 execution (``DEADLINE_EXCEEDED``); a breaker past a queue-depth or
-consecutive-error threshold sheds optional work — prewarm off,
-``encode``/``decode`` answered ``OVERLOADED`` — while writes and reads
-keep flowing; and when the WAL or chaos is active an exactly-once
-response cache (keyed by request id) answers duplicate deliveries from
-client retries with the *original* outcome instead of re-executing,
-which keeps pipelined suffix-replay byte-identical to the serial
-schedule.
+consecutive-error threshold sheds optional work — ``encode``/``decode``
+answered ``OVERLOADED`` — while writes and reads keep flowing; and when
+the WAL or chaos is active an exactly-once response cache (keyed by
+request id) answers duplicate deliveries from client retries with the
+*original* outcome instead of re-executing, which keeps pipelined
+suffix-replay byte-identical to the serial schedule.
 """
 
 from __future__ import annotations
@@ -79,8 +67,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
 
-from repro.compression.base import BLOCK_BYTES
-from repro.core.codec import EncodedBlock
 from repro.core.config import COPConfig
 from repro.core.controller import (
     BlockNotWrittenError,
@@ -88,7 +74,7 @@ from repro.core.controller import (
     ProtectionMode,
 )
 from repro.analysis import sanitizer
-from repro.kernels import BatchCodec, MemoizedCodec, blocks_to_array
+from repro.kernels import MemoizedCodec
 from repro.obs import Observability
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.perf import now_ns
@@ -112,8 +98,9 @@ __all__ = [
 
 
 def _default_cop_config() -> COPConfig:
-    # The service exists to exercise the batch kernels; default the codec
-    # to the memoised path (callers may still hand in a scalar config).
+    # Default the codec to the memoised path: repeated contents and warm
+    # reads then skip the scalar codec (callers may still hand in a
+    # scalar config).
     return dataclasses.replace(COPConfig.four_byte(), use_batch=True)
 
 
@@ -248,9 +235,6 @@ class Shard:
             capacity_bytes=config.capacity_bytes,
             obs=Observability(metrics=self.registry),
         )
-        self.batch: Optional[BatchCodec] = None
-        if isinstance(self.memory.codec, MemoizedCodec):
-            self.batch = BatchCodec(self.memory.codec.codec)
         self._queue: "queue.Queue[Union[_Work, _Stop]]" = queue.Queue(
             maxsize=config.queue_depth
         )
@@ -492,11 +476,6 @@ class Shard:
             # content → image results, so reuse is safe, replay stays
             # fast, and kernels.memo.* counters stay monotonic.
             self.memory.codec = old_codec
-            self.batch = BatchCodec(old_codec.codec)
-        elif isinstance(self.memory.codec, MemoizedCodec):
-            self.batch = BatchCodec(self.memory.codec.codec)
-        else:
-            self.batch = None
 
     def _fail_pending(self, status: Status, error: str) -> int:
         """Resolve every queued and in-flight future with a typed status."""
@@ -532,58 +511,15 @@ class Shard:
         if not records:
             return 0
         live = ShardWAL.live_records(records)
-        codec = self.memory.codec
-        if (
-            self.config.mode is ProtectionMode.COP
-            and isinstance(codec, MemoizedCodec)
-            and self.batch is not None
-        ):
-            # Same batch-seeding trick as _prewarm: one array pass for the
-            # encodes (and alias counts) replay will consult.
-            encode_missing: Dict[bytes, None] = {}
-            for record in live:
-                if (
-                    len(record.data) == BLOCK_BYTES
-                    and record.data not in encode_missing
-                    and codec.peek_encode(record.data) is None
-                ):
-                    encode_missing[record.data] = None
-            if encode_missing:
-                stored, compressed = self.batch.encode_many(
-                    blocks_to_array(list(encode_missing))
-                )
-                for row, key in enumerate(encode_missing):
-                    codec.seed_encode(
-                        key, EncodedBlock(stored[row].tobytes(), bool(compressed[row]))
-                    )
-            count_missing: Dict[bytes, None] = {}
-            for record in live:
-                key = record.data
-                encoded_opt = codec.peek_encode(key)
-                if (
-                    encoded_opt is not None
-                    and not encoded_opt.compressed
-                    and key not in count_missing
-                    and codec.peek_count(key) is None
-                ):
-                    count_missing[key] = None
-            if count_missing:
-                counts = self.batch.codeword_count_many(
-                    blocks_to_array(list(count_missing))
-                )
-                for row, key in enumerate(count_missing):
-                    codec.seed_count(key, int(counts[row]))
-        replayed = 0
         for record in live:
             result = self.memory.write(record.addr, record.data)
             if not result.accepted:  # pragma: no cover - accepted writes replay
                 self._c_errors.inc()
-            replayed += 1
-        self._c_wal_replayed.inc(replayed)
+        self._c_wal_replayed.inc(len(live))
         if compact and len(records) > len(live):
             self._wal.compact(live)
             self._c_wal_compactions.inc()
-        return replayed
+        return len(live)
 
     def health(self) -> Dict[str, Any]:  # owner-thread: external
         """Point-in-time liveness/recovery/breaker snapshot of this shard."""
@@ -655,8 +591,8 @@ class Shard:
         """Execute requests one per batch on the calling thread.
 
         The serial-replay half of the parity contract: same shard, same
-        prewarm/seed/execute pipeline, batch size pinned to 1.  Only
-        valid before :meth:`start` or after :meth:`stop`.
+        execute/commit/ack pipeline, batch size pinned to 1.  Only valid
+        before :meth:`start` or after :meth:`stop`.
         """
         if self._thread is not None:
             raise RuntimeError("shard worker is running; use submit()")
@@ -691,9 +627,6 @@ class Shard:
                 else:
                     kept.append(item)
             ready = kept
-        else:
-            # Prewarm is optional work too; a tripped breaker skips it.
-            self._prewarm(ready)
         with self._state_lock:
             self._inflight = list(ready)
         chaos = self.config.chaos
@@ -791,141 +724,6 @@ class Shard:
         elif depth <= threshold / 2 and errors < self.config.breaker_trip_errors:
             self._breaker_open = False
             self.registry.set_gauge(f"{self.prefix}.breaker_open", 0.0)
-
-    # -- batch prewarm --------------------------------------------------------
-
-    def _prewarm(self, batch: List[_Work]) -> None:
-        """Seed the memo with every codec result this batch will consult.
-
-        COP mode only; see the module docstring for the counter-parity
-        argument.  Every seeded entry corresponds to a codec call the
-        execution pass definitely makes, so seeding here (miss) plus
-        hitting there reproduces the serial hit/miss totals.
-        """
-        codec = self.memory.codec
-        if (
-            self.config.mode is not ProtectionMode.COP
-            or not isinstance(codec, MemoizedCodec)
-            or self.batch is None
-        ):
-            return
-        threshold = codec.config.codeword_threshold
-
-        def wants_encode(request: Request) -> bool:
-            return (
-                request.op in ("write", "encode")
-                and request.data is not None
-                and len(request.data) == BLOCK_BYTES
-            )
-
-        def is_duplicate(request: Request) -> bool:
-            # An exactly-once hit answers from the cache without any codec
-            # call; prewarming it would seed (and miscount) unused work.
-            return (
-                self._responses is not None
-                and (request.id, request.attempt) in self._responses
-            )
-
-        # Pass 1: batch-encode every distinct uncached write/encode payload.
-        encode_missing: Dict[bytes, None] = {}
-        for item in batch:
-            if wants_encode(item.request) and not is_duplicate(item.request):
-                key = bytes(item.request.data)  # type: ignore[arg-type]
-                if key not in encode_missing and codec.peek_encode(key) is None:
-                    encode_missing[key] = None
-        fresh: Dict[bytes, EncodedBlock] = {}
-        if encode_missing:
-            stored, compressed = self.batch.encode_many(
-                blocks_to_array(list(encode_missing))
-            )
-            for row, key in enumerate(encode_missing):
-                encoded = EncodedBlock(stored[row].tobytes(), bool(compressed[row]))
-                fresh[key] = encoded
-                codec.seed_encode(key, encoded)
-
-        # Pass 2: batch codeword counts for the alias checks incompressible
-        # writes will trigger (the controller calls is_alias only on them).
-        count_missing: Dict[bytes, None] = {}
-        for item in batch:
-            request = item.request
-            if request.op != "write" or not wants_encode(request):
-                continue
-            if is_duplicate(request):
-                continue
-            key = bytes(request.data)  # type: ignore[arg-type]
-            encoded_opt = fresh.get(key) or codec.peek_encode(key)
-            if (
-                encoded_opt is not None
-                and not encoded_opt.compressed
-                and key not in count_missing
-                and codec.peek_count(key) is None
-            ):
-                count_missing[key] = None
-        if count_missing:
-            counts = self.batch.codeword_count_many(
-                blocks_to_array(list(count_missing))
-            )
-            for row, key in enumerate(count_missing):
-                codec.seed_count(key, int(counts[row]))
-
-        # Pass 3: walk the batch in arrival order simulating contents on an
-        # overlay, so reads of addresses written earlier in this batch
-        # prewarm against the stored image that write will install.
-        overlay: Dict[int, Optional[bytes]] = {}
-        decode_missing: Dict[bytes, None] = {}
-
-        def note_decode(stored_image: bytes) -> None:
-            if (
-                stored_image not in decode_missing
-                and codec.peek_decode(stored_image) is None
-            ):
-                decode_missing[stored_image] = None
-
-        for item in batch:
-            request = item.request
-            if is_duplicate(request):
-                continue
-            if request.op == "write" and wants_encode(request):
-                addr = request.addr
-                if (
-                    addr is None
-                    or check_addr(addr, self.memory.region_base) is not None
-                ):
-                    continue
-                key = bytes(request.data)  # type: ignore[arg-type]
-                encoded_opt = fresh.get(key) or codec.peek_encode(key)
-                if encoded_opt is None:  # pragma: no cover - pass 1 covers it
-                    continue
-                if encoded_opt.compressed:
-                    overlay[addr] = encoded_opt.stored
-                else:
-                    count_opt = codec.peek_count(key)
-                    aliased = count_opt is not None and count_opt >= threshold
-                    if not aliased:
-                        # Raw COP store: the bytes land as-is.
-                        overlay[addr] = key
-            elif request.op == "read":
-                addr = request.addr
-                if (
-                    addr is None
-                    or check_addr(addr, self.memory.region_base) is not None
-                ):
-                    continue
-                stored_now = overlay.get(addr, self.memory.contents.get(addr))
-                if stored_now is not None:
-                    note_decode(stored_now)
-            elif (
-                request.op == "decode"
-                and request.data is not None
-                and len(request.data) == BLOCK_BYTES
-            ):
-                note_decode(bytes(request.data))
-        if decode_missing:
-            decoded = self.batch.decode_many(
-                blocks_to_array(list(decode_missing))
-            )
-            for row, key in enumerate(decode_missing):
-                codec.seed_decode(key, decoded[row])
 
     # -- execution ------------------------------------------------------------
 

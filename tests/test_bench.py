@@ -192,6 +192,17 @@ class TestTrajectory:
         entries = load_trajectory(path)
         assert [e["suite"] for e in entries] == ["a"]
 
+    def test_append_after_torn_tail_keeps_every_entry(self, bench_dir, tmp_path):
+        path = trajectory_path(tmp_path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text('{"suite":"a","x":1}\n{"suite":"a","x":2')
+        runner = BenchRunner(scale="smoke", bench_dir=bench_dir)
+        artifacts = runner.run(["fake"])
+        BenchRunner.append_trajectory(artifacts, tmp_path)
+        assert [e["suite"] for e in load_trajectory(path)] == ["a", "fake"]
+        BenchRunner.append_trajectory(artifacts, tmp_path)
+        assert [e["suite"] for e in load_trajectory(path)] == ["a", "fake", "fake"]
+
     def test_mid_file_corruption_raises(self, tmp_path):
         path = trajectory_path(tmp_path)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -369,7 +369,7 @@ class TestShardBatching:
         sizes = shard.registry.histogram("service.shard.0.batch_blocks")
         assert sizes.count == batches
 
-    def test_prewarm_seeds_make_execution_hit(self):
+    def test_memo_counts_one_miss_per_distinct_content(self):
         config = ServiceConfig(shards=1, batch_max=64)
         shard = Shard(0, config)
         requests = [
@@ -380,15 +380,16 @@ class TestShardBatching:
         shard.start()
         for future in work:
             assert future.result(timeout=5).status is Status.OK
+        counter = shard.registry.counter
+        # One drain: 8 distinct write contents each miss the encode memo,
+        # and their 8 stored images each miss the decode memo.
+        assert counter("kernels.memo.misses").value == 16
+        assert counter("kernels.memo.hits").value == 0
+        # Reading an address again decodes an image the memo already holds.
+        assert shard.call(Request("read", id=200, addr=0)).status is Status.OK
         shard.stop()
-        hits = shard.registry.counter("kernels.memo.hits").value
-        misses = shard.registry.counter("kernels.memo.misses").value
-        # Every execution-path codec call hit a prewarm-seeded entry:
-        # 8 distinct write contents encode-seeded, their 8 stored images
-        # decode-seeded (reads of same-batch writes resolve through the
-        # content overlay), and every in-place call was a hit.
-        assert misses == 16
-        assert hits == 16
+        assert counter("kernels.memo.misses").value == 16
+        assert counter("kernels.memo.hits").value == 1
 
     def test_same_batch_write_then_read(self):
         """A read queued behind a write to the same address in one batch."""
