@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench results report examples lint loc perf-check obs-smoke par-smoke chaos-smoke kernels-smoke bench-trajectory trace-smoke service-smoke service-chaos-smoke race-smoke clean
+.PHONY: install test bench results report examples lint loc perf-check obs-smoke par-smoke chaos-smoke crash-points kernels-smoke bench-trajectory trace-smoke service-smoke service-chaos-smoke race-smoke clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -97,6 +97,14 @@ chaos-smoke:
 	diff /tmp/cop-chaos-clean/fig12.json /tmp/cop-chaos-faulty/fig12.json
 	diff /tmp/cop-chaos-clean/fig12.txt /tmp/cop-chaos-faulty/fig12.txt
 	@echo "chaos-smoke: fault-injected run is byte-identical to clean serial"
+
+# Crash-point gate for the durable files (service WAL, bench trajectory,
+# result cache): record each scenario's file operations, rebuild the
+# files at every crash point under process kill and power loss, check the
+# readers' invariants, and print how many crash points each log and
+# model enumerated (see docs/resilience.md, "Crash points").
+crash-points:
+	PYTHONPATH=src $(PYTHON) tests/crashpoints.py
 
 # Scalar/batch parity gate for the codec kernels: one compressibility
 # figure through the scalar reference path and through the vectorised

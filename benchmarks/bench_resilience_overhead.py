@@ -116,7 +116,7 @@ def test_no_fault_sweep_wall_clock_stable(tmp_path):
     """A sweep under a full (idle) policy tracks an unguarded one.
 
     Generous bound: this only catches gross regressions (an accidental
-    sleep, journal fsync per *attempt* instead of per completion, ...),
+    sleep, an fsync per *attempt* instead of per completion, ...),
     machine noise owns anything finer.
     """
     jobs = [_job()]

@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
 
 from repro.bench.registry import BenchCase, iter_cases, registered_suites
+from repro.durable import AppendLog
 from repro.obs.perf import (
     CLOCK_NAME,
     TimingStats,
@@ -166,33 +167,24 @@ class BenchArtifact:
         }
 
 
-def load_trajectory(path: Union[str, Path]) -> list[dict[str, Any]]:
-    """Parse the trajectory history, tolerating a torn final line.
+def _decode_entry(line: bytes) -> Any:
+    return json.loads(line)
 
-    A crash mid-append may leave one unparsable tail line; like the
-    checkpoint journal, the reader drops it rather than failing — but a
-    torn line *before* the tail means corruption and raises.
+
+def load_trajectory(path: Union[str, Path]) -> list[dict[str, Any]]:
+    """Parse the trajectory history, tolerating a torn tail.
+
+    A crash mid-append may leave an unparsable tail after the last entry;
+    the reader drops it (the next append cuts it off) — but an unparsable
+    line *before* the last entry means corruption and raises.
     """
-    path = Path(path)
-    if not path.exists():
-        return []
-    entries: list[dict[str, Any]] = []
-    torn_at: Optional[int] = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if torn_at is not None:
-                raise ValueError(
-                    f"{path}:{torn_at}: corrupt trajectory line is not "
-                    "the final line — refusing to silently drop history"
-                )
-            try:
-                entries.append(json.loads(line))
-            except json.JSONDecodeError:
-                torn_at = lineno
-    return entries
+    found = AppendLog(path).scan(_decode_entry)
+    if found.bad:
+        raise ValueError(
+            f"{path}:{found.bad[0]}: corrupt trajectory line is not "
+            "the final line — refusing to silently drop history"
+        )
+    return found.records
 
 
 def last_entry(
@@ -454,17 +446,24 @@ class BenchRunner:
     ) -> Path:
         """Append one compact entry per artifact to the history.
 
-        A torn final fragment (a crash mid-append) is cut off first, so
-        the new entries start on a line of their own; terminating it with
-        a newline instead would make it a corrupt mid-file line, which
+        A torn tail (a crash mid-append) is cut off first, so the new
+        entries start on a line of their own; terminating it with a newline
+        instead would make it a corrupt mid-file line, which
         :func:`load_trajectory` rejects.
         """
         path = trajectory_path(results)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "a+b") as handle:
-            handle.seek(0)
-            handle.truncate(handle.read().rfind(b"\n") + 1)
-            for artifact in artifacts:
-                line = json.dumps(artifact.trajectory_entry(), separators=(",", ":"))
-                handle.write(line.encode("utf-8") + b"\n")
+        log = AppendLog(path)
+        log.scan(_decode_entry)
+        try:
+            log.append(
+                b"".join(
+                    json.dumps(
+                        artifact.trajectory_entry(), separators=(",", ":")
+                    ).encode("utf-8")
+                    + b"\n"
+                    for artifact in artifacts
+                )
+            )
+        finally:
+            log.close()
         return path

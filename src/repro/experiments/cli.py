@@ -18,7 +18,8 @@ Fault tolerance (see docs/resilience.md; also ``REPRO_TIMEOUT``,
 ``REPRO_RETRIES`` and the test-only ``REPRO_CHAOS`` knobs)::
 
     cop-experiments all --scale full --jobs 8 --timeout 600 --retries 2
-    cop-experiments all --scale full --resume   # after a Ctrl-C'd sweep
+    cop-experiments all --scale full   # re-run a Ctrl-C'd sweep: finished
+                                       # jobs load from the result cache
 
 Observability::
 
@@ -354,12 +355,6 @@ def main(argv: list[str] | None = None) -> int:
         "crashes (default: $REPRO_RETRIES or 0)",
     )
     parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume a killed sweep: skip jobs the checkpoint journal "
-        "under results/.journal marks complete (see docs/resilience.md)",
-    )
-    parser.add_argument(
         "--fail-fast",
         action="store_true",
         help="abort the sweep on the first worker fault instead of "
@@ -612,7 +607,6 @@ def main(argv: list[str] | None = None) -> int:
     resilience.configure(
         timeout=args.timeout,
         retries=args.retries,
-        resume=True if args.resume else None,
         fail_fast=True if args.fail_fast else None,
     )
 

@@ -161,48 +161,31 @@ def _observability_section() -> list[str]:
 
 
 def _execution_health_section() -> list[str]:
-    """Surface what the resilience layer caught: quarantines + journals.
+    """Surface what the resilience layer caught: cache quarantines.
 
     A clean repo shows nothing here; a row appearing means a corrupt
-    cache entry was detected (and set aside) or a sweep checkpointed
-    work — exactly the events that must never pass silently (see
-    docs/resilience.md).
+    cache entry was detected (and set aside) — exactly the event that
+    must never pass silently (see docs/resilience.md).
     """
-    from repro.experiments.resilience import CheckpointJournal
-
-    lines: list[str] = []
     quarantine = results_dir() / ".cache" / "quarantine"
     quarantined = sorted(quarantine.glob("*.pkl")) if quarantine.exists() else []
-    journal_dir = results_dir() / ".journal"
-    journals = sorted(journal_dir.glob("*.jsonl")) if journal_dir.exists() else []
-    if not quarantined and not journals:
-        return lines
-    lines.extend(["", "## Execution health", ""])
-    if quarantined:
-        lines.append(
-            f"**{len(quarantined)} corrupt cache entr"
-            f"{'y' if len(quarantined) == 1 else 'ies'} quarantined** "
-            f"under `{quarantine}` (checksum/format verification failed; "
-            "the results were recomputed, not served):"
-        )
-        lines.append("")
-        for path in quarantined[:10]:
-            lines.append(f"* `{path.name}`")
-        if len(quarantined) > 10:
-            lines.append(f"* ... and {len(quarantined) - 10} more")
-        lines.append("")
-    if journals:
-        lines.extend(
-            [
-                "| checkpoint journal (sweep) | completed jobs | torn lines |",
-                "|---|---|---|",
-            ]
-        )
-        for path in journals:
-            journal = CheckpointJournal(path)
-            lines.append(
-                f"| {path.stem} | {len(journal)} | {journal.torn_lines} |"
-            )
+    if not quarantined:
+        return []
+    lines = [
+        "",
+        "## Execution health",
+        "",
+        f"**{len(quarantined)} corrupt cache entr"
+        f"{'y' if len(quarantined) == 1 else 'ies'} quarantined** "
+        f"under `{quarantine}` (checksum/format verification failed; "
+        "the results were recomputed, not served):",
+        "",
+    ]
+    for path in quarantined[:10]:
+        lines.append(f"* `{path.name}`")
+    if len(quarantined) > 10:
+        lines.append(f"* ... and {len(quarantined) - 10} more")
+    lines.append("")
     return lines
 
 

@@ -18,12 +18,6 @@ bounded retries with deterministic backoff
     RNG (the same REP001 discipline the simulation packages obey), so
     two runs of the same faulty sweep sleep identically.
 
-a crash-safe checkpoint journal
-    :class:`CheckpointJournal` appends one fsync'd JSONL line per
-    completed job under ``results/.journal/``.  A killed sweep re-run
-    with ``--resume`` skips journaled work (served from the result
-    cache) and recomputes anything whose cache entry went missing.
-
 an opt-in chaos hook (test/CI only)
     ``REPRO_CHAOS=crash:0.1,hang:0.05[,seed:N]`` makes workers
     ``os._exit`` or stall, with every decision drawn from a generator
@@ -31,7 +25,7 @@ an opt-in chaos hook (test/CI only)
     :mod:`repro.reliability.injection`, and just as reproducible.
 
 Knob resolution is explicit argument > :func:`configure` (the CLI's
-``--timeout/--retries/--resume/--fail-fast``) > environment
+``--timeout/--retries/--fail-fast``) > environment
 (``REPRO_TIMEOUT``, ``REPRO_RETRIES``, ``REPRO_CHAOS``).  Invalid
 environment values warn once on stderr and are recorded in the obs
 snapshot (``runner.config.invalid_env.*``) instead of silently falling
@@ -40,8 +34,6 @@ through.  See docs/resilience.md.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import random
 import signal
@@ -50,10 +42,8 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Callable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterator, Optional
 
-from repro.experiments.common import results_dir
 from repro.obs import get_obs
 
 __all__ = [
@@ -62,7 +52,6 @@ __all__ = [
     "JobFailedError",
     "ChaosConfig",
     "ResilienceConfig",
-    "CheckpointJournal",
     "backoff_delay",
     "chaos_key",
     "configure",
@@ -186,8 +175,6 @@ class ResilienceConfig:
     backoff_cap: float = 2.0
     #: Abort the sweep on the first fault instead of retrying.
     fail_fast: bool = False
-    #: Trust the checkpoint journal: skip jobs it marks complete.
-    resume: bool = False
     #: Fault injection (None: off).  Test/CI only.
     chaos: Optional[ChaosConfig] = None
 
@@ -200,7 +187,6 @@ def configure(
     timeout: Optional[float] = None,
     retries: Optional[int] = None,
     fail_fast: Optional[bool] = None,
-    resume: Optional[bool] = None,
     chaos: Optional[ChaosConfig] = None,
     backoff_base: Optional[float] = None,
     backoff_cap: Optional[float] = None,
@@ -213,7 +199,6 @@ def configure(
         ("timeout", timeout),
         ("retries", retries),
         ("fail_fast", fail_fast),
-        ("resume", resume),
         ("chaos", chaos),
         ("backoff_base", backoff_base),
         ("backoff_cap", backoff_cap),
@@ -277,7 +262,6 @@ def resolve(explicit: Optional[ResilienceConfig] = None) -> ResilienceConfig:
         backoff_base=_configured.get("backoff_base", 0.05),
         backoff_cap=_configured.get("backoff_cap", 2.0),
         fail_fast=_configured.get("fail_fast", False),
-        resume=_configured.get("resume", False),
         chaos=chaos,
     )
 
@@ -387,74 +371,3 @@ def guarded_execute(
             if action == "hang":
                 time.sleep(_hang_seconds(cfg.timeout))
         return execute(job, collect_metrics, tracer)
-
-
-# ---------------------------------------------------------------------------
-# checkpoint journal
-# ---------------------------------------------------------------------------
-
-
-class CheckpointJournal:
-    """Append-only JSONL record of a sweep's completed job keys.
-
-    One fsync'd line per completed job, so the journal is exactly as
-    complete as the work that survived a kill.  Loading tolerates a
-    torn final line (the crash case an append-only file can produce).
-    The file name is a fingerprint of the sweep's sorted key set:
-    re-running the same job list — the ``--resume`` workflow — lands on
-    the same journal.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self.done: set[str] = set()
-        self.torn_lines = 0
-        self._tail_torn = False
-        self._load()
-
-    @classmethod
-    def for_keys(
-        cls, keys: Sequence[str], root: Union[str, Path, None] = None
-    ) -> "CheckpointJournal":
-        root = Path(root) if root is not None else results_dir() / ".journal"
-        sweep = hashlib.sha256("\n".join(sorted(keys)).encode()).hexdigest()
-        return cls(root / f"{sweep[:16]}.jsonl")
-
-    def _load(self) -> None:
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return
-        self._tail_torn = bool(text) and not text.endswith("\n")
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                # A torn tail from a mid-write kill: count it, skip it.
-                self.torn_lines += 1
-                continue
-            key = entry.get("key")
-            if isinstance(key, str):
-                self.done.add(key)
-
-    def record(self, key: str, label: str = "") -> None:
-        """Durably mark one job complete (idempotent)."""
-        if key in self.done:
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps({"key": key, "label": label}, sort_keys=True)
-        with self.path.open("a", encoding="utf-8") as fh:
-            if self._tail_torn:
-                # Terminate a torn tail so the new entry starts clean.
-                fh.write("\n")
-                self._tail_torn = False
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        self.done.add(key)
-
-    def __len__(self) -> int:
-        return len(self.done)

@@ -33,8 +33,8 @@ the simulator invalidates stale results automatically.  Escape hatches:
 Fault tolerance (see :mod:`repro.experiments.resilience` and
 docs/resilience.md): every cache entry is checksummed and corrupt
 entries are quarantined — never silently treated as a miss; each
-completed job is checkpointed to an fsync'd journal as it finishes, so
-a killed sweep resumes with ``--resume``; per-attempt timeouts, bounded
+completed job is cached as it finishes, so re-running a killed sweep
+executes only the jobs it had not finished; per-attempt timeouts, bounded
 retries with deterministic backoff, and broken-pool recovery (degrading
 to serial execution after repeated pool failures) keep one bad worker
 from costing the batch.  Parallel runs — even fault-injected ones —
@@ -47,7 +47,7 @@ record stamped with its job index) and the parent merges the shards into
 the trace sink in job-list order — so a parallel traced run produces a
 byte-identical event stream to a serial traced one.  Tracing still
 bypasses the cache (a cached hit executes nothing, so it has no events
-to contribute) and skips the journal.
+to contribute).
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
-from dataclasses import replace as dataclasses_replace
 from enum import Enum
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union
@@ -74,7 +73,6 @@ from repro.experiments import resilience
 from repro.experiments.common import Scale, results_dir
 from repro.experiments.resilience import (
     ChaosCrashError,
-    CheckpointJournal,
     JobFailedError,
     JobTimeoutError,
     ResilienceConfig,
@@ -568,7 +566,6 @@ def run_jobs(
     use_cache: Optional[bool] = None,
     cache: Optional[ResultCache] = None,
     resilience_config: Optional[ResilienceConfig] = None,
-    resume: Optional[bool] = None,
 ) -> list[SimResult]:
     """Execute a batch of jobs, in parallel when asked, reusing the cache.
 
@@ -582,8 +579,8 @@ def run_jobs(
     attempts that time out or lose their worker are retried with
     deterministic backoff up to the retry budget; a pool that keeps
     breaking is abandoned for serial execution; every completed job is
-    cached and journaled *as it finishes*, so a killed sweep re-run with
-    ``resume=True`` (CLI ``--resume``) skips finished work.  Because a
+    cached *as it finishes*, so re-running a killed sweep skips finished
+    work.  Because a
     job's outcome is a pure function of its spec, the recovered results
     are bit-identical to a fault-free serial run; only the parent-side
     ``runner.*`` counters record that anything went wrong.
@@ -592,8 +589,6 @@ def run_jobs(
     collect_metrics = obs.metrics.enabled
     workers = resolve_workers(workers)
     cfg = resilience.resolve(resilience_config)
-    if resume is not None:
-        cfg = dataclasses_replace(cfg, resume=resume)
     tracing = obs.trace.enabled
     shard_spec: Optional[TraceShardSpec] = None
     if tracing:
@@ -616,59 +611,27 @@ def run_jobs(
 
     results: list[Optional[SimResult]] = [None] * len(jobs)
     keys = [job.key(obs=collect_metrics) for job in jobs]
-    journal: Optional[CheckpointJournal] = None
-    if jobs and cache.enabled and not tracing:
-        journal = CheckpointJournal.for_keys(keys)
-
     pending: list[int] = []
-    resumed = 0
     for index, key in enumerate(keys):
         hit = cache.load(key)
         if hit is not None:
             results[index] = hit
-            if journal is not None:
-                if cfg.resume and key in journal.done:
-                    resumed += 1
-                journal.record(key, jobs[index].label())
         else:
-            if cfg.resume and journal is not None and key in journal.done:
-                print(
-                    f"[resilience] journal marks {jobs[index].label()} "
-                    "complete but its cache entry is gone; recomputing",
-                    file=sys.stderr,
-                )
             pending.append(index)
-    if cfg.resume:
-        if not cache.enabled:
-            print(
-                "[resilience] --resume has nothing to resume from: the "
-                "result cache is disabled",
-                file=sys.stderr,
-            )
-        elif resumed:
-            obs.metrics.inc("runner.resume.skipped", resumed)
-            print(
-                f"[resilience] resume: skipped {resumed}/{len(jobs)} "
-                "already-completed job(s)",
-                file=sys.stderr,
-            )
 
     attempts = {index: 1 for index in pending}
 
     def on_success(index: int, result: SimResult) -> None:
-        """Checkpoint a finished job the moment it completes."""
+        """Cache a finished job the moment it completes."""
         results[index] = result
         cache.store(keys[index], result)
-        if journal is not None:
-            journal.record(keys[index], jobs[index].label())
 
     def note_failed_attempt(index: int, kind: str, exc: Exception) -> float:
         """Account one transient failure; returns the backoff delay.
 
         Raises :class:`JobFailedError` when the job is out of budget
         (or immediately under ``fail_fast``) — completed jobs are
-        already cached/journaled, so a subsequent ``--resume`` run
-        picks up where this sweep died.
+        already cached, so re-running the sweep picks up where it died.
         """
         plural = {"timeout": "timeouts", "worker_crash": "worker_crashes"}
         obs.metrics.inc(f"runner.resilience.{plural.get(kind, kind + 's')}")

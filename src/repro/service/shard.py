@@ -32,7 +32,7 @@ Resilience (docs/service.md, "Resilience")
 ------------------------------------------
 
 With ``wal_dir`` set, every *accepted* write is framed into a per-shard
-:class:`~repro.service.wal.ShardWAL` and group-committed (flush+fsync)
+:class:`~repro.service.wal.ShardWAL` and group-committed (append + fdatasync)
 once per drained batch **before** any future in the batch resolves, so
 an acknowledged write is durable by construction.  A worker that dies
 (a bug, or injected :class:`~repro.service.chaos.ChaosWorkerKill`) flags

@@ -1,19 +1,21 @@
 """Per-shard durable write-ahead log for the COP service.
 
 Each shard appends one ``COPW1``-framed JSONL record per *accepted*
-write and group-commits (flush + fdatasync) once per drained batch, before
+write and group-commits (append + fdatasync) once per drained batch, before
 any future in that batch resolves.  Acknowledged writes are therefore
 durable: after a worker crash — or a whole-process restart — replaying
 the journal rebuilds the shard's stored contents byte-identically,
 because COP-mode writes are pure per-address functions of content.
 
-Framing follows the PR 4 ``CheckpointJournal`` (fsync'd JSONL with
-torn-tail repair): a kill mid-append can tear at most the final line,
-loading skips it, and the next append terminates the torn tail before
-writing.  Additionally every record carries a CRC32 content checksum —
-torn-line detection, not cryptography, so the cheap classic WAL
-checksum (cf. SQLite/Postgres journals) is the right tool — so a
-torn-then-overwritten line can never replay garbage.
+Framing and crash handling live in :class:`repro.durable.AppendLog`:
+a group commit is one whole-line append plus ``fdatasync`` (and a
+directory fsync when it creates the file), a kill mid-append can tear at
+most the final line, loading skips it, and the next commit truncates it
+before writing.  Additionally every record carries a CRC32 content
+checksum — torn-line detection, not cryptography, so the cheap classic
+WAL checksum (cf. SQLite/Postgres journals) is the right tool — so a
+damaged line in the middle of the file is skipped and counted, never
+replayed.
 
 Recovery compacts: only the last record per address matters (later
 writes overwrite earlier ones), so replay cost and journal size are
@@ -33,10 +35,11 @@ worker died and before it is restarted.
 from __future__ import annotations
 
 import json
-import os
 import zlib
 from pathlib import Path
-from typing import IO, Dict, List, NamedTuple, Optional, Union
+from typing import Dict, List, NamedTuple, Optional, Union
+
+from repro.durable import AppendLog
 
 __all__ = ["MAGIC", "ShardWAL", "WalRecord"]
 
@@ -70,13 +73,11 @@ def _encode(record: WalRecord) -> str:
     )
 
 
-def _decode(line: str) -> Optional[WalRecord]:
-    try:
-        entry = json.loads(line)
-    except json.JSONDecodeError:
-        return None
+def _decode(line: bytes) -> WalRecord:
+    """One record; ``ValueError`` when the line is torn or damaged."""
+    entry = json.loads(line)
     if not isinstance(entry, dict) or entry.get("m") != MAGIC:
-        return None
+        raise ValueError("not a COPW1 record")
     seq = entry.get("seq")
     request_id = entry.get("id")
     addr = entry.get("addr")
@@ -89,13 +90,10 @@ def _decode(line: str) -> Optional[WalRecord]:
         or not isinstance(data_hex, str)
         or not isinstance(ck, str)
     ):
-        return None
-    try:
-        data = bytes.fromhex(data_hex)
-    except ValueError:
-        return None
+        raise ValueError("malformed COPW1 record")
+    data = bytes.fromhex(data_hex)
     if ck != _checksum(seq, request_id, addr, data):
-        return None
+        raise ValueError("COPW1 checksum mismatch")
     return WalRecord(seq=seq, request_id=request_id, addr=addr, data=data)
 
 
@@ -107,9 +105,8 @@ class ShardWAL:
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
+        self._log = AppendLog(self.path)
         self._buffer: List[str] = []
-        self._fh: Optional[IO[str]] = None
-        self._tail_torn = False
         self.next_seq = 0
         self.torn_lines = 0
         # Plain ints, single-writer (see class annotation); the shard
@@ -117,24 +114,17 @@ class ShardWAL:
         self.records_appended = 0
         self.commits = 0
         self.compactions = 0
-        self._scan_existing()
+        # The opening scan's records, handed to the first load_records()
+        # so a cold start decodes each line once.
+        self._opened: Optional[List[WalRecord]] = self._scan()
 
-    def _scan_existing(self) -> None:
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return
-        self._tail_torn = bool(text) and not text.endswith("\n")
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            record = _decode(line)
-            if record is None:
-                # Torn tail from a mid-append kill: count it, skip it.
-                self.torn_lines += 1
-                continue
+    def _scan(self) -> List[WalRecord]:
+        found = self._log.scan(_decode)
+        # Damaged mid-file lines and a torn tail are skipped and counted.
+        self.torn_lines = len(found.bad) + (found.size > found.end)
+        for record in found.records:
             self.next_seq = max(self.next_seq, record.seq + 1)
+        return found.records
 
     # -- append path (shard worker) -------------------------------------------
 
@@ -151,27 +141,15 @@ class ShardWAL:
         ck = zlib.crc32(data, zlib.crc32(b"%d|%d|%d|" % (seq, request_id, addr)))
         self._buffer.append(
             f'{{"m":"{MAGIC}","seq":{seq},"id":{request_id},'
-            f'"addr":{addr},"data":"{data.hex()}","ck":"{ck:08x}"}}'
+            f'"addr":{addr},"data":"{data.hex()}","ck":"{ck:08x}"}}\n'
         )
 
     def commit(self) -> int:
-        """Flush + fdatasync buffered records; returns how many became durable."""
+        """Append + fdatasync buffered records; returns how many became durable."""
         if not self._buffer:
             return 0
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = self.path.open("a", encoding="utf-8")
-        if self._tail_torn:
-            # Terminate a torn tail so the new records start clean.
-            self._fh.write("\n")
-            self._tail_torn = False
-        self._fh.write("".join(line + "\n" for line in self._buffer))
-        self._fh.flush()
-        # fdatasync, not fsync: POSIX requires it to flush the data and
-        # any metadata needed to read it back (the file size for an
-        # append) — same durability for replay, ~30% cheaper on ext4
-        # because the mtime update skips the journal.
-        os.fdatasync(self._fh.fileno())
+        self._log.append("".join(self._buffer).encode())
+        self._opened = None
         count = len(self._buffer)
         self._buffer.clear()
         self.records_appended += count
@@ -187,20 +165,14 @@ class ShardWAL:
     # -- recovery path (supervisor / cold start) ------------------------------
 
     def load_records(self) -> List[WalRecord]:
-        """Re-read every durable record from disk, in append order."""
-        records: List[WalRecord] = []
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return records
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            record = _decode(line)
-            if record is not None:
-                records.append(record)
-        return records
+        """Every durable record, in append order.
+
+        A first call with nothing committed since opening returns what
+        the opening scan found; any other call (supervisor recovery)
+        re-reads the file.
+        """
+        records, self._opened = self._opened, None
+        return records if records is not None else self._scan()
 
     @staticmethod
     def live_records(records: List[WalRecord]) -> List[WalRecord]:
@@ -213,22 +185,13 @@ class ShardWAL:
     def compact(self, live: List[WalRecord]) -> None:
         """Atomically rewrite the journal to exactly ``live`` records.
 
-        Write-to-temp + fsync + ``os.replace`` so a kill mid-compaction
-        leaves either the old journal or the new one, never a mix.
+        A crash mid-compaction leaves either the old journal or the new
+        one, never a mix (:meth:`repro.durable.AppendLog.rewrite`).
         """
-        self.close()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        with tmp.open("w", encoding="utf-8") as fh:
-            fh.write("".join(_encode(record) + "\n" for record in live))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        self._tail_torn = False
+        self._log.rewrite("".join(_encode(record) + "\n" for record in live).encode())
+        self._opened = None
         self.torn_lines = 0
         self.compactions += 1
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._log.close()

@@ -43,19 +43,13 @@ class TestScorecard:
         assert data["columns"] == ["a"]
 
     def test_execution_health_section(self, _results_to_tmp):
-        from repro.experiments.resilience import CheckpointJournal
-
         assert "Execution health" not in generate()  # clean repo: silent
         quarantine = _results_to_tmp / ".cache" / "quarantine"
         quarantine.mkdir(parents=True)
         (quarantine / "deadbeef.pkl").write_bytes(b"rotten")
-        journal = CheckpointJournal(_results_to_tmp / ".journal" / "ab12.jsonl")
-        journal.record("k1", "gcc/cop")
-        journal.record("k2", "mcf/cop")
         report = generate()
         assert "## Execution health" in report
         assert "deadbeef.pkl" in report
-        assert "| ab12 | 2 | 0 |" in report
 
     def test_cli_report_subcommand(self, capsys):
         from repro.experiments import cli

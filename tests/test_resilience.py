@@ -1,5 +1,5 @@
 """Tests for the fault-tolerant execution layer (timeouts, retries,
-chaos injection, checkpoint/resume, cache integrity).
+chaos injection, resuming a killed sweep, cache integrity).
 
 The recovery paths all share one contract: a faulty sweep, once it
 completes, is **bit-identical** to a fault-free serial run — only the
@@ -25,7 +25,6 @@ from repro.experiments.common import Scale
 from repro.experiments.resilience import (
     ChaosConfig,
     ChaosCrashError,
-    CheckpointJournal,
     JobFailedError,
     JobTimeoutError,
     ResilienceConfig,
@@ -253,51 +252,6 @@ class TestTimeLimit:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint journal
-# ---------------------------------------------------------------------------
-
-
-class TestCheckpointJournal:
-    def test_record_and_reload(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        journal = CheckpointJournal(path)
-        assert len(journal) == 0
-        journal.record("k1", "gcc/cop")
-        journal.record("k2", "mcf/cop")
-        journal.record("k1", "gcc/cop")  # idempotent
-        assert len(journal) == 2
-        reloaded = CheckpointJournal(path)
-        assert reloaded.done == {"k1", "k2"}
-        assert reloaded.torn_lines == 0
-
-    def test_torn_tail_is_tolerated(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        journal = CheckpointJournal(path)
-        journal.record("k1")
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write('{"key": "k2"')  # kill mid-write: no newline, no brace
-        reloaded = CheckpointJournal(path)
-        assert reloaded.done == {"k1"}
-        assert reloaded.torn_lines == 1
-        reloaded.record("k3")  # still appendable after a torn tail
-        assert CheckpointJournal(path).done == {"k1", "k3"}
-
-    def test_for_keys_is_order_insensitive(self, tmp_path):
-        a = CheckpointJournal.for_keys(["k1", "k2"], root=tmp_path)
-        b = CheckpointJournal.for_keys(["k2", "k1"], root=tmp_path)
-        c = CheckpointJournal.for_keys(["k1", "k3"], root=tmp_path)
-        assert a.path == b.path
-        assert a.path != c.path
-
-    def test_run_jobs_journals_as_it_goes(self, tmp_path):
-        jobs = smoke_jobs()[:2]
-        cache = ResultCache(root=tmp_path / "cache")
-        run_jobs(jobs, workers=1, cache=cache)
-        journal = CheckpointJournal.for_keys([job.key() for job in jobs])
-        assert journal.done == {job.key() for job in jobs}
-
-
-# ---------------------------------------------------------------------------
 # knob resolution
 # ---------------------------------------------------------------------------
 
@@ -388,6 +342,22 @@ class TestCacheIntegrity:
         assert again == first
         assert cache.load(job.key()) == first
 
+    def test_truncated_entry_at_every_offset_is_never_served(
+        self, tmp_path, capsys
+    ):
+        cache = ResultCache(root=tmp_path / "cache")
+        job = smoke_jobs()[0]
+        (first,) = run_jobs([job], workers=1, cache=cache)
+        path = cache.path_for(job.key())
+        blob = path.read_bytes()
+        for size in range(len(blob) + 1):
+            path.write_bytes(blob[:size])
+            loaded = cache.load(job.key())
+            assert loaded is None or (size == len(blob) and loaded == first)
+        assert cache.load(job.key()) == first  # the full entry is served
+        assert cache.corrupt == len(blob)
+        capsys.readouterr()
+
     def test_legacy_unframed_entry_is_quarantined(self, tmp_path, capsys):
         import pickle
 
@@ -474,11 +444,9 @@ class TestRetryOrchestration:
         assert counters["runner.resilience.timeouts"] == 2
         assert counters["runner.resilience.retries"] == 1
         assert counters["runner.resilience.jobs_failed"] == 1
-        # job 0 survived the wreck: cached AND journaled for --resume
+        # job 0 survived the wreck: cached, so a re-run skips it
         key0 = jobs[0].key(obs=True)
         assert cache.load(key0) is not None
-        journal = CheckpointJournal.for_keys([j.key(obs=True) for j in jobs])
-        assert key0 in journal.done
 
     def test_fail_fast_aborts_without_retrying(self, monkeypatch):
         job = smoke_jobs()[0]
@@ -618,14 +586,12 @@ class TestChaosRecovery:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint / resume
+# resuming a killed sweep (through the result cache)
 # ---------------------------------------------------------------------------
 
 
 class TestResume:
-    def test_killed_sweep_resumes_with_identical_results(
-        self, tmp_path, capsys
-    ):
+    def test_killed_sweep_resumes_with_identical_results(self, tmp_path):
         jobs = smoke_jobs()
         cache_root = tmp_path / "cache"
         doomed = jobs[1].label()
@@ -649,9 +615,10 @@ class TestResume:
                 )
         assert executed == [jobs[0].label()]  # job 0 finished before the kill
 
-        # --resume: job 0 is served from the journal+cache, 1 and 2 run
+        # the re-run serves job 0 from the cache and runs only 1 and 2
         executed.clear()
         resume_obs = Observability.create()
+        resume_cache = ResultCache(root=cache_root)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(
                 runner,
@@ -662,17 +629,10 @@ class TestResume:
                 )[1],
             )
             resumed = run_jobs(
-                jobs,
-                workers=1,
-                cache=ResultCache(root=cache_root),
-                obs=resume_obs,
-                resume=True,
+                jobs, workers=1, cache=resume_cache, obs=resume_obs
             )
         assert executed == [jobs[1].label(), jobs[2].label()]
-        err = capsys.readouterr().err
-        assert "skipped 1/3 already-completed job(s)" in err
-        counters = resume_obs.snapshot()["counters"]
-        assert counters["runner.resume.skipped"] == 1
+        assert resume_cache.hits == 1
 
         # the stitched-together sweep equals a clean uninterrupted one
         clean_obs = Observability.create()
@@ -687,24 +647,12 @@ class TestResume:
             clean_obs.snapshot()
         )
 
-    def test_resume_recomputes_when_cache_entry_is_lost(
-        self, tmp_path, capsys
-    ):
+    def test_resume_recomputes_when_cache_entry_is_lost(self, tmp_path):
         jobs = smoke_jobs()[:2]
         cache = ResultCache(root=tmp_path / "cache")
         first = run_jobs(jobs, workers=1, cache=cache)
-        # the journal says "done", but the cache entry has vanished
         cache.path_for(jobs[0].key()).unlink()
         again = run_jobs(
-            jobs, workers=1, cache=ResultCache(root=tmp_path / "cache"),
-            resume=True,
+            jobs, workers=1, cache=ResultCache(root=tmp_path / "cache")
         )
         assert again == first
-        err = capsys.readouterr().err
-        assert "cache entry is gone; recomputing" in err
-
-    def test_resume_with_cache_disabled_warns(self, capsys):
-        run_jobs(
-            smoke_jobs()[:1], workers=1, use_cache=False, resume=True
-        )
-        assert "nothing to resume from" in capsys.readouterr().err

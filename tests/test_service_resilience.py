@@ -33,6 +33,7 @@ from repro.service import (
     retry_safe,
     run_loadgen,
 )
+from repro.service import wal as wal_module
 from repro.service.protocol import ProtocolError
 
 
@@ -90,6 +91,35 @@ class TestShardWAL:
         records = reopened.load_records()
         assert [r.request_id for r in records] == [1, 3]
         reopened.close()
+        # The repair cut the fragment off instead of terminating it: a
+        # later reopen finds nothing torn and the file holds whole records.
+        again = ShardWAL(path)
+        assert again.torn_lines == 0
+        assert [r.request_id for r in again.load_records()] == [1, 3]
+        lines = path.read_bytes().split(b"\n")
+        assert lines[-1] == b"" and len(lines) == 3
+        assert all(line.startswith(b'{"m":"COPW1"') for line in lines[:-1])
+
+    def test_cold_start_decodes_each_line_once(self, tmp_path, monkeypatch):
+        wal = ShardWAL(tmp_path / "shard-00.wal")
+        for i in range(4):
+            wal.append(i, (i % 2) * 64, _compressible(b"d%d" % i))
+        wal.commit()
+        wal.close()
+        decoded = []
+        real = wal_module._decode
+
+        def counting(line):
+            decoded.append(line)
+            return real(line)
+
+        monkeypatch.setattr(wal_module, "_decode", counting)
+        shard = Shard(0, ServiceConfig(shards=1, wal_dir=str(tmp_path)))
+        assert len(decoded) == 4 and len(set(decoded)) == 4
+        assert (
+            shard.registry.counter("service.shard.0.wal_replayed").value == 2
+        )
+        shard.stop()
 
     def test_checksum_rejects_corrupt_record(self, tmp_path):
         path = tmp_path / "s.wal"
