@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench results report examples lint loc perf-check obs-smoke par-smoke chaos-smoke crash-points kernels-smoke bench-trajectory trace-smoke service-smoke service-chaos-smoke race-smoke clean
+.PHONY: install test bench results report examples lint loc perf-check obs-smoke par-smoke chaos-smoke crash-points bench-trajectory trace-smoke service-smoke service-chaos-smoke race-smoke clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -105,19 +105,6 @@ chaos-smoke:
 # model enumerated (see docs/resilience.md, "Crash points").
 crash-points:
 	PYTHONPATH=src $(PYTHON) tests/crashpoints.py
-
-# Scalar/batch parity gate for the codec kernels: one compressibility
-# figure through the scalar reference path and through the vectorised
-# --batch path into separate results dirs, then byte-compare the saved
-# artifacts (see docs/kernels.md).
-kernels-smoke:
-	REPRO_RESULTS_DIR=/tmp/cop-kern-scalar PYTHONPATH=src \
-		$(PYTHON) -m repro.experiments.cli fig9 --scale smoke
-	REPRO_RESULTS_DIR=/tmp/cop-kern-batch PYTHONPATH=src \
-		$(PYTHON) -m repro.experiments.cli fig9 --scale smoke --batch
-	diff /tmp/cop-kern-scalar/fig9.json /tmp/cop-kern-batch/fig9.json
-	diff /tmp/cop-kern-scalar/fig9.txt /tmp/cop-kern-batch/fig9.txt
-	@echo "kernels-smoke: batch output is byte-identical to scalar"
 
 # Performance-trajectory smoke: run the fast bench suites twice into a
 # fresh results dir — the first run seeds results/trajectory.jsonl, the

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -84,24 +84,18 @@ def codeword_counts_bulk(blocks: np.ndarray, codec: COPCodec) -> np.ndarray:
 class AliasCensus:
     """Histogram of valid-code-word counts over a block population.
 
-    ``add`` classifies blocks through a codec; ``row`` mirrors Table 3:
-    the fraction of blocks with each count and the equivalent number of
-    blocks in a fully-used memory of ``memory_bytes``.
+    ``add_array`` classifies blocks through a codec; ``fraction`` and
+    ``equivalent_blocks`` mirror Table 3: the fraction of blocks with each
+    count and the equivalent number of blocks in a fully-used memory of
+    ``memory_bytes``.
     """
 
     codec: COPCodec
     counts: dict[int, int] = field(default_factory=dict)
     total: int = 0
 
-    def add(self, blocks: Iterable[bytes]) -> None:
-        """Classify individual blocks (scalar path)."""
-        for block in blocks:
-            count = self.codec.codeword_count(block)
-            self.counts[count] = self.counts.get(count, 0) + 1
-            self.total += 1
-
     def add_array(self, blocks: np.ndarray) -> None:
-        """Classify a ``(N, 64)`` uint8 array (vectorised path)."""
+        """Classify a ``(N, 64)`` uint8 array of stored blocks."""
         counts = codeword_counts_bulk(blocks, self.codec)
         values, freq = np.unique(counts, return_counts=True)
         for value, n in zip(values.tolist(), freq.tolist()):

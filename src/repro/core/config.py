@@ -43,12 +43,16 @@ class COPConfig:
         model ("an additional decode/decompress latency of 4 cycles").
     use_batch:
         Route the controller's codec through the content-keyed memo cache
-        of :mod:`repro.kernels` (the service's default) and let the
-        block-scan harnesses (Figs. 1/4/8/9, Table 3) pick batch kernels.
-        Purely a software-model acceleration: results are bit-for-bit
-        identical to the scalar reference codec (see docs/kernels.md).
-        The interval simulator classifies through its own array pass and
-        does not consult it.
+        of :mod:`repro.kernels`.  Results are bit-for-bit identical to
+        the scalar reference codec (see docs/kernels.md).  The service
+        turns it on: its warm reads repeat contents and hit the memo.
+        The simulator leaves it off, because its codec calls do not
+        repeat: one SMALL Fig. 11 sweep makes 13,701 scalar
+        ``COPCodec.is_alias`` calls over 13,700 distinct contents, so a
+        memo there is pure cost.  13,506 of those calls go through the
+        controller's codec (13,302 from COP-ER's de-alias check in
+        ``ECCRegion.allocate``, 204 from ``ProtectedMemory.write``); the
+        other 195 come from the simulator's content oracle.
     """
 
     ecc_bytes: int = 4

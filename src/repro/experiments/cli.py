@@ -276,13 +276,11 @@ def _run_loadgen_command(args) -> int:
     return 0
 
 
-def _call_experiment(fn, scale, workers=None, use_cache=None, use_batch=None):
+def _call_experiment(fn, scale, workers=None, use_cache=None):
     """Invoke a harness, forwarding runner options only where supported.
 
     The simulation-matrix harnesses (Figs. 10-12, sweeps, mixes) accept
     ``workers``/``use_cache``; the cheap analytic ones take just a scale.
-    ``use_batch`` reaches the block-scan harnesses wired through
-    repro.kernels.
     """
     import inspect
 
@@ -292,8 +290,6 @@ def _call_experiment(fn, scale, workers=None, use_cache=None, use_batch=None):
         kwargs["workers"] = workers
     if "use_cache" in params:
         kwargs["use_cache"] = use_cache
-    if use_batch is not None and "use_batch" in params:
-        kwargs["use_batch"] = use_batch
     return fn(scale, **kwargs)
 
 
@@ -359,14 +355,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="abort the sweep on the first worker fault instead of "
         "retrying",
-    )
-    parser.add_argument(
-        "--batch",
-        action="store_true",
-        help="route the block-scan harnesses (Figs. 1/4/8/9, Table 3) "
-        "through the vectorised repro.kernels batch codec; outputs are "
-        "bit-identical to the scalar path (see docs/kernels.md); the "
-        "simulation figures have one engine and ignore it",
     )
     parser.add_argument(
         "--chart",
@@ -629,7 +617,6 @@ def main(argv: list[str] | None = None) -> int:
             scale,
             workers=args.jobs,
             use_cache=use_cache,
-            use_batch=True if args.batch else None,
         )
         if obs is not None:
             table.metrics = obs.snapshot()

@@ -6,11 +6,9 @@ budget of the chosen ECC target.  Figure 8 frees 8 bytes per block
 (MSB, RLE, FPC, MSB+RLE); Figure 9 frees 4 (TXT, MSB, RLE, FPC,
 TXT+MSB+RLE — the paper's 94 %-average hybrid).
 
-``use_batch`` routes the per-block probes through the deduplicating
-helpers of :mod:`repro.kernels` — each distinct block content is probed
-once and weighted by its multiplicity, which is exact (integer sums), so
-the tables come out byte-identical either way (``make kernels-smoke``
-enforces this).
+Every probe is a plain scalar scan over the sampled blocks.  There is no
+deduplicating batch path: only about 1% of the sampled contents repeat,
+so evaluating each distinct content once saves nothing.
 """
 
 from __future__ import annotations
@@ -29,20 +27,12 @@ __all__ = ["run", "compressible_fraction"]
 def compressible_fraction(
     blocks: Sequence[bytes],
     predicate: Callable[[bytes], bool],
-    use_batch: bool,
 ) -> float:
-    """Fraction of blocks satisfying ``predicate``; optionally deduplicated."""
-    if use_batch:
-        from repro.kernels import dedup_fraction
-        from repro.obs import get_obs
-
-        return dedup_fraction(blocks, predicate, metrics=get_obs().metrics)
+    """Fraction of blocks satisfying ``predicate``."""
     return sum(1 for b in blocks if predicate(b)) / len(blocks)
 
 
-def run(
-    ecc_bytes: int, scale: Scale = Scale.SMALL, use_batch: bool = False
-) -> ExperimentTable:
+def run(ecc_bytes: int, scale: Scale = Scale.SMALL) -> ExperimentTable:
     samples = scale.pick(smoke=150, small=1500, full=15000)
     budget = payload_budget(ecc_bytes)
     suite = cop_scheme_suite(ecc_bytes)
@@ -61,21 +51,16 @@ def run(
     for name in MEMORY_INTENSIVE:
         blocks = sample_blocks(name, samples)
         row = [
-            compressible_fraction(
-                blocks, lambda b, s=s: s.compressible(b, budget), use_batch
-            )
+            compressible_fraction(blocks, lambda b, s=s: s.compressible(b, budget))
             for s in suite.values()
         ]
         row.append(
-            compressible_fraction(
-                blocks, lambda b: fpc.compressible(b, budget), use_batch
-            )
+            compressible_fraction(blocks, lambda b: fpc.compressible(b, budget))
         )
         row.append(
             compressible_fraction(
                 blocks,
                 lambda b: combined.compressible(b, budget + SCHEME_TAG_BITS),
-                use_batch,
             )
         )
         table.add(name, row)

@@ -20,21 +20,8 @@ __all__ = ["TARGET_RATIOS", "run", "main"]
 TARGET_RATIOS = tuple(r / 100 for r in range(0, 101, 10))
 
 
-def _curve(
-    blocks: list[bytes], fpc: FPCCompressor, use_batch: bool = False
-) -> tuple[float, ...]:
-    if use_batch:
-        # Each distinct content is sized once (trace contents repeat
-        # heavily); the thresholded sums below stay exact integers, so
-        # the curve is byte-identical to the scalar scan.
-        from repro.kernels import dedup_map
-        from repro.obs import get_obs
-
-        sizes = dedup_map(
-            blocks, fpc.compressed_size_bits, metrics=get_obs().metrics
-        )
-    else:
-        sizes = [fpc.compressed_size_bits(block) for block in blocks]
+def _curve(blocks: list[bytes], fpc: FPCCompressor) -> tuple[float, ...]:
+    sizes = [fpc.compressed_size_bits(block) for block in blocks]
     out = []
     for ratio in TARGET_RATIOS:
         budget = int(BLOCK_BITS * (1 - ratio))
@@ -42,7 +29,7 @@ def _curve(
     return tuple(out)
 
 
-def run(scale: Scale = Scale.SMALL, use_batch: bool = False) -> ExperimentTable:
+def run(scale: Scale = Scale.SMALL) -> ExperimentTable:
     samples = scale.pick(smoke=200, small=2000, full=20000)
     fpc = FPCCompressor()
     table = ExperimentTable(
@@ -50,11 +37,11 @@ def run(scale: Scale = Scale.SMALL, use_batch: bool = False) -> ExperimentTable:
         columns=tuple(f"{round(100 * r)}%" for r in TARGET_RATIOS),
     )
     for name in FIG1_BENCHMARKS:
-        table.add(name, _curve(sample_blocks(name, samples), fpc, use_batch))
+        table.add(name, _curve(sample_blocks(name, samples), fpc))
 
     specint = profiles_in_suite(SPECINT)
     curves = [
-        _curve(sample_blocks(p, max(samples // 2, 100)), fpc, use_batch)
+        _curve(sample_blocks(p, max(samples // 2, 100)), fpc)
         for p in specint
     ]
     table.add(

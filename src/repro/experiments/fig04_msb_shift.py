@@ -18,7 +18,7 @@ from repro.workloads.profiles import FIG4_BENCHMARKS
 __all__ = ["run", "main"]
 
 
-def run(scale: Scale = Scale.SMALL, use_batch: bool = False) -> ExperimentTable:
+def run(scale: Scale = Scale.SMALL) -> ExperimentTable:
     samples = scale.pick(smoke=150, small=1500, full=15000)
     budget = payload_budget(4)
     unshifted = MSBCompressor(compare_bits=5, shifted=False)
@@ -33,14 +33,10 @@ def run(scale: Scale = Scale.SMALL, use_batch: bool = False) -> ExperimentTable:
             name,
             (
                 compressible_fraction(
-                    blocks,
-                    lambda b: unshifted.compressible(b, budget),
-                    use_batch,
+                    blocks, lambda b: unshifted.compressible(b, budget)
                 ),
                 compressible_fraction(
-                    blocks,
-                    lambda b: shifted.compressible(b, budget),
-                    use_batch,
+                    blocks, lambda b: shifted.compressible(b, budget)
                 ),
             ),
         )

@@ -14,8 +14,8 @@ from repro.experiments.common import ExperimentTable, Scale
 __all__ = ["run", "main"]
 
 
-def run(scale: Scale = Scale.SMALL, use_batch: bool = False) -> ExperimentTable:
-    return compressibility.run(ecc_bytes=4, scale=scale, use_batch=use_batch)
+def run(scale: Scale = Scale.SMALL) -> ExperimentTable:
+    return compressibility.run(ecc_bytes=4, scale=scale)
 
 
 def main() -> None:

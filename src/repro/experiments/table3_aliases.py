@@ -23,7 +23,7 @@ __all__ = ["run", "main"]
 _MEMORY_BYTES = 8 << 30
 
 
-def run(scale: Scale = Scale.SMALL, use_batch: bool = True) -> ExperimentTable:
+def run(scale: Scale = Scale.SMALL) -> ExperimentTable:
     samples = scale.pick(smoke=400, small=4000, full=40000)
     codec = COPCodec()
     budget = payload_budget(4) + SCHEME_TAG_BITS
@@ -36,13 +36,9 @@ def run(scale: Scale = Scale.SMALL, use_batch: bool = True) -> ExperimentTable:
         ]
         if not incompressible:
             continue
-        if use_batch:
-            arr = np.frombuffer(
-                b"".join(incompressible), dtype=np.uint8
-            ).reshape(-1, 64)
-            census.add_array(arr)
-        else:
-            census.add(incompressible)
+        census.add_array(
+            np.frombuffer(b"".join(incompressible), dtype=np.uint8).reshape(-1, 64)
+        )
 
     table = ExperimentTable(
         title="Table 3: code words in incompressible data blocks",

@@ -6,8 +6,7 @@ result is defined against.  It is also the runtime bound of every figure
 sweep (``bench_kernels.py`` documents this): classifying millions of
 blocks through pure-Python syndrome loops dominates wall-clock.  This
 module provides two accelerations that are **bit-for-bit identical** to
-the scalar codec (enforced by the parity suite in ``tests/test_kernels.py``
-and the ``make kernels-smoke`` byte-diff):
+the scalar codec (enforced by the parity suite in ``tests/test_kernels.py``):
 
 :class:`BatchCodec`
     Vectorises decode and classification over ``(N, 64)`` uint8 block
@@ -22,11 +21,13 @@ and the ``make kernels-smoke`` byte-diff):
 
 :class:`MemoizedCodec`
     A content-keyed memo cache in front of a scalar codec.  The codec is
-    a pure function of block content, and synthetic traces repeat block
-    contents heavily, so memoisation is both safe and effective.  Hit /
-    miss / eviction counters land in a :mod:`repro.obs` metrics registry
-    under ``kernels.memo.*``.  The service shards run every request
-    through one.
+    a pure function of block content, so memoisation is safe; it pays
+    only where contents repeat.  The service's warm reads over a small
+    written arena do, and the service shards run every request through
+    one.  The figure block scans (about 1% repeats) and the simulator's
+    codec calls (1 repeat in 13,701 per SMALL Fig. 11 sweep) do not, so
+    neither uses it.  Hit / miss / eviction counters land in a
+    :mod:`repro.obs` metrics registry under ``kernels.memo.*``.
 
 Layout conventions match the rest of the library: a block row is the 64
 stored bytes, and code words within it are little-endian byte slices
@@ -37,16 +38,7 @@ on the scalar path and what ``HsiaoCode.syndrome_many`` consumes.
 
 from __future__ import annotations
 
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -65,9 +57,6 @@ __all__ = [
     "MemoizedCodec",
     "blocks_to_array",
     "array_to_blocks",
-    "unique_block_counts",
-    "dedup_fraction",
-    "dedup_map",
 ]
 
 
@@ -438,75 +427,3 @@ class MemoizedCodec:
                 "decode": len(self._decode_cache),
                 "codeword_count": len(self._count_cache),
             }
-
-
-# -- dedup helpers for the compressibility experiments -----------------------
-#
-# Figures 1/4/8/9 are bound by scalar per-scheme compression probes over
-# heavily repeating trace contents.  Their batch path is exact
-# deduplication: evaluate each distinct content once, weight by its
-# multiplicity.  Sums of booleans over integers are exact, so fractions
-# come out bit-identical to the scalar loops.
-
-
-def unique_block_counts(
-    blocks: Iterable[bytes],
-) -> Tuple[List[bytes], List[int], int]:
-    """Distinct block contents with multiplicities (insertion order).
-
-    Returns ``(contents, multiplicities, total)``.
-    """
-    tally: Dict[bytes, int] = {}
-    total = 0
-    for block in blocks:
-        tally[block] = tally.get(block, 0) + 1
-        total += 1
-    return list(tally.keys()), list(tally.values()), total
-
-
-def dedup_fraction(
-    blocks: Sequence[bytes],
-    predicate: Callable[[bytes], bool],
-    metrics: Optional[MetricsRegistry] = None,
-) -> float:
-    """``sum(predicate(b) for b in blocks) / len(blocks)``, deduplicated.
-
-    Evaluates ``predicate`` once per distinct content and weights by
-    multiplicity — exactly equal to the scalar loop because the weighted
-    sum is over integers.
-    """
-    contents, multiplicities, total = unique_block_counts(blocks)
-    if not total:
-        return 0.0
-    registry = metrics if metrics is not None else NULL_REGISTRY
-    registry.counter("kernels.dedup.blocks").inc(total)
-    registry.counter("kernels.dedup.unique").inc(len(contents))
-    matched = sum(
-        mult
-        for content, mult in zip(contents, multiplicities)
-        if predicate(content)
-    )
-    return matched / total
-
-
-def dedup_map(
-    blocks: Sequence[bytes],
-    compute: Callable[[bytes], int],
-    metrics: Optional[MetricsRegistry] = None,
-) -> List[int]:
-    """Map ``compute`` over blocks, evaluating each distinct content once.
-
-    Returns one value per input block, in input order — the deduplicated
-    equivalent of ``[compute(b) for b in blocks]``.
-    """
-    registry = metrics if metrics is not None else NULL_REGISTRY
-    cache: Dict[bytes, int] = {}
-    out: List[int] = []
-    for block in blocks:
-        value = cache.get(block)
-        if value is None:
-            value = cache[block] = compute(block)
-        out.append(value)
-    registry.counter("kernels.dedup.blocks").inc(len(out))
-    registry.counter("kernels.dedup.unique").inc(len(cache))
-    return out

@@ -9,7 +9,6 @@ channel, 2 ranks per DIMM, 8 banks per rank, 8 GB total).
 
 from repro.memory.address import AddressMapper, DRAMGeometry, MappedAddress
 from repro.memory.power import DRAMPowerParams, PowerModel, PowerReport
-from repro.memory.scheduler import MemoryScheduler, MemRequest, SchedulingPolicy
 from repro.memory.dram import (
     DDR3_1600,
     PagePolicy,
@@ -34,7 +33,4 @@ __all__ = [
     "DRAMPowerParams",
     "PowerModel",
     "PowerReport",
-    "MemoryScheduler",
-    "MemRequest",
-    "SchedulingPolicy",
 ]

@@ -56,14 +56,13 @@ suffix-replay byte-identical to the serial schedule.
 
 from __future__ import annotations
 
-import dataclasses
 import queue
 import threading
 import time
 import zlib
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
 
@@ -97,11 +96,10 @@ __all__ = [
 ]
 
 
-def _default_cop_config() -> COPConfig:
-    # Default the codec to the memoised path: repeated contents and warm
-    # reads then skip the scalar codec (callers may still hand in a
-    # scalar config).
-    return dataclasses.replace(COPConfig.four_byte(), use_batch=True)
+#: Every shard's codec config.  The memo is on because the service's warm
+#: reads repeat contents; the simulator's codec calls do not (see
+#: ``COPConfig.use_batch``).
+_COP_CONFIG = COPConfig.four_byte(use_batch=True)
 
 
 @dataclass(frozen=True)
@@ -110,7 +108,6 @@ class ServiceConfig:
 
     shards: int = 4
     mode: ProtectionMode = ProtectionMode.COP
-    cop: COPConfig = field(default_factory=_default_cop_config)
     #: Largest number of requests one worker drain executes as a batch.
     batch_max: int = 64
     #: Bounded per-shard queue depth (the backpressure knob).
@@ -231,7 +228,7 @@ class Shard:
         self.registry = MetricsRegistry()
         self.memory = ProtectedMemory(
             mode=config.mode,
-            config=config.cop,
+            config=_COP_CONFIG,
             capacity_bytes=config.capacity_bytes,
             obs=Observability(metrics=self.registry),
         )
@@ -458,7 +455,7 @@ class Shard:
         old_codec = self.memory.codec
         self.memory = ProtectedMemory(
             mode=self.config.mode,
-            config=self.config.cop,
+            config=_COP_CONFIG,
             capacity_bytes=self.config.capacity_bytes,
             obs=Observability(metrics=self.registry),
         )

@@ -1,6 +1,7 @@
 """Tests for the DRAM address mapping and timing model."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -257,6 +258,27 @@ class TestBatchScheduling:
         got = batch.access_batch(requests, 1000.0)
         assert got == expected
 
+    def test_frfcfs_beats_fcfs_on_row_hits(self):
+        """Row-hit-first ordering of a wave alternating between two rows of
+        one bank gets more row hits than serving it in arrival order."""
+        rng = random.Random(7)
+        rows = [rng.choice([3, 9]) for _ in range(30)]
+        hit_rates = []
+        for serve in (DRAMSystem.access_batch, DRAMSystem.service_wave):
+            dram = DRAMSystem()
+
+            def addr(row, col):
+                return dram.mapper.compose(
+                    MappedAddress(channel=0, rank=0, bank=0, row=row, col=col)
+                )
+
+            dram.access(addr(3, 0), False, 0.0)  # opens row 3
+            wave = [(addr(row, i % 16), False) for i, row in enumerate(rows)]
+            serve(dram, wave, 200.0)
+            hit_rates.append(dram.stats.row_hit_rate)
+        frfcfs, fcfs = hit_rates
+        assert frfcfs > fcfs
+
 
 def _dram_state(dram):
     banks = [
@@ -362,3 +384,21 @@ class TestRefreshWindowEdges:
 
     def test_later_interval_edge(self):
         assert self._dram()._after_refresh(2900.0) == 3000.0
+
+
+class TestRefreshInteraction:
+    def test_command_delayed_past_refresh_window(self):
+        dram = DRAMSystem()
+        timing = dram.config.timing
+        window_start = timing.trefi_ns - timing.trfc_ns
+        result = dram.access(0, False, window_start + 1.0)
+        assert result.start_ns >= timing.trefi_ns
+
+    def test_refresh_disabled(self):
+        config = DRAMConfig(
+            geometry=DDR3_1600.geometry,
+            timing=replace(DDR3_1600.timing, trefi_ns=0.0),
+        )
+        dram = DRAMSystem(config)
+        t = dram.access(0, False, 7700.0)
+        assert t.start_ns == pytest.approx(7700.0)

@@ -1,4 +1,4 @@
-"""Golden-file guard for the simulator's figure artifacts.
+"""Golden-file guard for the figure artifacts.
 
 ``tests/golden/`` holds the ``--scale smoke --no-cache`` artifacts of every
 figure the interval simulator produces, exactly as written when the files
@@ -6,6 +6,10 @@ were frozen (``fig11`` from the batched replay, the rest from the scalar
 replay loop it has since replaced; the two agreed byte for byte).  Any
 change to the replay, the LLC, the controller bookkeeping or DRAM timing
 that moves a single output bit fails this byte comparison.
+
+It also holds the block-scan artifacts (Figs. 1/4/8/9, Table 3), frozen
+while those harnesses still had a deduplicating batch path that agreed
+byte for byte with the scalar scan they now run.
 """
 
 from __future__ import annotations
@@ -19,7 +23,20 @@ from repro.obs import set_obs
 
 GOLDEN = Path(__file__).parent / "golden"
 
-FIGURES = ("fig10", "fig11", "fig12", "mixes", "sweep-fit", "sweep-latency", "power")
+FIGURES = (
+    "fig1",
+    "fig4",
+    "fig8",
+    "fig9",
+    "table3",
+    "fig10",
+    "fig11",
+    "fig12",
+    "mixes",
+    "sweep-fit",
+    "sweep-latency",
+    "power",
+)
 
 
 @pytest.fixture(autouse=True)

@@ -25,9 +25,6 @@ from repro.kernels import (
     MemoizedCodec,
     array_to_blocks,
     blocks_to_array,
-    dedup_fraction,
-    dedup_map,
-    unique_block_counts,
 )
 from repro.obs.metrics import MetricsRegistry
 
@@ -279,43 +276,6 @@ class TestMemoizedCodec:
                     out.append(memory.read(i * 64).data)
             results.append((out, memory.stats.as_dict()))
         assert results[0] == results[1]
-
-
-class TestDedupHelpers:
-    def test_unique_block_counts(self):
-        blocks = [b"a" * 64, b"b" * 64, b"a" * 64]
-        contents, mults, total = unique_block_counts(blocks)
-        assert contents == [b"a" * 64, b"b" * 64]
-        assert mults == [2, 1]
-        assert total == 3
-
-    def test_dedup_fraction_matches_scalar(self):
-        rng = random.Random(9)
-        pool = [rng.randbytes(64) for _ in range(8)]
-        blocks = [rng.choice(pool) for _ in range(500)]
-        predicate = lambda b: b[0] < 128  # noqa: E731
-        assert dedup_fraction(blocks, predicate) == sum(
-            1 for b in blocks if predicate(b)
-        ) / len(blocks)
-        assert dedup_fraction([], predicate) == 0.0
-
-    def test_dedup_map_matches_scalar_and_counts(self):
-        registry = MetricsRegistry()
-        rng = random.Random(10)
-        pool = [rng.randbytes(64) for _ in range(4)]
-        blocks = [rng.choice(pool) for _ in range(100)]
-        calls = []
-
-        def compute(block):
-            calls.append(block)
-            return block[0]
-
-        values = dedup_map(blocks, compute, metrics=registry)
-        assert values == [b[0] for b in blocks]
-        assert len(calls) == len(set(blocks))  # one evaluation per content
-        snap = registry.snapshot()["counters"]
-        assert snap["kernels.dedup.blocks"] == 100
-        assert snap["kernels.dedup.unique"] == len(set(blocks))
 
 
 class TestPickleSafety:
