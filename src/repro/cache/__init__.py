@@ -13,20 +13,10 @@ from repro.cache.cache import (
     CacheStats,
     SetAssocCache,
 )
-from repro.cache.hierarchy import (
-    TABLE1_LEVELS,
-    CacheHierarchy,
-    FilterStats,
-    LevelConfig,
-)
 
 __all__ = [
     "SetAssocCache",
     "ALIAS",
     "DIRTY",
     "CacheStats",
-    "CacheHierarchy",
-    "LevelConfig",
-    "TABLE1_LEVELS",
-    "FilterStats",
 ]

@@ -23,7 +23,6 @@ from repro.core.alias import (
 )
 from repro.core.chipkill import ChipkillCodec, ChipkillConfig, chipkill_compressor
 from repro.core.codec import BlockKind, COPCodec, DecodedBlock, EncodedBlock
-from repro.core.osalloc import EccRegionAllocator, RegionPagePlan
 from repro.core.config import COPConfig
 from repro.core.coper import CoperBlockFormat, ECCRegion
 from repro.core.controller import (
@@ -41,8 +40,6 @@ __all__ = [
     "ChipkillCodec",
     "ChipkillConfig",
     "chipkill_compressor",
-    "EccRegionAllocator",
-    "RegionPagePlan",
     "BlockKind",
     "EncodedBlock",
     "DecodedBlock",

@@ -476,11 +476,10 @@ class DRAMSystem:
         granularity the interval simulator needs: within one miss group,
         requests to open rows are scheduled before row conflicts.
 
-        Returns exactly ``len(requests)`` timings.  An unfilled slot would
-        mean the scheduler dropped a request on the floor; that is an
-        invariant violation and raises instead of being silently hidden
-        (the old ``[r for r in results if r is not None]`` filter shrank
-        the result list, desynchronising it from the request order).
+        Returns exactly ``len(requests)`` timings.  ``order`` is a
+        permutation, so once the wave has serviced every request each
+        slot is filled; a short wave is an invariant violation and raises
+        rather than returning a list out of step with ``requests``.
         """
         order = sorted(
             range(len(requests)),
@@ -496,9 +495,9 @@ class DRAMSystem:
                 f"{len(requests)} requests; the FR-FCFS order must "
                 "cover every slot exactly once"
             )
-        results: list[Optional[AccessTiming]] = [None] * len(requests)
+        results: list = [None] * len(requests)
         for position, i in enumerate(order):
             results[i] = AccessTiming(
                 starts[position], completes[position], hits[position]
             )
-        return [result for result in results if result is not None]
+        return results

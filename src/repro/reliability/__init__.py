@@ -26,17 +26,7 @@ from repro.reliability.failure_modes import (
     FailureModeCampaign,
 )
 from repro.reliability.injection import FaultInjector, InjectionStats
-from repro.reliability.markov import (
-    OutcomeProbabilities,
-    consumed_failure_probability,
-    cop_block_outcomes,
-)
 from repro.reliability.parma import VulnerabilityTracker
-from repro.reliability.scrubbing import (
-    ScrubPlan,
-    scrub_interval_for_target,
-    scrubbed_failure_probability,
-)
 
 __all__ = [
     "VulnerabilityTracker",
@@ -45,15 +35,9 @@ __all__ = [
     "FailureMode",
     "FailureModeCampaign",
     "SRIDHARAN_MIX",
-    "OutcomeProbabilities",
-    "consumed_failure_probability",
-    "cop_block_outcomes",
     "RAW_FIT_PER_MBIT",
     "fit_to_failures_per_bit_ns",
     "expected_failures",
     "same_word_double_error_weight",
     "double_error_outcome_probs",
-    "ScrubPlan",
-    "scrubbed_failure_probability",
-    "scrub_interval_for_target",
 ]

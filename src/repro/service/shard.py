@@ -101,6 +101,19 @@ __all__ = [
 #: ``COPConfig.use_batch``).
 _COP_CONFIG = COPConfig.four_byte(use_batch=True)
 
+#: The breaker trips when queue depth reaches this fraction of
+#: ``ServiceConfig.queue_depth`` (resets at half the trip depth).
+_BREAKER_QUEUE_FRACTION = 0.9
+
+#: The breaker trips after this many consecutive INTERNAL errors.
+_BREAKER_TRIP_ERRORS = 8
+
+#: Exactly-once response-cache entries per shard.  The cache turns on
+#: automatically when the WAL or chaos is configured (client retries can
+#: then deliver duplicates); it requires globally unique request ids,
+#: which the loadgen's ``tenant << 40 | seq`` scheme provides.
+_EXACTLY_ONCE_DEPTH = 1 << 17
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -122,16 +135,6 @@ class ServiceConfig:
     #: Have :class:`~repro.service.server.COPService` run a Supervisor so
     #: dead shard workers are detected, WAL-replayed and restarted.
     supervise: bool = True
-    #: Breaker trips when queue depth reaches this fraction of
-    #: ``queue_depth`` (resets at half the trip depth).
-    breaker_queue_fraction: float = 0.9
-    #: Breaker trips after this many consecutive INTERNAL errors.
-    breaker_trip_errors: int = 8
-    #: Exactly-once response-cache entries per shard.  The cache turns on
-    #: automatically when the WAL or chaos is configured (client retries
-    #: can then deliver duplicates); it requires globally unique request
-    #: ids, which the loadgen's ``tenant << 40 | seq`` scheme provides.
-    exactly_once_depth: int = 1 << 17
     #: Service-layer fault injection (``REPRO_CHAOS``; see
     #: :mod:`repro.service.chaos`).
     chaos: Optional[ServiceChaosConfig] = None
@@ -147,12 +150,6 @@ class ServiceConfig:
             raise ValueError(
                 f"admission must be 'block' or 'reject', got {self.admission!r}"
             )
-        if not 0.0 < self.breaker_queue_fraction <= 1.0:
-            raise ValueError("breaker_queue_fraction must be in (0, 1]")
-        if self.breaker_trip_errors < 1:
-            raise ValueError("breaker_trip_errors must be positive")
-        if self.exactly_once_depth < 1:
-            raise ValueError("exactly_once_depth must be positive")
 
     @property
     def exactly_once(self) -> bool:
@@ -704,21 +701,21 @@ class Shard:
             return
         cache[key] = response
         self._response_order.append(key)
-        if len(self._response_order) > self.config.exactly_once_depth:
+        if len(self._response_order) > _EXACTLY_ONCE_DEPTH:
             evicted = self._response_order.popleft()
             cache.pop(evicted, None)
             self._c_dedup_evictions.inc()
 
     def _update_breaker(self) -> None:
         depth = self._queue.qsize()
-        threshold = self.config.breaker_queue_fraction * self.config.queue_depth
+        threshold = _BREAKER_QUEUE_FRACTION * self.config.queue_depth
         errors = self._consecutive_errors
         if not self._breaker_open:
-            if depth >= threshold or errors >= self.config.breaker_trip_errors:
+            if depth >= threshold or errors >= _BREAKER_TRIP_ERRORS:
                 self._breaker_open = True
                 self._c_breaker_trips.inc()
                 self.registry.set_gauge(f"{self.prefix}.breaker_open", 1.0)
-        elif depth <= threshold / 2 and errors < self.config.breaker_trip_errors:
+        elif depth <= threshold / 2 and errors < _BREAKER_TRIP_ERRORS:
             self._breaker_open = False
             self.registry.set_gauge(f"{self.prefix}.breaker_open", 0.0)
 

@@ -225,3 +225,23 @@ class TestFaultInjector:
         memory, golden = self._memory(ProtectionMode.UNPROTECTED, blocks=10)
         with pytest.raises(ValueError):
             FaultInjector(memory, golden).run_campaign_batch(5)
+
+    @pytest.mark.parametrize(
+        "config",
+        [COPConfig.four_byte(), COPConfig.eight_byte()],
+        ids=["four_byte", "eight_byte"],
+    )
+    def test_double_flip_split_matches_closed_form(self, config):
+        """Monte-Carlo double flips land in the Sec. 3.1 closed-form split."""
+        memory = ProtectedMemory(ProtectionMode.COP, config=config)
+        block = bytes(64)  # compressible: every trial hits a compressed block
+        golden = {}
+        for i in range(50):
+            assert memory.write(i * 64, block).compressed
+            golden[i * 64] = block
+        stats = FaultInjector(memory, golden, seed=5).run_campaign(600, flips=2)
+        model = double_error_outcome_probs(config)
+        for outcome in ("detected", "silent", "corrected"):
+            assert getattr(stats, outcome) / stats.trials == pytest.approx(
+                model[outcome], abs=0.06
+            ), outcome

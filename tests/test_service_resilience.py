@@ -390,15 +390,13 @@ class TestSheddingAndBreaker:
 
     def test_breaker_sheds_optional_work_keeps_writes_flowing(self):
         config = ServiceConfig(
-            shards=1,
-            batch_max=1,
-            queue_depth=16,
-            breaker_queue_fraction=0.25,
-            supervise=False,
+            shards=1, batch_max=1, queue_depth=16, supervise=False
         )
         shard = Shard(0, config)
         futures = []
-        for i in range(12):
+        # A full queue: the first drain leaves 15 of 16 queued, past the
+        # breaker's 0.9 trip fraction.
+        for i in range(config.queue_depth):
             if i % 2 == 0:
                 request = Request(
                     "write", id=i, addr=(i % 4) * 64, data=_compressible()
