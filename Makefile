@@ -162,30 +162,40 @@ service-smoke:
 	@test -s /tmp/cop-service-smoke/service_loadgen.json
 	@echo "service-smoke: threaded service byte-identical to serial replay"
 
-# Self-healing gate: the same verified TCP loadgen burst with
-# service-layer chaos injected (worker kills, connection drops, delays)
-# and the durable WAL on.  The run must survive at least one supervised
-# shard restart and STILL replay byte-identical against the clean serial
-# schedule (final responses + stored contents; docs/service.md,
-# "Resilience").  Budgeted well under a minute.
-service-chaos-smoke:
-	rm -rf /tmp/cop-chaos-smoke /tmp/cop-chaos-smoke-wal
-	REPRO_RESULTS_DIR=/tmp/cop-chaos-smoke PYTHONPATH=src \
-		REPRO_CHAOS="worker-kill:0.0015,conn-drop:0.01,delay:0.02:5,seed:7" \
-		$(PYTHON) -m repro.experiments.cli loadgen --with-server --verify \
-		--service-ops 16000 --tenants 4 --shards 4 --blocks-per-tenant 256 \
-		--wal-dir /tmp/cop-chaos-smoke-wal --client-retries 8
-	PYTHONPATH=src $(PYTHON) -c "\
-	import json; \
-	rep = json.load(open('/tmp/cop-chaos-smoke/service_loadgen.json')); \
+# Self-healing gate: the same verified loadgen burst with service-layer
+# chaos injected (worker kills, connection drops, delays) and the durable
+# WAL on, once over a real TCP server and once in-process, so the shared
+# tenant driver is exercised on both transports.  Each run must survive
+# at least one supervised shard restart and STILL replay byte-identical
+# against the clean serial schedule (final responses + stored contents;
+# docs/service.md, "Resilience").  Budgeted well under a minute.
+CHAOS_SMOKE_CHECK = PYTHONPATH=src $(PYTHON) -c "import json, sys; \
+	rep = json.load(open(sys.argv[1] + '/service_loadgen.json')); \
 	res = rep['resilience']; \
 	assert rep['parity'] and rep['parity']['verified'], 'parity not verified'; \
 	assert not rep['parity']['strict'], 'chaos run should verify non-strict'; \
 	assert res['restarts'] >= 1, f'no supervised restart happened: {res}'; \
 	assert res['wal_records'] >= 1, f'WAL recorded nothing: {res}'; \
-	print(f\"service-chaos-smoke: {res['restarts']} restarts, \" \
-	      f\"{res['reconnects']} reconnects, {res['wal_replayed']} WAL \" \
-	      f\"records replayed, parity byte-identical\")"
+	print(f\"service-chaos-smoke ({rep['transport']}): {res['restarts']} \" \
+	      f\"restarts, {res['reconnects']} reconnects, {res['wal_replayed']} \" \
+	      f\"WAL records replayed, parity byte-identical\")"
+CHAOS_SMOKE_ARGS = --verify --service-ops 16000 --tenants 4 --shards 4 \
+	--blocks-per-tenant 256 --client-retries 8
+CHAOS_SMOKE_SPEC = worker-kill:0.0015,conn-drop:0.01,delay:0.02:5,seed:7
+
+service-chaos-smoke:
+	rm -rf /tmp/cop-chaos-smoke /tmp/cop-chaos-smoke-wal
+	REPRO_RESULTS_DIR=/tmp/cop-chaos-smoke PYTHONPATH=src \
+		REPRO_CHAOS="$(CHAOS_SMOKE_SPEC)" \
+		$(PYTHON) -m repro.experiments.cli loadgen --with-server \
+		$(CHAOS_SMOKE_ARGS) --wal-dir /tmp/cop-chaos-smoke-wal
+	@$(CHAOS_SMOKE_CHECK) /tmp/cop-chaos-smoke
+	rm -rf /tmp/cop-chaos-smoke-inproc /tmp/cop-chaos-smoke-inproc-wal
+	REPRO_RESULTS_DIR=/tmp/cop-chaos-smoke-inproc PYTHONPATH=src \
+		REPRO_CHAOS="$(CHAOS_SMOKE_SPEC)" \
+		$(PYTHON) -m repro.experiments.cli loadgen \
+		$(CHAOS_SMOKE_ARGS) --wal-dir /tmp/cop-chaos-smoke-inproc-wal
+	@$(CHAOS_SMOKE_CHECK) /tmp/cop-chaos-smoke-inproc
 
 # Lock-sanitizer gate for the service hot path: the same verified
 # in-process loadgen burst plain and under REPRO_SANITIZE=locks.  The

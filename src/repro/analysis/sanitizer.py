@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -218,10 +218,3 @@ def reset() -> None:
     with _meta:
         _graph.clear()
         _registry = MetricsRegistry()
-
-
-def _iter_edges() -> Iterator[tuple[str, str]]:  # pragma: no cover - debug aid
-    with _meta:
-        for source, succs in sorted(_graph.items()):
-            for succ in sorted(succs):
-                yield (source, succ)

@@ -30,7 +30,6 @@ from repro.bench.registry import BenchCase, iter_cases, registered_suites
 from repro.durable import AppendLog
 from repro.obs.perf import (
     CLOCK_NAME,
-    TimingStats,
     config_hash,
     fingerprint,
     git_sha,
@@ -124,9 +123,6 @@ class BenchArtifact:
             },
             schema=schema,
         )
-
-    def case_stats(self, name: str) -> TimingStats:
-        return TimingStats.from_dict(self.cases[name])
 
     def median_ns(self, name: str) -> float:
         ns = self.cases[name].get("ns", {})

@@ -61,11 +61,6 @@ class DecodeResult:
     syndrome: int
     corrected_bit: Optional[int] = None
 
-    @property
-    def is_valid(self) -> bool:
-        """True when the received word was already a valid codeword."""
-        return self.status is CodeStatus.CLEAN
-
 
 def odd_weight_columns(r: int, count: int) -> list[int]:
     """Return ``count`` distinct odd-weight (>=3) ``r``-bit columns.

@@ -278,9 +278,6 @@ class MetricsRegistry:
         self._gauges.clear()
         self._histograms.clear()
 
-    def is_empty(self) -> bool:
-        return not (self._counters or self._gauges or self._histograms)
-
     def render_tree(self) -> str:
         return render_tree(self.snapshot())
 

@@ -53,10 +53,6 @@ class InjectionStats:
             return 0.0
         return (self.corrected + self.masked) / self.trials
 
-    @property
-    def silent_rate(self) -> float:
-        return self.silent / self.trials if self.trials else 0.0
-
     def record(self, flips: int, outcome: str) -> None:
         self.trials += 1
         setattr(self, outcome, getattr(self, outcome) + 1)

@@ -34,8 +34,11 @@ cross-address order (docs/service.md).
 Parity under chaos
 ------------------
 
-With service-layer fault injection on (``config.service.chaos``), two
-mechanisms keep the final response streams serial:
+One driver (:func:`_drive`) runs every tenant over either transport: a
+*link* that answers requests in send order — :class:`ServiceClient`
+over TCP, or :class:`_InprocessLink` over shard futures, which never
+drops.  With service-layer fault injection on (``config.service.chaos``),
+two mechanisms keep the final response streams serial:
 
 **Per-address submission gating.**  A request is not submitted while an
 earlier same-address op is unresolved in the window (:func:`_addr_busy`).
@@ -49,8 +52,8 @@ keep full pipeline depth.
 
 **Idempotency-aware retry.**  A head-of-window response whose status is
 retry-safe for its op (:func:`repro.service.server.retry_safe`)
-triggers a window drain after a deterministic seeded-jitter backoff.
-The remaining in-flight responses are resolved and partitioned:
+triggers a window drain.  The remaining in-flight responses are read and
+partitioned:
 
 * A *final* outcome is normally kept and recorded when it reaches the
   head — it was computed against its shard's committed prefix, and
@@ -67,13 +70,16 @@ The remaining in-flight responses are resolved and partitioned:
   re-executing them would itself reorder (a re-run read could observe a
   later write that has since committed).
 
-Re-sends in the drain carry a bumped ``attempt`` so the daemon's
-exactly-once cache (keyed on ``(id, attempt)``) cannot answer the stale
-execution; replaying a dirty address's pending ops in window order
-re-imposes that address's history, so the fresh answers are the serial
-ones.  Unacknowledged re-sends after a pure *connection* drop
-keep their attempt — if the op executed and only the ack was lost, the
-cache must answer the original outcome.  The final response per op is
+Every op re-sent because of a retry-safe answer or a dirty address
+carries ``attempt + 1``, so the daemon's exactly-once cache (keyed on
+``(id, attempt)``) cannot answer the stale execution; replaying a dirty
+address's pending ops in window order re-imposes that address's history,
+so the fresh answers are the serial ones.  An op re-sent only because
+the *connection* dropped keeps its attempt — if it executed and only the
+ack was lost, the cache must answer the original outcome.  After the
+drain the driver sleeps ``RetryPolicy.delay(key, attempt + 1)`` with the
+head's bumped attempt (2 on the first retry), then re-sends the
+unresolved suffix in order.  The final response per op is
 what lands in the tenant digest, so the digests still compare
 byte-identical against the clean serial replay; controller/memo counters
 do **not** (recovery replays work), which is why
@@ -93,7 +99,7 @@ from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Protocol, Tuple
 
 from repro.analysis import sanitizer as lock_sanitizer
 from repro.compression.base import BLOCK_BYTES
@@ -133,6 +139,9 @@ TENANT_PROFILES = (
 #: Tenant id bits: request id = (tenant << _ID_SHIFT) | sequence.
 _ID_SHIFT = 40
 
+#: Fraction of reads aimed at the never-written half of the arena.
+MISS_READ_FRACTION = 0.01
+
 
 @dataclass(frozen=True)
 class LoadgenConfig:
@@ -153,16 +162,12 @@ class LoadgenConfig:
     write_fraction: float = 0.40
     read_fraction: float = 0.45
     encode_fraction: float = 0.08
-    #: Fraction of reads aimed at the never-written half of the arena.
-    miss_fraction: float = 0.01
     #: Attached to every generated request (None: no deadline).
     deadline_ms: Optional[int] = None
     #: Client socket/connect timeout in seconds.
     client_timeout: float = 30.0
     #: Total tries per op (1 = never retry; chaos runs need headroom).
     retry_attempts: int = 1
-    retry_backoff_base: float = 0.005
-    retry_backoff_cap: float = 0.25
     service: ServiceConfig = field(default_factory=ServiceConfig)
 
     def __post_init__(self) -> None:
@@ -178,15 +183,10 @@ class LoadgenConfig:
             raise ValueError("client_timeout must be positive")
         if self.retry_attempts < 1:
             raise ValueError("retry_attempts must be positive")
-        fractions = (
-            self.write_fraction,
-            self.read_fraction,
-            self.encode_fraction,
-            self.miss_fraction,
-        )
+        fractions = (self.write_fraction, self.read_fraction, self.encode_fraction)
         if any(f < 0 for f in fractions):
             raise ValueError("mix fractions must be non-negative")
-        if self.write_fraction + self.read_fraction + self.encode_fraction > 1:
+        if sum(fractions) > 1:
             raise ValueError("write+read+encode fractions must not exceed 1")
 
     def tenant_name(self, tenant: int) -> str:
@@ -206,8 +206,6 @@ class LoadgenConfig:
     def retry_policy(self, tenant: int) -> RetryPolicy:
         return RetryPolicy(
             max_attempts=self.retry_attempts,
-            backoff_base=self.retry_backoff_base,
-            backoff_cap=self.retry_backoff_cap,
             seed=f"loadgen|{self.seed}|t{tenant:02d}",
         )
 
@@ -255,7 +253,7 @@ def tenant_requests(config: LoadgenConfig, tenant: int) -> Iterator[Request]:
                 tenant=name, deadline_ms=deadline,
             )
         elif roll < read_cut:
-            if rng.random() < config.miss_fraction:
+            if rng.random() < MISS_READ_FRACTION:
                 addr = base + (blocks + rng.randrange(blocks)) * BLOCK_BYTES
             else:
                 addr = written[rng.randrange(len(written))]
@@ -337,8 +335,6 @@ class _Inflight:
 
     request: Request
     first_ns: int
-    attempts: int
-    future: Optional["Future[Response]"] = None
     #: Final response observed while waiting out a suffix replay; the op
     #: is NOT re-sent and this is recorded when it reaches the head.
     resolved: Optional[Response] = None
@@ -371,100 +367,75 @@ def _addr_busy(pending: "Deque[_Inflight]", addr: int) -> bool:
     )
 
 
-def _drive_inprocess(
-    service: COPService, config: LoadgenConfig, tenant: int, tally: _StreamTally
+class _Link(Protocol):
+    """An ordered request/response channel to the service.
+
+    ``recv`` answers the oldest sent request not yet answered.  ``send``
+    and ``recv`` may raise ``ConnectionError``/``OSError``; ``reconnect``
+    then forgets every unanswered request.  :class:`ServiceClient` is the
+    TCP link.
+    """
+
+    def send(self, request: Request) -> None: ...
+
+    def recv(self) -> Response: ...
+
+    def reconnect(self) -> None: ...
+
+    def close(self) -> None: ...
+
+
+class _InprocessLink:
+    """The in-process link: shard futures answered in send order."""
+
+    def __init__(self, service: COPService) -> None:
+        self._service = service
+        self._futures: "Deque[Future[Response]]" = deque()
+
+    def send(self, request: Request) -> None:
+        self._futures.append(self._service.submit(request))
+
+    def recv(self) -> Response:
+        return self._futures.popleft().result()
+
+    def reconnect(self) -> None:
+        """Never called: an in-process link does not drop."""
+
+    def close(self) -> None:
+        """Nothing to release."""
+
+
+def _drive(
+    link: _Link, config: LoadgenConfig, tenant: int, tally: _StreamTally
 ) -> None:
+    """Drive one tenant's stream over ``link`` until every op is final."""
     policy = config.retry_policy(tenant)
     pending: Deque[_Inflight] = deque()
     guard_addrs = config.service.chaos is not None
 
-    def resolve_head() -> None:
-        head = pending[0]
-        if head.resolved is not None:
-            _pop_resolved(pending, tally)
-            return
-        assert head.future is not None
-        response = head.future.result()
-        if (
-            retry_safe(head.request.op, response.status)
-            and head.attempts < policy.max_attempts
-        ):
-            tally.retries += 1
-            # Wait out the rest of the window, back off, then re-send in
-            # order.  A final response normally stays valid — it was
-            # computed against its shard's committed prefix — and must not
-            # be re-executed (the exactly-once cache dies with a crashed
-            # worker; a re-run read would observe later committed writes).
-            # The exception: once an addressed op yields a retry-safe
-            # outcome, any LATER pending op on the SAME address holding a
-            # final answer can only have overtaken it (same address means
-            # same shard, and the shard queue is FIFO — it was submitted
-            # after the crash), so that answer was computed out of program
-            # order and is discarded and re-executed instead.  The bumped
-            # attempt forces a dedup miss for exactly those re-runs.
-            retryable: List[_Inflight] = []
-            dirty: set[int] = set()
-            for op in pending:
-                if op.resolved is not None:
-                    continue
-                assert op.future is not None
-                op_response = op.future.result()
-                addr = op.request.addr
-                if (
-                    retry_safe(op.request.op, op_response.status)
-                    or (addr is not None and addr in dirty)
-                ) and op.attempts < policy.max_attempts:
-                    tally.record_transient(op_response.status)
-                    op.attempts += 1
-                    if addr is not None:
-                        dirty.add(addr)
-                    retryable.append(op)
-                else:
-                    op.resolved = op_response
-            time.sleep(policy.delay(f"op{head.request.id}", head.attempts + 1))
-            tally.replayed += len(retryable)
-            for op in retryable:
-                op.request = dataclasses.replace(
-                    op.request, attempt=op.request.attempt + 1
-                )
-                op.future = service.submit(op.request)
-            return
-        if retry_safe(head.request.op, response.status):
-            tally.exhausted += 1
-        pending.popleft()
-        tally.record(response, (now_ns() - head.first_ns) / 1000.0)
+    def recv_for(op: _Inflight) -> Response:
+        response = link.recv()
+        if response.id != op.request.id:
+            raise AssertionError(
+                f"tenant {tenant}: response id {response.id} does not match "
+                f"in-flight request id {op.request.id}"
+            )
+        return response
 
-    for request in tenant_requests(config, tenant):
-        while len(pending) >= config.window or (
-            guard_addrs
-            and request.addr is not None
-            and _addr_busy(pending, request.addr)
-        ):
-            resolve_head()
-        pending.append(
-            _Inflight(request, now_ns(), 1, future=service.submit(request))
+    def can_retry(op: _Inflight) -> bool:
+        # ``attempt`` starts at 0 and counts fresh re-executions.
+        return op.request.attempt + 1 < policy.max_attempts
+
+    def bump(op: _Inflight) -> None:
+        op.request = dataclasses.replace(
+            op.request, attempt=op.request.attempt + 1
         )
-    while pending:
-        resolve_head()
-
-
-def _drive_tcp(
-    host: str,
-    port: int,
-    config: LoadgenConfig,
-    tenant: int,
-    tally: _StreamTally,
-) -> None:
-    policy = config.retry_policy(tenant)
-    pending: Deque[_Inflight] = deque()
-    guard_addrs = config.service.chaos is not None
-    client = ServiceClient(host, port, timeout=config.client_timeout)
 
     def reconnect() -> None:
         tally.reconnects += 1
         for attempt in range(1, policy.max_attempts + 1):
             try:
-                client.reconnect()
+                link.reconnect()
                 return
             except OSError:
                 if attempt == policy.max_attempts:
@@ -478,7 +449,7 @@ def _drive_tcp(
         for attempt in range(1, policy.max_attempts + 1):
             try:
                 for op in unresolved:
-                    client.send(op.request)
+                    link.send(op.request)
                 return
             except (ConnectionError, OSError):
                 if attempt == policy.max_attempts:
@@ -491,99 +462,77 @@ def _drive_tcp(
             _pop_resolved(pending, tally)
             return
         try:
-            response = client.recv()
+            response = recv_for(head)
         except (ConnectionError, OSError):
             # Dropped mid-stream: everything unresolved is unacknowledged;
             # reconnect and replay the window (dedup suppresses re-runs).
             reconnect()
             replay_suffix()
             return
-        if response.id != head.request.id:
-            raise AssertionError(
-                f"tenant {tenant}: response id {response.id} does not match "
-                f"head-of-window request id {head.request.id}"
-            )
-        if (
-            retry_safe(head.request.op, response.status)
-            and head.attempts < policy.max_attempts
-        ):
-            tally.record_transient(response.status)
-            tally.retries += 1
-            head.attempts += 1
-            dirty = set() if head.request.addr is None else {head.request.addr}
-            # Drain the in-flight tail — TCP ordering guarantees these are
-            # exactly the responses to the already-sent unresolved suffix.
-            # A final outcome is kept and NOT re-executed (the exactly-once
-            # cache dies with a crashed worker; a re-run read would observe
-            # later committed writes) — UNLESS its block address already
-            # yielded a retry-safe outcome earlier in the window: same
-            # address means same shard, the shard queue is FIFO, so that
-            # final was submitted after the crash and computed out of
-            # program order; it is discarded and re-executed instead.
-            try:
-                for op in list(pending)[1:]:
-                    if op.resolved is not None:
-                        continue
-                    op_response = client.recv()
-                    if op_response.id != op.request.id:
-                        raise AssertionError(
-                            f"tenant {tenant}: drained response id "
-                            f"{op_response.id} does not match in-flight "
-                            f"request id {op.request.id}"
-                        )
-                    addr = op.request.addr
-                    if (
-                        retry_safe(op.request.op, op_response.status)
-                        or (addr is not None and addr in dirty)
-                    ) and op.attempts < policy.max_attempts:
-                        tally.record_transient(op_response.status)
-                        op.attempts += 1
-                        if addr is not None:
-                            dirty.add(addr)
-                    else:
-                        op.resolved = op_response
-            except (ConnectionError, OSError):
-                # Whatever was not drained stays unresolved and is re-sent.
-                reconnect()
-            # Every unresolved op on a dirty address must re-execute fresh:
-            # bump its attempt so the dedup cache cannot answer a stale
-            # out-of-order execution.  This covers ops drained retry-safe
-            # above AND ops a mid-drain connection drop left unread (if
-            # such an op executed at all, it executed after its address's
-            # failed predecessor).  Unresolved ops elsewhere keep their
-            # attempt — if one executed and only the ack was lost, the
-            # cache must answer the original outcome.
-            for op in pending:
-                if op.resolved is None and op.request.addr in dirty:
-                    op.request = dataclasses.replace(
-                        op.request, attempt=op.request.attempt + 1
-                    )
-            time.sleep(policy.delay(f"op{head.request.id}", head.attempts))
-            replay_suffix()
+        safe = retry_safe(head.request.op, response.status)
+        if not (safe and can_retry(head)):
+            if safe:
+                tally.exhausted += 1
+            pending.popleft()
+            tally.record(response, (now_ns() - head.first_ns) / 1000.0)
             return
-        if retry_safe(head.request.op, response.status):
-            tally.exhausted += 1
-        pending.popleft()
-        tally.record(response, (now_ns() - head.first_ns) / 1000.0)
+        tally.record_transient(response.status)
+        tally.retries += 1
+        bump(head)
+        dirty = set() if head.request.addr is None else {head.request.addr}
+        # Drain the in-flight tail: the link answers in send order, so
+        # these are the responses to the already-sent unresolved suffix.
+        # A final outcome is kept and NOT re-executed (the exactly-once
+        # cache dies with a crashed worker; a re-run read would observe
+        # later committed writes), UNLESS its block address already
+        # yielded a retry-safe outcome earlier in the window: same address
+        # means same shard, the shard queue is FIFO, so that final was
+        # submitted after the crash and computed out of program order.
+        tail = [op for op in pending if op.resolved is None][1:]
+        drained = 0
+        try:
+            for op in tail:
+                op_response = recv_for(op)
+                drained += 1
+                addr = op.request.addr
+                if (
+                    retry_safe(op.request.op, op_response.status)
+                    or addr in dirty
+                ) and can_retry(op):
+                    tally.record_transient(op_response.status)
+                    bump(op)
+                    if addr is not None:
+                        dirty.add(addr)
+                else:
+                    op.resolved = op_response
+        except (ConnectionError, OSError):
+            reconnect()
+            # An undrained op on a dirty address, if it executed at all,
+            # executed after its address's failed predecessor: re-run it
+            # fresh.  Other undrained ops keep their attempt — if one
+            # executed and only the ack was lost, the cache must answer
+            # the original outcome.
+            for op in tail[drained:]:
+                if op.request.addr in dirty:
+                    bump(op)
+        time.sleep(policy.delay(f"op{head.request.id}", head.request.attempt + 1))
+        replay_suffix()
 
-    try:
-        for request in tenant_requests(config, tenant):
-            while len(pending) >= config.window or (
-                guard_addrs
-                and request.addr is not None
-                and _addr_busy(pending, request.addr)
-            ):
-                resolve_head()
-            pending.append(_Inflight(request, now_ns(), 1))
-            try:
-                client.send(request)
-            except (ConnectionError, OSError):
-                reconnect()
-                replay_suffix()
-        while pending:
+    for request in tenant_requests(config, tenant):
+        while len(pending) >= config.window or (
+            guard_addrs
+            and request.addr is not None
+            and _addr_busy(pending, request.addr)
+        ):
             resolve_head()
-    finally:
-        client.close()
+        pending.append(_Inflight(request, now_ns()))
+        try:
+            link.send(request)
+        except (ConnectionError, OSError):
+            reconnect()
+            replay_suffix()
+    while pending:
+        resolve_head()
 
 
 # -- parity verification ------------------------------------------------------
@@ -915,20 +864,22 @@ def run_loadgen(
         lock_sanitizer.reset()
     tallies = [_StreamTally() for _ in range(config.tenants)]
 
-    def run_threads(target: Callable[..., None], *args: object) -> float:
+    def run_threads(new_link: Callable[[], _Link]) -> float:
         failures: List[BaseException] = []
 
-        def guarded(*thread_args: object) -> None:
+        def guarded(tenant: int) -> None:
             try:
-                target(*thread_args)
+                link = new_link()
+                try:
+                    _drive(link, config, tenant, tallies[tenant])
+                finally:
+                    link.close()
             except BaseException as exc:  # repro: noqa[REP006] - re-raised after join
                 failures.append(exc)
 
         threads = [
             threading.Thread(
-                target=guarded,
-                args=(*args, tenant, tallies[tenant]),
-                name=f"loadgen-t{tenant}",
+                target=guarded, args=(tenant,), name=f"loadgen-t{tenant}"
             )
             for tenant in range(config.tenants)
         ]
@@ -941,9 +892,11 @@ def run_loadgen(
             raise failures[0]
         return (now_ns() - t0) / 1e9
 
+    def tcp_link(host: str, port: int) -> Callable[[], _Link]:
+        return lambda: ServiceClient(host, port, timeout=config.client_timeout)
+
     if connect is not None:
-        host, port = connect
-        duration = run_threads(_drive_tcp, host, port, config)
+        duration = run_threads(tcp_link(*connect))
         return _collect_report(config, "tcp", duration, tallies, None, None)
 
     if with_server:
@@ -951,7 +904,7 @@ def run_loadgen(
         server.start()
         try:
             host, port = server.server_address[0], server.server_address[1]
-            duration = run_threads(_drive_tcp, host, port, config)
+            duration = run_threads(tcp_link(host, port))
         finally:
             # Every response is in (the drivers drained their windows),
             # so the queues are empty; this joins workers and frees the
@@ -966,7 +919,7 @@ def run_loadgen(
     service = COPService(config.service)
     service.start()
     try:
-        duration = run_threads(_drive_inprocess, service, config)
+        duration = run_threads(lambda: _InprocessLink(service))
     finally:
         service.stop()
     parity = verify_parity(service, config, tallies) if verify else None

@@ -22,8 +22,8 @@ Resilience (docs/service.md, "Resilience"):
 * A peer that drops mid-pipeline increments ``service.server.conn_drops``
   and releases the writer thread promptly (no traceback, no waiting on
   futures whose responses can no longer be delivered).
-* :class:`ServiceClient` exposes the retry building blocks: a
-  ``RetryPolicy`` with deterministic seeded-jitter exponential backoff
+* The retry building blocks, which the loadgen driver applies over
+  :class:`ServiceClient` or in process: a ``RetryPolicy`` with deterministic seeded-jitter exponential backoff
   (:func:`repro.experiments.resilience.backoff_delay`) and the
   idempotency-aware :func:`retry_safe` predicate — reads/encodes retry
   freely, writes retry only on never-executed statuses or connection
@@ -37,10 +37,9 @@ import queue
 import socket
 import socketserver
 import threading
-import time
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 from repro.analysis import sanitizer
 from repro.core.controller import ControllerStats
@@ -375,7 +374,7 @@ class ServiceServer(socketserver.ThreadingTCPServer):
 
 
 class ServiceClient:
-    """Minimal blocking JSON-lines client with windowed pipelining.
+    """Minimal blocking JSON-lines client; ``send``/``recv`` pipeline.
 
     ``timeout`` bounds both the initial connect and every socket
     operation afterwards (it becomes the socket timeout), so a hung
@@ -389,7 +388,6 @@ class ServiceClient:
         self._port = port
         self._timeout = timeout
         self._lock = sanitizer.new_lock("service.client")
-        self.reconnects = 0
         self._connect()
 
     def _connect(self) -> None:
@@ -411,7 +409,6 @@ class ServiceClient:
         except OSError:
             pass
         self._connect()
-        self.reconnects += 1
 
     def __enter__(self) -> "ServiceClient":
         return self
@@ -434,54 +431,6 @@ class ServiceClient:
         with self._lock:  # sanctioned[blocking-under-lock]: lock serialises the socket
             self.send(request)
             return self.recv()
-
-    def call_with_retry(
-        self, request: Request, policy: Optional[RetryPolicy] = None
-    ) -> Response:
-        """One op with idempotency-aware retries and reconnect-on-drop.
-
-        Retries when :func:`retry_safe` allows it for this op's status,
-        and on connection errors (reconnecting first) — those are always
-        safe here because a request/response pair either completed or the
-        server's exactly-once cache will suppress the duplicate.  The
-        final attempt's response (or the terminal status) is returned;
-        connection errors on the last attempt re-raise.
-        """
-        policy = policy or RetryPolicy()
-        response: Optional[Response] = None
-        for attempt in range(1, policy.max_attempts + 1):
-            if attempt > 1:
-                time.sleep(policy.delay(f"op{request.id}", attempt))
-            try:
-                response = self.call(request)
-            except (ConnectionError, OSError):
-                if attempt == policy.max_attempts:
-                    raise
-                self.reconnect()
-                continue
-            if not retry_safe(request.op, response.status):
-                return response
-        assert response is not None
-        return response
-
-    def call_pipelined(
-        self, requests: List[Request], window: int = 32
-    ) -> List[Response]:
-        """Drive requests with at most ``window`` in flight; ordered results."""
-        if window < 1:
-            raise ValueError("window must be positive")
-        responses: List[Response] = []
-        with self._lock:  # sanctioned[blocking-under-lock]: lock serialises the socket
-            in_flight = 0
-            for request in requests:
-                if in_flight >= window:
-                    responses.append(self.recv())
-                    in_flight -= 1
-                self.send(request)
-                in_flight += 1
-            for _ in range(in_flight):
-                responses.append(self.recv())
-        return responses
 
 
 def parse_host_port(spec: str, default_port: int = 7457) -> Tuple[str, int]:

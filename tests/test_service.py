@@ -268,7 +268,12 @@ class TestTCPFrontEnd:
                     Request("write", id=i, addr=i * 64, data=_compressible())
                     for i in range(40)
                 ] + [Request("read", id=100 + i, addr=i * 64) for i in range(40)]
-                responses = client.call_pipelined(requests, window=16)
+                window, responses = 16, []
+                for i, request in enumerate(requests):
+                    if i >= window:
+                        responses.append(client.recv())
+                    client.send(request)
+                responses += [client.recv() for _ in range(window)]
                 assert [r.id for r in responses] == [r.id for r in requests]
                 assert all(r.ok for r in responses)
 

@@ -4,8 +4,9 @@ Covers the per-shard write-ahead log (framing, torn-tail repair,
 checksums, compaction, cold-start replay), the shared ``REPRO_CHAOS``
 grammar, supervisor-driven crash recovery (acked writes survive
 byte-identically, in-flight work answers RETRYABLE), deadline shedding,
-the overload breaker, the exactly-once response cache, client
-retry/reconnect, and end-to-end loadgen parity under injected chaos.
+the overload breaker, the exactly-once response cache, the loadgen
+driver's retry/replay rules over a scripted link, and end-to-end loadgen
+parity under injected chaos.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.service import (
     COPService,
     LoadgenConfig,
     Request,
+    Response,
     RetryPolicy,
     ServiceChaosConfig,
     ServiceClient,
@@ -33,6 +35,7 @@ from repro.service import (
     retry_safe,
     run_loadgen,
 )
+from repro.service import loadgen
 from repro.service import wal as wal_module
 from repro.service.protocol import ProtocolError
 
@@ -483,27 +486,6 @@ class TestClientResilience:
                 assert client._sock.gettimeout() == 2.5
                 assert client.call(Request("ping", id=1)).status is Status.OK
 
-    def test_chaos_conn_drop_reconnect_and_retry(self):
-        chaos = ServiceChaosConfig(conn_drop=1.0, seed=3)
-        service = COPService(ServiceConfig(shards=1, chaos=chaos))
-        with ServiceServer(service) as server:
-            host, port = server.server_address[0], server.server_address[1]
-            client = ServiceClient(host, port, timeout=10.0)
-            try:
-                policy = RetryPolicy(backoff_base=0.001, backoff_cap=0.01)
-                for i in range(4):
-                    response = client.call_with_retry(
-                        Request("ping", id=i + 1), policy
-                    )
-                    assert response.status is Status.OK
-                assert client.reconnects >= 1
-            finally:
-                client.close()
-        drops = service.registry.counter(
-            "service.server.chaos_conn_drops"
-        ).value
-        assert drops >= 1
-
     def test_mid_pipeline_disconnect_is_counted_not_fatal(self):
         service = COPService(ServiceConfig(shards=1))
         with ServiceServer(service) as server:
@@ -623,3 +605,142 @@ class TestLoadgenResilience:
         assert report.resilience["reconnects"] >= 1
         assert report.resilience["chaos_conn_drops"] >= 1
         assert report.resilience["exhausted"] == 0
+
+
+# -- the loadgen tenant driver over a scripted link ---------------------------
+
+
+class _ScriptedLink:
+    """A link answering in send order through ``answer(request)``.
+
+    ``answer`` returns a status, or raises ``ConnectionError`` to drop
+    the connection; ``reconnect`` forgets every unanswered request, as a
+    real dropped socket does.  Each response names the attempt that
+    produced it in ``error``.
+    """
+
+    def __init__(self, answer):
+        self.answer = answer
+        self.sent = []
+        self.unanswered = []
+        self.reconnects = 0
+
+    def send(self, request):
+        self.sent.append(request)
+        self.unanswered.append(request)
+
+    def recv(self):
+        request = self.unanswered[0]
+        status = self.answer(request)
+        self.unanswered.pop(0)
+        return Response(request.id, status, error=f"attempt {request.attempt}")
+
+    def reconnect(self):
+        self.reconnects += 1
+        self.unanswered.clear()
+
+    def close(self):
+        pass
+
+
+class _FinalsTally(loadgen._StreamTally):
+    def __init__(self):
+        super().__init__()
+        self.finals = []
+
+    def record(self, response, latency_us):
+        super().record(response, latency_us)
+        self.finals.append(response)
+
+
+A, B = 0, 64
+
+
+def _drive_script(monkeypatch, requests, answer):
+    """Drive ``requests`` as tenant 0's stream over a scripted link."""
+    monkeypatch.setattr(
+        loadgen, "tenant_requests", lambda config, tenant: iter(requests)
+    )
+    config = LoadgenConfig(
+        ops=len(requests), tenants=1, window=8, retry_attempts=4
+    )
+    link, tally = _ScriptedLink(answer), _FinalsTally()
+    loadgen._drive(link, config, 0, tally)
+    assert [r.id for r in tally.finals] == [r.id for r in requests]
+    assert all(r.status is Status.OK for r in tally.finals)
+    return link, tally
+
+
+class TestLoadgenDriver:
+    def test_retry_safe_write_resends_its_address_with_bumped_attempt(
+        self, monkeypatch
+    ):
+        requests = [
+            Request("write", id=0, addr=A, data=_compressible(b"a")),
+            Request("write", id=1, addr=B, data=_compressible(b"b")),
+            Request("read", id=2, addr=A),
+            Request("read", id=3, addr=B),
+        ]
+
+        failed = []
+
+        def answer(request):
+            if request.id == 0 and not failed:
+                failed.append(request)
+                return Status.RETRYABLE
+            return Status.OK
+
+        link, tally = _drive_script(monkeypatch, requests, answer)
+        assert [(r.id, r.attempt) for r in link.sent] == [
+            (0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (2, 1),
+        ]
+        # The dirty address's ops are answered by the re-run; the finals
+        # on the other address are the first answers, kept.
+        assert [r.error for r in tally.finals] == [
+            "attempt 1", "attempt 0", "attempt 1", "attempt 0",
+        ]
+        assert tally.retries == 1 and tally.replayed == 2
+        # The discarded dirty-address final counts as transient too.
+        assert tally.transient == {"retryable": 1, "ok": 1}
+
+    def test_connection_drop_replays_suffix_with_unchanged_attempts(
+        self, monkeypatch
+    ):
+        requests = [
+            Request("write", id=0, addr=A, data=_compressible(b"a")),
+            Request("read", id=1, addr=A),
+            Request("encode", id=2, data=_compressible(b"e")),
+        ]
+        dropped = []
+
+        def answer(request):
+            if request.id == 1 and not dropped:
+                dropped.append(request)
+                raise ConnectionError("dropped")
+            return Status.OK
+
+        link, tally = _drive_script(monkeypatch, requests, answer)
+        assert [(r.id, r.attempt) for r in link.sent] == [
+            (0, 0), (1, 0), (2, 0), (1, 0), (2, 0),
+        ]
+        assert link.reconnects == tally.reconnects == 1
+        assert tally.replayed == 2 and tally.retries == 0
+
+    def test_retryable_encode_resends_with_bumped_attempt(self, monkeypatch):
+        requests = [
+            Request("encode", id=0, data=_compressible(b"e")),
+            Request("read", id=1, addr=A),
+        ]
+
+        failed = []
+
+        def answer(request):
+            if request.id == 0 and not failed:
+                failed.append(request)
+                return Status.RETRYABLE
+            return Status.OK
+
+        link, tally = _drive_script(monkeypatch, requests, answer)
+        assert [(r.id, r.attempt) for r in link.sent] == [(0, 0), (1, 0), (0, 1)]
+        assert [r.error for r in tally.finals] == ["attempt 1", "attempt 0"]
+        assert tally.retries == 1
