@@ -566,14 +566,12 @@ class ProtectedMemory:
 
     # -- read path ---------------------------------------------------------------
 
-    def read(self, addr: int, decoded: Optional[DecodedBlock] = None) -> AccessResult:
+    def read(self, addr: int) -> AccessResult:
         """Fetch and (per mode) verify/correct/decompress a block.
 
-        COP and COP-ER classify a block by decoding its stored image;
-        ``decoded`` hands in that decode when the caller already ran it
-        (a batch decode of many images).  A block stored without an image
-        takes its classification from :attr:`compressed_blocks` and reads
-        back with no data.
+        COP and COP-ER classify a block by decoding its stored image.  A
+        block stored without an image takes its classification from
+        :attr:`compressed_blocks` and reads back with no data.
 
         Raises :class:`BlockNotWrittenError` (a ``KeyError``) for a block
         that was never written, counting it in ``stats.read_misses``.
@@ -588,24 +586,22 @@ class ProtectedMemory:
 
         # 1. Classify.  MemZip reads its metadata; the table stays empty in
         # the modes that never compress.
-        if mode is ProtectionMode.COP or mode is ProtectionMode.COP_ER:
-            if decoded is None and stored is not None:
-                assert self.codec is not None
-                decoded = self.codec.decode(stored)
-            compressed = (
-                addr in self.compressed_blocks
-                if decoded is None
-                else decoded.is_compressed
-            )
+        decoded: Optional[DecodedBlock] = None
+        if stored is not None and (
+            mode is ProtectionMode.COP or mode is ProtectionMode.COP_ER
+        ):
+            assert self.codec is not None
+            decoded = self.codec.decode(stored)
+            compressed = decoded.is_compressed
         else:
             compressed = addr in self.compressed_blocks
 
         # 2. Bookkeeping per mode; 3. the payload only when an image exists.
         if compressed:  # COP, COP-ER, MemZip
             stats.compressed_reads += 1
-            if decoded is None:
-                if stored is None:
-                    return self._read_compressed
+            if stored is None:
+                return self._read_compressed
+            if decoded is None:  # MemZip: classified by its metadata
                 assert self.codec is not None
                 decoded = self.codec.decode(stored)
             corrected = decoded.corrected_words > 0

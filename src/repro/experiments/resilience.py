@@ -188,8 +188,6 @@ def configure(
     retries: Optional[int] = None,
     fail_fast: Optional[bool] = None,
     chaos: Optional[ChaosConfig] = None,
-    backoff_base: Optional[float] = None,
-    backoff_cap: Optional[float] = None,
 ) -> None:
     """Set process-wide resilience defaults (the CLI's flags).
 
@@ -200,8 +198,6 @@ def configure(
         ("retries", retries),
         ("fail_fast", fail_fast),
         ("chaos", chaos),
-        ("backoff_base", backoff_base),
-        ("backoff_cap", backoff_cap),
     ):
         if value is not None:
             _configured[name] = value
@@ -259,8 +255,6 @@ def resolve(explicit: Optional[ResilienceConfig] = None) -> ResilienceConfig:
     return ResilienceConfig(
         timeout=timeout,
         retries=_configured.get("retries", _env_int("REPRO_RETRIES", 0)),
-        backoff_base=_configured.get("backoff_base", 0.05),
-        backoff_cap=_configured.get("backoff_cap", 2.0),
         fail_fast=_configured.get("fail_fast", False),
         chaos=chaos,
     )

@@ -3,10 +3,11 @@
 The model tracks, per bank, the open row, the earliest time the bank can
 accept a new column/row command, and the last activate time (to honour
 tRAS before a precharge).  Each channel serialises data bursts on its bus.
-Requests are processed in arrival order, which is what the simulator
-uses; :meth:`DRAMSystem.access_batch` offers FR-FCFS-style
-reordering inside a batch of simultaneously ready requests (row hits
-first) to callers that want it.
+:meth:`DRAMSystem.service_wave` is the one timing loop: it services a wave
+of simultaneously ready requests in arrival order, which is what the
+simulator uses.  :meth:`DRAMSystem.access` is a one-request wave, and
+:meth:`DRAMSystem.access_batch` offers FR-FCFS-style reordering inside a
+wave (row hits first) to callers that want it.
 
 All times are nanoseconds.  Defaults model DDR3-1600 (tCK = 1.25 ns,
 11-11-11-28, BL8) per Table 1.
@@ -20,7 +21,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.memory.address import AddressMapper, DRAMGeometry, MappedAddress
+from repro.memory.address import AddressMapper, DRAMGeometry
 
 __all__ = [
     "DRAMTiming",
@@ -50,10 +51,11 @@ class DRAMTiming:
     def __post_init__(self) -> None:
         # The refresh window is the last tRFC of each tREFI interval.  A
         # device that spends its whole interval (or more) refreshing can
-        # never accept a command: ``_after_refresh`` would "push" a start
-        # time into a window that covers all time, silently returning a
-        # time still inside a refresh.  Reject the impossible geometry at
-        # construction instead of producing nonsense timings.
+        # never accept a command: the refresh push in ``service_wave``
+        # would move a start time into a window that covers all time,
+        # silently returning a time still inside a refresh.  Reject the
+        # impossible geometry at construction instead of producing
+        # nonsense timings.
         if self.trfc_ns < 0:
             raise ValueError(f"trfc_ns must be non-negative: {self.trfc_ns}")
         if self.trefi_ns > 0 and self.trfc_ns >= self.trefi_ns:
@@ -215,25 +217,6 @@ class DRAMSystem:
         #: Hot-path flag: per-bank accounting only when someone is looking.
         self._track_banks = self.obs.enabled
 
-    # -- refresh -----------------------------------------------------------
-
-    def _after_refresh(self, t_ns: float) -> float:
-        """Push a command start time out of any refresh window.
-
-        All ranks refresh in lockstep every tREFI, occupying the last
-        tRFC of each interval.  A refresh also closes every row (the
-        DRAM's auto-precharge on REF), which the row-buffer state ignores
-        here — a small optimism that applies equally to every protection
-        mode under comparison.
-        """
-        timing = self.config.timing
-        if timing.trefi_ns <= 0:
-            return t_ns
-        position = t_ns % timing.trefi_ns
-        if position >= timing.trefi_ns - timing.trfc_ns:
-            return t_ns - position + timing.trefi_ns
-        return t_ns
-
     # -- single access ---------------------------------------------------
 
     def would_row_hit(self, addr: int) -> bool:
@@ -243,60 +226,9 @@ class DRAMSystem:
         return bank.open_row == loc.row
 
     def access(self, addr: int, is_write: bool, now_ns: float) -> AccessTiming:
-        """Perform one 64-byte access, updating bank and bus state."""
-        timing = self.config.timing
-        loc: MappedAddress = self.mapper.map(addr)
-        bank = self._banks[loc.channel][loc.rank][loc.bank]
-
-        start = self._after_refresh(max(now_ns, bank.ready_ns))
-        if bank.open_row == loc.row:
-            row_hit = True
-            data_ready = start + timing.ns(timing.cl)
-        else:
-            row_hit = False
-            t = start
-            if bank.open_row is not None:
-                # Precharge may not begin before tRAS from the activate.
-                t = max(t, bank.act_ns + timing.ns(timing.tras))
-                t += timing.ns(timing.trp)
-            # tFAW: at most four activates per rank per rolling window.
-            if timing.tfaw:
-                history = self._act_history[loc.channel, loc.rank]
-                if len(history) >= 4:
-                    t = max(t, history[-4] + timing.ns(timing.tfaw))
-                history.append(t)
-                del history[:-4]
-            t += timing.ns(timing.trcd)
-            bank.act_ns = t - timing.ns(timing.trcd)
-            bank.open_row = loc.row
-            data_ready = t + timing.ns(timing.cl)
-
-        burst_start = max(data_ready, self._bus_free_ns[loc.channel])
-        complete = burst_start + timing.ns(timing.burst_cycles)
-        self._bus_free_ns[loc.channel] = complete
-        bank.ready_ns = complete
-        if self.config.page_policy is PagePolicy.CLOSED:
-            # Auto-precharge: the next access always activates, but never
-            # pays the explicit precharge or waits out tRAS here (the
-            # precharge overlaps the idle gap; tRAS still bounds it).
-            bank.ready_ns = max(
-                complete, bank.act_ns + timing.ns(timing.tras + timing.trp)
-            )
-            bank.open_row = None
-
-        self.stats.busy_ns += complete - start
-        if is_write:
-            self.stats.writes += 1
-        else:
-            self.stats.reads += 1
-        if row_hit:
-            self.stats.row_hits += 1
-        else:
-            self.stats.row_misses += 1
-        if self._track_banks:
-            entry = self.stats.per_bank.setdefault(bank.coords, [0, 0])
-            entry[0 if row_hit else 1] += 1
-        return AccessTiming(start, complete, row_hit)
+        """Perform one 64-byte access: a one-request :meth:`service_wave`."""
+        starts, completes, hits = self.service_wave(((addr, is_write),), now_ns)
+        return AccessTiming(starts[0], completes[0], hits[0])
 
     def publish_metrics(self, registry, prefix: str = "dram") -> None:
         """Mirror the DRAM counters (and per-bank detail) into a registry.
@@ -368,16 +300,21 @@ class DRAMSystem:
     ) -> tuple[list[float], list[float], list[bool]]:
         """Service a wave of simultaneously ready requests *in order*.
 
-        Bit-exact replacement for calling :meth:`access` once per request
-        at the same ``now_ns`` (same float operations in the same order,
-        same bank/bus/stats mutations), run as one tight loop over the
-        location table.  Returns per-request ``(start_ns, complete_ns,
+        Each request starts at ``now_ns`` or when its bank is ready,
+        whichever is later, pushed out of any refresh window: all ranks
+        refresh in lockstep every tREFI, occupying the last tRFC of each
+        interval.  A refresh also closes every row (the DRAM's
+        auto-precharge on REF), which the row-buffer state ignores here —
+        a small optimism that applies equally to every protection mode
+        under comparison.  Returns per-request ``(start_ns, complete_ns,
         row_hit)`` as three parallel lists.
 
         The serial recurrence is irreducible — each request's start time
         depends on the bank/bus state its predecessors left behind — so
-        this is a kernel over a *wave*, carrying bank state across calls
-        exactly like the scalar path does.
+        this is a kernel over a *wave*, carrying bank state across calls.
+        Addresses come from the location table (:meth:`premap`, or
+        :meth:`_locate` on first sight), so a mapper swapped in before the
+        first access is the one every later access sees.
         """
         (
             cl_ns,
@@ -420,11 +357,12 @@ class DRAMSystem:
                 row_hit = False
                 t = start
                 if bank.open_row is not None:
+                    # Precharge may not begin before tRAS from the activate.
                     after_ras = bank.act_ns + tras_ns
                     if after_ras > t:
                         t = after_ras
                     t += trp_ns
-                if tfaw:
+                if tfaw:  # at most four activates per rank per window
                     if len(history) >= 4:
                         window = history[-4] + tfaw_ns
                         if window > t:
@@ -442,6 +380,9 @@ class DRAMSystem:
             bus[ch] = complete
             bank.ready_ns = complete
             if closed:
+                # Auto-precharge: the next access always activates, but
+                # never pays the explicit precharge or waits out tRAS (the
+                # precharge overlaps the idle gap; tRAS still bounds it).
                 precharged = bank.act_ns + tras_trp_ns
                 bank.ready_ns = (
                     complete if complete > precharged else precharged

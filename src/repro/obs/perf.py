@@ -167,21 +167,30 @@ def best_seconds(
     return stats.best_seconds
 
 
-def git_sha(short: bool = False) -> str:
-    """The repo's current commit, or ``"unknown"`` outside a checkout."""
-    cmd = ["git", "rev-parse", "--short" if short else "--verify", "HEAD"]
+def git_sha(short: bool = False, repo: Optional[str] = None) -> str:
+    """The checkout's current commit, or ``"unknown"`` outside a checkout.
+
+    ``repo`` is a directory inside the checkout (default: this package's).
+    When tracked files differ from ``HEAD`` the SHA carries a ``-dirty``
+    suffix, so an artifact measured on uncommitted code does not name the
+    commit it was not measured on.
+    """
+    cwd = repo if repo is not None else os.path.dirname(os.path.abspath(__file__))
     try:
-        out = subprocess.run(
-            cmd,
-            capture_output=True,
-            text=True,
-            timeout=5,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
+        head = subprocess.run(
+            ["git", "rev-parse", "--short" if short else "--verify", "HEAD"],
+            capture_output=True, text=True, timeout=5, cwd=cwd,
+        )
+        diff = subprocess.run(
+            ["git", "diff", "--quiet", "HEAD", "--"],
+            capture_output=True, timeout=5, cwd=cwd,
         )
     except (OSError, subprocess.SubprocessError):
         return "unknown"
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else "unknown"
+    sha = head.stdout.strip()
+    if head.returncode != 0 or not sha:
+        return "unknown"
+    return f"{sha}-dirty" if diff.returncode == 1 else sha
 
 
 def fingerprint(extra: Optional[Mapping[str, Any]] = None) -> dict[str, Any]:

@@ -19,11 +19,9 @@ blocks back, and compare against golden copies.  Outcomes:
   happens to tolerate never occurs here since we compare exact bytes, but
   flips into a compressed block's *padding* bits are genuinely masked).
 
-``run_campaign`` walks trials one read at a time through the controller;
-``run_campaign_batch`` pre-draws the identical RNG sequence and classifies
-every flipped image in one :class:`repro.kernels.BatchCodec` decode —
-same outcomes, same stats, vectorised (the parity test in
-``tests/test_reliability.py`` holds them equal).
+``run_campaign`` walks trials one read at a time through the controller's
+own read path, so the outcomes count exactly what a consumer of
+:meth:`ProtectedMemory.read` would see.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.compression.base import BLOCK_BYTES
-from repro.core.controller import AccessResult, ProtectedMemory, ProtectionMode
+from repro.core.controller import ProtectedMemory
 
 __all__ = ["InjectionStats", "FaultInjector"]
 
@@ -86,13 +84,9 @@ class FaultInjector:
         positions = self.rng.sample(range(8 * BLOCK_BYTES), flips)
         for bit in positions:
             self.memory.flip_bit(addr, bit)
-        outcome = self._record(addr, flips, self.memory.read(addr))
+        result = self.memory.read(addr)
         # Restore the pristine image so trials stay independent.
         self.memory.contents[addr] = pristine
-        return outcome
-
-    def _record(self, addr: int, flips: int, result: AccessResult) -> str:
-        """Classify one readback against golden and count it."""
         # Uncorrectable wins: a detected word raises a machine check, so
         # the data bytes are never consumed — even when the garbage that
         # came back happens to equal golden (2 flips in one check byte).
@@ -109,39 +103,4 @@ class FaultInjector:
         """Run ``trials`` independent injections of ``flips`` bits each."""
         for _ in range(trials):
             self.run_trial(flips)
-        return self.stats
-
-    def run_campaign_batch(self, trials: int, flips: int = 1) -> InjectionStats:
-        """Vectorised ``run_campaign`` for the plain-COP read path.
-
-        Draws the exact RNG sequence ``run_campaign`` would (address,
-        then flip positions, per trial), builds the flipped stored
-        images, decodes them all in one :class:`repro.kernels.BatchCodec`
-        pass and hands each decode to :meth:`ProtectedMemory.read` — the
-        same controller bookkeeping and classification, so outcome counts
-        and controller stats land identical to the scalar loop.
-        """
-        if self.memory.mode is not ProtectionMode.COP:
-            raise ValueError(
-                "run_campaign_batch models the plain-COP read path; "
-                f"memory is in mode {self.memory.mode.value!r}"
-            )
-        from repro.kernels import BatchCodec, blocks_to_array
-
-        addrs: list[int] = []
-        images: list[bytes] = []
-        for _ in range(trials):
-            addr = self.rng.choice(list(self.golden))
-            image = bytearray(self.memory.contents[addr])
-            for bit in self.rng.sample(range(8 * BLOCK_BYTES), flips):
-                image[bit // 8] ^= 1 << (bit % 8)
-            addrs.append(addr)
-            images.append(bytes(image))
-
-        assert self.memory.codec is not None
-        decoded = BatchCodec(self.memory.codec).decode_many(
-            blocks_to_array(images)
-        )
-        for addr, result in zip(addrs, decoded):
-            self._record(addr, flips, self.memory.read(addr, decoded=result))
         return self.stats

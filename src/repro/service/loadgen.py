@@ -313,7 +313,9 @@ class _StreamTally:
         self.reconnects = 0
         #: Ops re-sent as part of a suffix replay (includes the head).
         self.replayed = 0
-        #: Retry-safe outcomes recorded as final: attempts ran out.
+        #: Outcomes recorded as final although they needed a re-run (a
+        #: retry-safe status, or an answer on a dirty address): attempts
+        #: ran out.
         self.exhausted = 0
 
     def record(self, response: Response, latency_us: Optional[float]) -> None:
@@ -344,8 +346,6 @@ def _pop_resolved(pending: "Deque[_Inflight]", tally: _StreamTally) -> None:
     """Record the head's stored final response (set during a replay)."""
     head = pending.popleft()
     assert head.resolved is not None
-    if retry_safe(head.request.op, head.resolved.status):
-        tally.exhausted += 1
     tally.record(head.resolved, (now_ns() - head.first_ns) / 1000.0)
 
 
@@ -495,15 +495,18 @@ def _drive(
                 op_response = recv_for(op)
                 drained += 1
                 addr = op.request.addr
-                if (
+                stale = (
                     retry_safe(op.request.op, op_response.status)
                     or addr in dirty
-                ) and can_retry(op):
+                )
+                if stale and can_retry(op):
                     tally.record_transient(op_response.status)
                     bump(op)
                     if addr is not None:
                         dirty.add(addr)
                 else:
+                    if stale:
+                        tally.exhausted += 1
                     op.resolved = op_response
         except (ConnectionError, OSError):
             reconnect()
@@ -595,8 +598,8 @@ def verify_parity(
         strict = config.service.chaos is None
     if any(tally.exhausted for tally in tallies):
         raise AssertionError(
-            "a retry-safe status was recorded as final (retry budget "
-            "exhausted); raise retry_attempts — parity cannot hold"
+            "an answer that needed a re-run was recorded as final (retry "
+            "budget exhausted); raise retry_attempts — parity cannot hold"
         )
     replica_config = dataclasses.replace(
         config.service, chaos=None, wal_dir=None, supervise=False

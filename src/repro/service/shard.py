@@ -127,7 +127,6 @@ class ServiceConfig:
     queue_depth: int = 1024
     #: ``block`` parks callers on a full queue; ``reject`` answers BUSY.
     admission: str = "block"
-    capacity_bytes: int = 8 << 30
     #: Directory for per-shard write-ahead journals.  ``None`` disables
     #: the WAL — supervisor restarts then recover an *empty* shard, so
     #: set this whenever worker deaths are possible (chaos, production).
@@ -226,7 +225,6 @@ class Shard:
         self.memory = ProtectedMemory(
             mode=config.mode,
             config=_COP_CONFIG,
-            capacity_bytes=config.capacity_bytes,
             obs=Observability(metrics=self.registry),
         )
         self._queue: "queue.Queue[Union[_Work, _Stop]]" = queue.Queue(
@@ -453,7 +451,6 @@ class Shard:
         self.memory = ProtectedMemory(
             mode=self.config.mode,
             config=_COP_CONFIG,
-            capacity_bytes=self.config.capacity_bytes,
             obs=Observability(metrics=self.registry),
         )
         # Exactly-once entries describe executions the rebuilt state no

@@ -44,9 +44,10 @@ class Epoch:
 class EpochArrays:
     """Struct-of-arrays form of an epoch trace (the simulator's input).
 
-    The per-object :class:`Epoch`/:class:`Access` stream is pleasant to
-    generate and test against, but replaying it one attribute lookup at a
-    time is slow.  This flattens a whole trace into four parallel arrays:
+    The per-object :class:`Epoch`/:class:`Access` stream
+    (:meth:`TraceGenerator.epochs` is a view of this form) is pleasant to
+    test against, but replaying it one attribute lookup at a time is
+    slow.  This flattens a whole trace into four parallel arrays:
 
     * ``instructions[e]`` — instruction count of epoch ``e`` (uint64);
     * ``starts`` — epoch-boundary offsets into the access arrays, length
@@ -98,14 +99,6 @@ class EpochArrays:
             is_store=np.asarray(stores, dtype=np.bool_),
         )
 
-    def epoch_slice(self, index: int) -> tuple[int, int, int]:
-        """``(instructions, lo, hi)`` for epoch ``index``."""
-        return (
-            int(self.instructions[index]),
-            int(self.starts[index]),
-            int(self.starts[index + 1]),
-        )
-
     def to_epochs(self) -> Iterator[Epoch]:
         """Inverse of :meth:`from_epochs` (exact round trip)."""
         addrs = self.addrs.tolist()
@@ -151,41 +144,21 @@ class TraceGenerator:
             self._cursor = self._rng.randrange(self.footprint_blocks)
         return self._cursor
 
-    def _group_size(self) -> int:
-        """Geometric group size with mean ``mlp`` (at least one miss)."""
-        mean = max(self.profile.mlp, 1.0)
-        p = 1.0 / mean
-        size = 1
-        while self._rng.random() > p:
-            size += 1
-            if size >= 8 * mean:  # tail clamp keeps epochs bounded
-                break
-        return size
-
     def epochs(self, count: int) -> Iterator[Epoch]:
-        """Yield ``count`` epochs."""
-        per_miss_instr = 1000.0 / max(self.profile.mpki, 1e-3)
-        for _ in range(count):
-            size = self._group_size()
-            accesses = tuple(
-                Access(
-                    self.base_addr + self._next_block() * BLOCK_BYTES,
-                    self._rng.random() < self.profile.write_fraction,
-                )
-                for _ in range(size)
-            )
-            instructions = max(1, round(per_miss_instr * size))
-            yield Epoch(instructions, accesses)
+        """``count`` epochs as objects: a view of :meth:`epoch_arrays`.
+
+        The whole trace is drawn when this is called, not as it is
+        iterated.
+        """
+        return self.epoch_arrays(count).to_epochs()
 
     def epoch_arrays(self, count: int) -> EpochArrays:
-        """``count`` epochs, flattened straight into struct-of-arrays form.
+        """``count`` epochs, drawn straight into struct-of-arrays form.
 
-        Consumes the RNG in exactly the order :meth:`epochs` does (group
-        size, then per access: block draw, then store draw), so a
-        generator seeded identically produces the same trace through
-        either method — ``epoch_arrays(n)`` equals
-        ``EpochArrays.from_epochs(epochs(n))`` element for element,
-        without materialising the per-object stream.
+        Per epoch the RNG draws the group size (geometric with mean
+        ``mlp``, at least one miss, clamped at ``8 * mlp``), then per
+        access the block (:meth:`_next_block`: continue the run with
+        probability ``locality``, else jump) and the store flag.
         """
         profile = self.profile
         per_miss_instr = 1000.0 / max(profile.mpki, 1e-3)
@@ -206,7 +179,7 @@ class TraceGenerator:
         store_append = stores.append
         cursor = self._cursor
         for _ in range(count):
-            size = 1  # _group_size, inlined
+            size = 1
             while rng_random() > p:
                 size += 1
                 if size >= clamp:

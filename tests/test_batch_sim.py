@@ -35,6 +35,7 @@ from repro.experiments.common import Scale
 from repro.experiments.simruns import run_benchmark, run_mix
 from repro.obs import Observability
 from repro.simulation.config import SCALED_SYSTEM
+from repro.simulation.system import MultiCoreSystem
 from repro.workloads.profiles import PROFILES
 from repro.workloads.tracegen import Access, Epoch, EpochArrays, TraceGenerator
 
@@ -88,13 +89,6 @@ class TestEpochArrays:
         assert len(arrays) == 40
         assert arrays.accesses == sum(len(e.accesses) for e in epochs)
 
-    def test_epoch_slice(self):
-        arrays = EpochArrays.from_epochs(
-            [Epoch(7, (Access(0, False), Access(64, True))), Epoch(9, (Access(128, False),))]
-        )
-        assert arrays.epoch_slice(0) == (7, 0, 2)
-        assert arrays.epoch_slice(1) == (9, 2, 3)
-
     def test_validation(self):
         ok = EpochArrays.from_epochs([Epoch(1, (Access(0, True),))])
         with pytest.raises(ValueError):
@@ -112,20 +106,39 @@ class TestEpochArrays:
                 is_store=np.zeros(5, dtype=np.bool_),
             )
 
+    #: ``(bench, seed) ->`` digest of the retired per-object ``epochs``
+    #: generator's output, recorded before it became a view of
+    #: ``epoch_arrays``: two calls (50 then 25 epochs) as flattened
+    #: arrays, then the final run cursor.
+    TRACE_DIGESTS = {
+        ("gcc", 0): "6de31a6d6359425929290380d11d6d35a6f71ce329fe628b6768c91e202a7864",
+        ("gcc", 11): "37e33f366d08bf760ae3d4d3df2852966ddf594b1b3bf183687fb6ae2af4d728",
+        ("lbm", 0): "9f0182e69fd3e4dded4775ea5499624f67af464fd0f4a554f1241a820a80c67f",
+        ("lbm", 11): "b14f417ba4b6c9fef470272486eb4e47d5977113e26faba54a4526ebf499148e",
+        ("canneal", 0): "adc35617a8729ea6ab5536cb05a00ecc9aa8b38393987ce1a4e7e3d54b101543",
+        ("canneal", 11): "260aef7f826395bccbbbf6050936e4d5a4133f56783a23f925a6f889de8d9a8e",
+    }
+
     @pytest.mark.parametrize("bench", ["gcc", "lbm", "canneal"])
     @pytest.mark.parametrize("seed", [0, 11])
     def test_epoch_arrays_matches_epochs(self, bench, seed):
-        """``epoch_arrays(n)`` is the same RNG draw sequence as
-        ``epochs(n)`` — identical trace, identical generator state after."""
-        profile = PROFILES[bench]
-        via_epochs = TraceGenerator(profile, seed=seed, base_addr=1 << 40)
-        direct = TraceGenerator(profile, seed=seed, base_addr=1 << 40)
-        for count in (50, 25):  # second call: cursor/RNG state carried over
-            a = EpochArrays.from_epochs(via_epochs.epochs(count))
-            b = direct.epoch_arrays(count)
-            for name in ("instructions", "starts", "addrs", "is_store"):
-                assert np.array_equal(getattr(a, name), getattr(b, name))
-        assert via_epochs._cursor == direct._cursor
+        """``epoch_arrays`` and its ``epochs`` view draw the frozen trace,
+        and leave the generator where the retired generator left it."""
+        draws = (
+            lambda generator, count: generator.epoch_arrays(count),
+            lambda generator, count: EpochArrays.from_epochs(
+                generator.epochs(count)
+            ),
+        )
+        for draw in draws:
+            generator = TraceGenerator(PROFILES[bench], seed=seed, base_addr=1 << 40)
+            digest = hashlib.sha256()
+            for count in (50, 25):  # second call: cursor/RNG state carried over
+                arrays = draw(generator, count)
+                for name in ("instructions", "starts", "addrs", "is_store"):
+                    digest.update(getattr(arrays, name).tobytes())
+            digest.update(str(generator._cursor).encode())
+            assert digest.hexdigest() == self.TRACE_DIGESTS[bench, seed]
 
 
 class TestBenchmarkParity:
@@ -134,7 +147,8 @@ class TestBenchmarkParity:
     Each digest was recorded from that loop (``Epoch`` iterators, real
     ``write``/``read`` on generated bytes) at SMOKE scale before it was
     deleted, except ``SHARED_SPACE_DIGESTS``, recorded from the array
-    replay while it still populated every block at its first miss; any
+    replay while it still populated every block at its first miss, and
+    ``WRITEBACK_DIGESTS`` (see there); any
     drift in the LLC, controller bookkeeping, DRAM timing or trace
     emission changes a digest.
     """
@@ -168,6 +182,18 @@ class TestBenchmarkParity:
     METRICS_DIGEST = "acfe3207dc704641b31bc4e3f754de117fdbf3cba8eadb6a51e5fb7f5b61e895"
     EVENTS_DIGEST = "6ad49b0ab9d907c713659b5498e2aec7672b220e047bdbce0a13173aab2b20f3"
 
+    #: lbm at SMALL scale on 2 cores in the four Fig. 11 modes, recorded
+    #: before the DRAM, trace and injection twins were folded: the one job
+    #: found to write dirty LLC victims back (no SMOKE job does), with its
+    #: ``MultiCoreSystem._writeback`` call count.  No job found frees an
+    #: ECC-region entry; ``ECCRegion.free`` is pinned by unit tests only.
+    WRITEBACK_DIGESTS = {
+        ProtectionMode.UNPROTECTED: ("68530608ab442cc4b04b1bb6bc91c1c6517ae521175c96bff4dda3290d5e538d", 55),
+        ProtectionMode.COP: ("de5107c1320287ad50cdc27cd8e0af1634d9403c298b48b8a4265663e8a70c9e", 55),
+        ProtectionMode.COP_ER: ("b7385014f10d55120b66dc25f1b9706216fef405245ca2c118948d3ca6aa4e1d", 57),
+        ProtectionMode.ECC_REGION: ("dc2fb0c89319c8872d526e3c4384fef2d91ce95a723599495b1892484f547a27", 111),
+    }
+
     @pytest.mark.parametrize("mode", list(ProtectionMode))
     def test_every_mode(self, mode):
         outcome = run_benchmark("gcc", mode, scale=Scale.SMOKE, cores=2)
@@ -182,6 +208,19 @@ class TestBenchmarkParity:
     def test_shared_space_modes(self, mode):
         outcome = run_benchmark("canneal", mode, scale=Scale.SMOKE, cores=2)
         assert _outcome_digest(outcome) == self.SHARED_SPACE_DIGESTS[mode]
+
+    @pytest.mark.parametrize("mode", list(WRITEBACK_DIGESTS))
+    def test_writeback_path(self, mode, monkeypatch):
+        writebacks = []
+        real = MultiCoreSystem._writeback
+
+        def counting(system, *args):
+            writebacks.append(args[1])
+            return real(system, *args)
+
+        monkeypatch.setattr(MultiCoreSystem, "_writeback", counting)
+        outcome = run_benchmark("lbm", mode, scale=Scale.SMALL, cores=2)
+        assert (_outcome_digest(outcome), len(writebacks)) == self.WRITEBACK_DIGESTS[mode]
 
     def test_mix_parity(self):
         outcome = run_mix(("gcc", "lbm"), ProtectionMode.COP_ER, scale=Scale.SMOKE)

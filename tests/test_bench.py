@@ -1,6 +1,7 @@
 """Tests for the benchmark harness + performance-trajectory subsystem."""
 
 import json
+import subprocess
 import sys
 
 import pytest
@@ -17,7 +18,7 @@ from repro.bench import (
     render_sparkline,
     trajectory_path,
 )
-from repro.obs.perf import TimingStats, config_hash, measure, percentile_of
+from repro.obs.perf import TimingStats, config_hash, git_sha, measure, percentile_of
 
 FAKE_BENCH = """
 from repro.bench import perf_case
@@ -100,6 +101,26 @@ class TestProtocol:
         assert a == b
         assert len(a) == 12
         assert config_hash({"x": 2}) != a
+
+
+    def test_git_sha_marks_uncommitted_tracked_changes(self, tmp_path):
+        def git(*args):
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                cwd=tmp_path, check=True, capture_output=True,
+            )
+
+        git("init", "-q")
+        (tmp_path / "tracked.txt").write_text("one\n")
+        git("add", "tracked.txt")
+        git("commit", "-q", "-m", "one")
+        clean = git_sha(repo=str(tmp_path))
+        assert len(clean) == 40 and "-dirty" not in clean
+        (tmp_path / "untracked.txt").write_text("not tracked\n")
+        assert git_sha(repo=str(tmp_path)) == clean
+        (tmp_path / "tracked.txt").write_text("two\n")
+        assert git_sha(repo=str(tmp_path)) == clean + "-dirty"
+        assert git_sha(short=True, repo=str(tmp_path)) == clean[:7] + "-dirty"
 
 
 class TestRegistry:

@@ -1,5 +1,6 @@
 """Tests for the DRAM address mapping and timing model."""
 
+import hashlib
 import random
 from dataclasses import replace
 
@@ -238,8 +239,8 @@ class TestBatchScheduling:
             dram.access_batch([(i * 64, False) for i in range(4)], 0.0)
 
     def test_batch_matches_scalar_order_and_timing(self):
-        """access_batch through service_wave equals issuing the sorted
-        row-hit-first order through scalar access()."""
+        """access_batch equals issuing the sorted row-hit-first order
+        one access() at a time."""
         reference = DRAMSystem()
         batch = DRAMSystem()
         warm = [(i * 64, False) for i in range(6)]
@@ -290,15 +291,42 @@ def _dram_state(dram):
     return banks, list(dram._bus_free_ns), dram._act_history, dram.stats
 
 
+def _access_loop(dram, requests, now):
+    timings = [dram.access(addr, write, now) for addr, write in requests]
+    return (
+        [t.start_ns for t in timings],
+        [t.complete_ns for t in timings],
+        [t.row_hit for t in timings],
+    )
+
+
 class TestServiceWave:
-    """``service_wave`` over the location table is a loop of ``access``."""
+    """``service_wave`` reproduces the retired scalar ``access`` loop.
+
+    ``WAVE_DIGESTS`` were recorded from that loop (one ``access`` call per
+    request, its own refresh push and bank recurrence) before it was
+    folded into ``service_wave``: per wave, the timings and the bank,
+    bus, tFAW and stats state after it, as ``repr`` (floats exact).
+    """
+
+    WAVE_DIGESTS = {
+        (PagePolicy.OPEN, False): "09d942389b0ec9c519e79bfe59a03bb9d30b3329bf1db766db3aad3e0f7601da",
+        (PagePolicy.OPEN, True): "bf2c5f2f61431847e3d910623518bdcd19f39b0a6424ffa0e8ecb10405493bbe",
+        (PagePolicy.CLOSED, False): "ab10bf987a7c013e3e92b9f5d23d1cf95ce014288b37adc84348587fa3942bde",
+        (PagePolicy.CLOSED, True): "8baca6007516b0a4fb212ebaa4a9b0cc71672b22d92c53547b948a5eb5b47396",
+    }
 
     @pytest.mark.parametrize("track", [False, True])
     @pytest.mark.parametrize("policy", list(PagePolicy))
-    def test_matches_access_loop_across_waves(self, track, policy):
-        config = DRAMConfig(page_policy=policy)
-        reference = DRAMSystem(config, obs=Observability.create() if track else None)
-        dram = DRAMSystem(config, obs=Observability.create() if track else None)
+    def test_matches_access_loop_across_waves(self, policy, track):
+        for serve in (DRAMSystem.service_wave, _access_loop):
+            self._check_waves(policy, track, serve)
+
+    def _check_waves(self, policy, track, serve):
+        dram = DRAMSystem(
+            DRAMConfig(page_policy=policy),
+            obs=Observability.create() if track else None,
+        )
         assert dram._track_banks is track
         rng = random.Random(13)
         # Trace addresses: sequential runs and random jumps in a rate-mode
@@ -308,19 +336,17 @@ class TestServiceWave:
         premapped = len(dram._locations)
         # ECC-region style addresses the premap never saw.
         ecc = [(7 << 30) + rng.randrange(64) * 64 for _ in range(40)]
+        digest = hashlib.sha256()
         now = 0.0
         for size in (1, 3, 24, 25, 60, 90, 7):
             requests = [
                 (rng.choice(ecc if rng.random() < 0.2 else trace), rng.random() < 0.3)
                 for _ in range(size)
             ]
-            expected = [reference.access(addr, write, now) for addr, write in requests]
-            starts, completes, hits = dram.service_wave(requests, now)
-            assert starts == [t.start_ns for t in expected]
-            assert completes == [t.complete_ns for t in expected]
-            assert hits == [t.row_hit for t in expected]
-            assert _dram_state(dram) == _dram_state(reference)
+            starts, completes, hits = serve(dram, requests, now)
+            digest.update(repr((starts, completes, hits, _dram_state(dram))).encode())
             now = max(completes) - 50.0
+        assert digest.hexdigest() == self.WAVE_DIGESTS[policy, track]
         assert len(dram._locations) > premapped  # ECC addresses mapped lazily
         assert set(ecc) & set(dram._locations)
 
@@ -353,37 +379,38 @@ class TestTimingValidation:
     def test_zero_trefi_disables_refresh(self):
         timing = DRAMTiming(trefi_ns=0.0, trfc_ns=260.0)
         dram = DRAMSystem(DRAMConfig(timing=timing))
-        assert dram._after_refresh(123.456) == 123.456
+        assert dram.access(0, False, 123.456).start_ns == 123.456
 
     def test_valid_window_accepted(self):
         DRAMTiming(trefi_ns=7800.0, trfc_ns=7799.0)
 
 
 class TestRefreshWindowEdges:
-    """_after_refresh at exactly the window boundaries."""
+    """A request's start at exactly the refresh window's boundaries."""
 
-    def _dram(self):
-        return DRAMSystem(
+    def _start(self, now_ns):
+        dram = DRAMSystem(
             DRAMConfig(timing=DRAMTiming(trefi_ns=1000.0, trfc_ns=100.0))
         )
+        return dram.access(0, False, now_ns).start_ns
 
     def test_just_before_window_untouched(self):
-        assert self._dram()._after_refresh(899.999) == 899.999
+        assert self._start(899.999) == 899.999
 
     def test_exactly_on_window_edge_pushed(self):
         # position == trefi - trfc is the first instant *inside* the
         # refresh window: pushed to the next interval boundary.
-        assert self._dram()._after_refresh(900.0) == 1000.0
+        assert self._start(900.0) == 1000.0
 
     def test_inside_window_pushed(self):
-        assert self._dram()._after_refresh(950.0) == 1000.0
+        assert self._start(950.0) == 1000.0
 
     def test_exactly_on_interval_boundary_untouched(self):
         # position == 0: the refresh just finished; commands may start.
-        assert self._dram()._after_refresh(1000.0) == 1000.0
+        assert self._start(1000.0) == 1000.0
 
     def test_later_interval_edge(self):
-        assert self._dram()._after_refresh(2900.0) == 3000.0
+        assert self._start(2900.0) == 3000.0
 
 
 class TestRefreshInteraction:

@@ -201,31 +201,6 @@ class TestFaultInjector:
         assert injector.stats.detected == 1
         assert injector.stats.masked == 0
 
-    def test_batch_campaign_matches_scalar(self):
-        """run_campaign_batch replays the identical RNG sequence and must
-        reproduce the scalar loop's outcomes and controller stats."""
-        for flips in (1, 2):
-            scalar_mem, golden = self._memory(ProtectionMode.COP, blocks=80)
-            scalar = FaultInjector(scalar_mem, golden, seed=11)
-            scalar.run_campaign(200, flips=flips)
-
-            batch_mem, golden_b = self._memory(ProtectionMode.COP, blocks=80)
-            assert golden_b == golden
-            batch = FaultInjector(batch_mem, golden_b, seed=11)
-            batch.run_campaign_batch(200, flips=flips)
-
-            assert (
-                batch.stats.outcomes_by_flips == scalar.stats.outcomes_by_flips
-            )
-            assert batch_mem.stats.as_dict() == scalar_mem.stats.as_dict()
-            # Batch classification never mutates the stored images.
-            assert batch_mem.contents == scalar_mem.contents
-
-    def test_batch_campaign_requires_cop_mode(self):
-        memory, golden = self._memory(ProtectionMode.UNPROTECTED, blocks=10)
-        with pytest.raises(ValueError):
-            FaultInjector(memory, golden).run_campaign_batch(5)
-
     @pytest.mark.parametrize(
         "config",
         [COPConfig.four_byte(), COPConfig.eight_byte()],

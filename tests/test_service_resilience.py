@@ -656,13 +656,13 @@ class _FinalsTally(loadgen._StreamTally):
 A, B = 0, 64
 
 
-def _drive_script(monkeypatch, requests, answer):
+def _drive_script(monkeypatch, requests, answer, retry_attempts=4):
     """Drive ``requests`` as tenant 0's stream over a scripted link."""
     monkeypatch.setattr(
         loadgen, "tenant_requests", lambda config, tenant: iter(requests)
     )
     config = LoadgenConfig(
-        ops=len(requests), tenants=1, window=8, retry_attempts=4
+        ops=len(requests), tenants=1, window=8, retry_attempts=retry_attempts
     )
     link, tally = _ScriptedLink(answer), _FinalsTally()
     loadgen._drive(link, config, 0, tally)
@@ -744,3 +744,27 @@ class TestLoadgenDriver:
         assert [(r.id, r.attempt) for r in link.sent] == [(0, 0), (1, 0), (0, 1)]
         assert [r.error for r in tally.finals] == ["attempt 1", "attempt 0"]
         assert tally.retries == 1
+
+    def test_dirty_address_final_without_budget_counts_as_exhausted(
+        self, monkeypatch
+    ):
+        """A drained final on a dirty address was computed out of program
+        order; when its op has no attempt left it is kept, but counted as
+        exhausted so parity verification asks for more retry_attempts."""
+        requests = [
+            Request("write", id=0, addr=A, data=_compressible(b"a")),
+            # Already on its last attempt (of 2) when its address turns dirty.
+            Request("read", id=1, addr=A, attempt=1),
+        ]
+        failed = []
+
+        def answer(request):
+            if request.id == 0 and not failed:
+                failed.append(request)
+                return Status.RETRYABLE
+            return Status.OK
+
+        link, tally = _drive_script(monkeypatch, requests, answer, retry_attempts=2)
+        assert [(r.id, r.attempt) for r in link.sent] == [(0, 0), (1, 1), (0, 1)]
+        assert [r.error for r in tally.finals] == ["attempt 1", "attempt 1"]
+        assert tally.exhausted == 1
