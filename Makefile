@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench results report examples lint loc perf-check obs-smoke par-smoke chaos-smoke crash-points bench-trajectory trace-smoke service-smoke service-chaos-smoke race-smoke clean
+.PHONY: install test bench results report examples lint loc perf-check obs-smoke par-smoke chaos-smoke crash-points bench-trajectory trace-smoke service-smoke service-chaos-smoke clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -23,7 +23,7 @@ report:
 examples:
 	for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src $(PYTHON) $$f || exit 1; done
 
-# Static analysis gate: the repo-specific AST linter (eleven invariant
+# Static analysis gate: the repo-specific AST linter (six invariant
 # rules, see docs/static-analysis.md) always runs; mypy and ruff run
 # when installed (CI installs them; the dev container may not).
 lint:
@@ -196,34 +196,6 @@ service-chaos-smoke:
 		$(PYTHON) -m repro.experiments.cli loadgen \
 		$(CHAOS_SMOKE_ARGS) --wal-dir /tmp/cop-chaos-smoke-inproc-wal
 	@$(CHAOS_SMOKE_CHECK) /tmp/cop-chaos-smoke-inproc
-
-# Lock-sanitizer gate for the service hot path: the same verified
-# in-process loadgen burst plain and under REPRO_SANITIZE=locks.  The
-# sanitized run must report zero lock-order cycles and zero guarded
-# accesses, and every deterministic report field (ops, statuses,
-# controller, memo, parity) must be byte-identical to the plain run
-# (see docs/static-analysis.md, "Runtime lock sanitizer").
-race-smoke:
-	rm -rf /tmp/cop-race-plain /tmp/cop-race-sanitized
-	REPRO_RESULTS_DIR=/tmp/cop-race-plain PYTHONPATH=src \
-		$(PYTHON) -m repro.experiments.cli loadgen --verify \
-		--service-ops 4000 --tenants 4 --shards 4 --blocks-per-tenant 256
-	REPRO_RESULTS_DIR=/tmp/cop-race-sanitized PYTHONPATH=src \
-		REPRO_SANITIZE=locks \
-		$(PYTHON) -m repro.experiments.cli loadgen --verify \
-		--service-ops 4000 --tenants 4 --shards 4 --blocks-per-tenant 256
-	PYTHONPATH=src $(PYTHON) -c "\
-	import json; \
-	plain = json.load(open('/tmp/cop-race-plain/service_loadgen.json')); \
-	san = json.load(open('/tmp/cop-race-sanitized/service_loadgen.json')); \
-	keys = ('schema', 'ops', 'tenants', 'shards', 'window', 'mode', 'admission', 'transport', 'statuses', 'controller', 'memo', 'parity'); \
-	diffs = [k for k in keys if plain[k] != san[k]]; \
-	assert not diffs, f'sanitized run diverged on {diffs}'; \
-	rep = san['sanitizer']; \
-	assert rep is not None, 'sanitized run recorded no sanitizer report'; \
-	assert rep['cycles'] == 0, rep; \
-	assert rep['guarded_violations'] == 0, rep; \
-	print(f\"race-smoke: {rep['acquires']} acquisitions, 0 cycles, 0 guarded violations, outputs identical\")"
 
 clean:
 	rm -rf results .pytest_cache .hypothesis

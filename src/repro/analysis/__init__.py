@@ -1,6 +1,6 @@
 """Repo-specific static analysis for the COP reproduction.
 
-``python -m repro.analysis [paths] --check`` runs eleven AST-based rules
+``python -m repro.analysis [paths] --check`` runs six AST-based rules
 that machine-check the invariants the simulator's correctness rests on:
 
 ``REP001 determinism``
@@ -14,13 +14,6 @@ that machine-check the invariants the simulator's correctness rests on:
     Codeword arithmetic in ``ecc/``/``compression/`` must mask left
     shifts to a declared width, and public functions taking 64-byte
     blocks must validate their length.
-``REP004 obs-guard``
-    ``tracer.emit(...)`` calls must sit behind an ``enabled`` guard so
-    disabled observability stays (near) free on hot paths.
-``REP005 picklability``
-    Types that cross the fork-pool boundary (``SimJob``/``SimResult``
-    and their field closure) must avoid lambdas, file handles and
-    locals-defined classes.
 ``REP006 broad-except``
     Bare/catch-all ``except`` handlers must re-raise or record a metric
     — failures are detected and counted, never silently swallowed (the
@@ -30,27 +23,16 @@ that machine-check the invariants the simulator's correctness rests on:
     lock-protected from mixed guarded/unguarded access) must only be
     touched while that lock is held — the memo-race bug class from
     PRs 5–7, caught before review instead of by stress tests.
-``REP008 single-owner``
-    Classes declaring ``# owner-thread: <entry>`` (the service shard
-    workers) may only touch their owned mutable state from owner-run
-    methods; cross-thread access goes through the queue/peek API.
 ``REP009 blocking-under-lock``
     No sleeps, subprocesses, socket/file I/O or untimed waits while a
     lock is held; deliberate designs carry a
     ``sanctioned[blocking-under-lock]`` directive.
-``REP010 thread-discipline``
-    Every ``threading.Thread(...)`` in the service layer is daemonized
-    or joined on the shutdown path — no fire-and-forget workers.
-``REP011 ambiguous-retry``
-    ``Status.INTERNAL`` must never share a retry-safe status collection
-    with the never-executed statuses (``RETRYABLE``/``BUSY``/
-    ``DEADLINE_EXCEEDED``/``OVERLOADED``): INTERNAL makes no
-    never-executed promise, so a write retried on it can double-apply.
 
-The four concurrency rules share a class-level dataflow model
-(:mod:`repro.analysis.dataflow`, :mod:`repro.analysis.locks`); their
-runtime twin is the opt-in lock sanitizer
-(:mod:`repro.analysis.sanitizer`, ``REPRO_SANITIZE=locks``).
+The two concurrency rules share a class-level dataflow model
+(:mod:`repro.analysis.dataflow`, :mod:`repro.analysis.locks`).  Rule
+ids are never reused: REP004, REP005, REP008, REP010 and REP011 were
+retired because a test or smoke pins the same invariant (the per-rule
+table in ``docs/static-analysis.md`` names each one's remaining guard).
 
 Per-line suppression: ``# repro: noqa[rule-id]`` (or a bare
 ``# repro: noqa`` for all rules).  See ``docs/static-analysis.md``.
@@ -58,7 +40,7 @@ Per-line suppression: ``# repro: noqa[rule-id]`` (or a bare
 
 from __future__ import annotations
 
-from repro.analysis.base import RULES, Finding, Rule, register
+from repro.analysis.base import RULES
 from repro.analysis.engine import (
     iter_python_files,
     lint_file,
@@ -70,20 +52,12 @@ from repro.analysis.engine import (
 from repro.analysis import rules_determinism  # noqa: F401  (registration)
 from repro.analysis import rules_merge  # noqa: F401
 from repro.analysis import rules_bitwidth  # noqa: F401
-from repro.analysis import rules_obsguard  # noqa: F401
-from repro.analysis import rules_pickle  # noqa: F401
 from repro.analysis import rules_except  # noqa: F401
 from repro.analysis import rules_guardedby  # noqa: F401
-from repro.analysis import rules_owner  # noqa: F401
 from repro.analysis import rules_blocking  # noqa: F401
-from repro.analysis import rules_threads  # noqa: F401
-from repro.analysis import rules_retry  # noqa: F401
 
 __all__ = [
-    "Finding",
-    "Rule",
     "RULES",
-    "register",
     "iter_python_files",
     "lint_file",
     "lint_paths",

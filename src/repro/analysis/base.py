@@ -2,8 +2,8 @@
 
 A :class:`Rule` analyses one file at a time through a
 :class:`LintContext`, which owns the parsed AST plus a parent map so
-rules can walk *up* the tree (is this shift under a mask? is this call
-under an ``enabled`` guard?) as easily as down.
+rules can walk *up* the tree (is this shift under a mask? which ``with``
+blocks enclose this access?) as easily as down.
 """
 
 from __future__ import annotations
@@ -81,14 +81,6 @@ class LintContext:
                 return
             if isinstance(ancestor, ast.expr):
                 yield ancestor
-
-    def enclosing_function(
-        self, node: ast.AST
-    ) -> Optional[ast.FunctionDef | ast.AsyncFunctionDef]:
-        for ancestor in self.ancestors(node):
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return ancestor
-        return None
 
     def in_packages(self, *packages: str) -> bool:
         """Is this file inside one of the given top-level repro packages?"""

@@ -3,8 +3,8 @@
 :func:`class_models` builds (once per file, cached on the
 :class:`~repro.analysis.base.LintContext`) a :class:`ClassModel` for
 every class: which attributes exist, which methods *use* them and how,
-which locks are held at each use, the intra-class call graph, and the
-annotation directives the rules key off.
+which locks are held at each use, and the annotation directives the
+rules key off.
 
 Annotation conventions (see docs/static-analysis.md):
 
@@ -13,20 +13,11 @@ Annotation conventions (see docs/static-analysis.md):
     of that attribute outside ``__init__``-like methods must hold
     ``self.<lock-attr>`` (REP007).
 
-``# owner-thread: <entry-method>``
-    Comment inside a class body (not on a ``def`` line): declares the
-    class single-owner — its mutable state is touched only by
-    ``<entry-method>`` and the methods it transitively calls (REP008).
-
-``# owner-thread: external``
-    Trailing comment on a ``def`` line of an owner-thread class: this
-    method is documented to run only while the worker is *not* running
-    (pre-start/post-join), so owner-state access from it is sanctioned.
-
 ``# shared``
     Trailing comment on a ``self.<attr> = ...`` line: the attribute is
     a thread-safe channel (its own locking or lock-free by design) and
-    exempt from REP008 ownership.  Lock/queue attributes are auto-shared.
+    exempt from REP007's mixed-guarding inference.  Lock/queue/thread
+    attributes are auto-shared.
 
 Tracked uses are the accesses that can actually race: attribute stores,
 deletes, subscripting (``self.x[k]``, read or write) and method calls on
@@ -40,20 +31,15 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.analysis.base import LintContext
-from repro.analysis.locks import (
-    held_locks,
-    lock_ctor_kind,
-    self_attr_name,
-)
+from repro.analysis.locks import held_locks, lock_ctor_kind, self_attr_name
 
 __all__ = ["AttrUse", "ClassModel", "class_models"]
 
 _GUARDED_BY_RE = re.compile(r"#\s*guarded-by:\s*([A-Za-z_]\w*)")
-_OWNER_RE = re.compile(r"#\s*owner-thread:\s*([A-Za-z_]\w*)")
 _SHARED_RE = re.compile(r"#\s*shared\b")
 
 #: Methods that run before the object is published to other threads (or
@@ -80,8 +66,6 @@ class AttrUse:
     node: ast.AST
     #: ``store`` / ``del`` / ``subscript`` / ``call``.
     kind: str
-    #: For ``call`` uses, the method invoked on the attribute.
-    callee: Optional[str]
     #: Lock attribute names (of this class) held at the use site.
     locks_held: FrozenSet[str]
 
@@ -101,56 +85,12 @@ class ClassModel:
     thread_attrs: Set[str] = field(default_factory=set)
     #: ``attr -> lock attr`` from ``# guarded-by:`` annotations.
     guarded_by: Dict[str, str] = field(default_factory=dict)
-    #: Attributes annotated ``# shared`` (plus auto-shared kinds).
+    #: Attributes annotated ``# shared``.
     shared_attrs: Set[str] = field(default_factory=set)
-    #: Entry method from the class-level ``# owner-thread:`` directive.
-    owner_entry: Optional[str] = None
-    #: Methods carrying ``# owner-thread: external`` on their def line.
-    external_methods: Set[str] = field(default_factory=set)
     methods: Dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = field(
         default_factory=dict
     )
     uses: List[AttrUse] = field(default_factory=list)
-    #: Intra-class call graph: method -> self-methods it calls directly.
-    calls: Dict[str, Set[str]] = field(default_factory=dict)
-
-    def owner_methods(self) -> Set[str]:
-        """The entry method plus everything it transitively calls."""
-        if self.owner_entry is None:
-            return set()
-        closed: Set[str] = set()
-        frontier = [self.owner_entry]
-        while frontier:
-            current = frontier.pop()
-            if current in closed or current not in self.methods:
-                continue
-            closed.add(current)
-            frontier.extend(self.calls.get(current, ()))
-        return closed
-
-    def owned_attrs(self) -> Set[str]:
-        """Attributes the owner thread mutates or operates on.
-
-        Lock/queue/thread attributes and ``# shared``/``# guarded-by``
-        annotated ones are excluded: they are either synchronisation
-        primitives themselves or governed by REP007 instead.
-        """
-        owners = self.owner_methods()
-        excluded = (
-            self.lock_attrs
-            | self.queue_attrs
-            | self.thread_attrs
-            | self.shared_attrs
-            | set(self.guarded_by)
-        )
-        return {
-            use.attr
-            for use in self.uses
-            if use.method in owners and use.attr not in excluded
-        }
-
-    def uses_of(self, attr: str) -> List[AttrUse]:
-        return [use for use in self.uses if use.attr == attr]
 
 
 def _line_directive(ctx: LintContext, lineno: int, pattern: re.Pattern[str]) -> Optional[str]:
@@ -161,112 +101,81 @@ def _line_directive(ctx: LintContext, lineno: int, pattern: re.Pattern[str]) -> 
     return None
 
 
-def _classify_use(
-    ctx: LintContext, node: ast.Attribute
-) -> Optional[Tuple[str, Optional[str]]]:
-    """``(kind, callee)`` for a tracked use of this ``self.x`` node."""
+def _classify_use(ctx: LintContext, node: ast.Attribute) -> Optional[str]:
+    """The kind of tracked use this ``self.x`` node is, if any."""
     if isinstance(node.ctx, ast.Store):
-        return ("store", None)
+        return "store"
     if isinstance(node.ctx, ast.Del):
-        return ("del", None)
+        return "del"
     parent = ctx.parent(node)
     if isinstance(parent, ast.Subscript) and parent.value is node:
-        return ("subscript", None)
+        return "subscript"
     if isinstance(parent, ast.Attribute) and parent.value is node:
         grand = ctx.parent(parent)
         if isinstance(grand, ast.Call) and grand.func is parent:
-            return ("call", parent.attr)
+            return "call"
         if isinstance(parent.ctx, (ast.Store, ast.Del)):
             # ``self.x.y = ...`` mutates the object behind self.x.
-            return ("subscript", None)
+            return "subscript"
     if isinstance(parent, ast.AugAssign) and parent.target is node:
-        return ("store", None)
+        return "store"
     return None
 
 
-def _methods_of(cls: ast.ClassDef) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    for stmt in cls.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield stmt
+def _classify_attr(
+    ctx: LintContext,
+    model: ClassModel,
+    target: ast.expr,
+    value: Optional[ast.expr],
+    lineno: int,
+) -> None:
+    """Record ``self.<attr> = <ctor>()  # directive`` in the class model."""
+    attr = self_attr_name(target)
+    if attr is None:
+        return
+    kind = lock_ctor_kind(value) if value is not None else None
+    if kind == "lock":
+        model.lock_attrs.add(attr)
+    elif kind == "queue":
+        model.queue_attrs.add(attr)
+    elif kind == "thread":
+        model.thread_attrs.add(attr)
+    guarded = _line_directive(ctx, lineno, _GUARDED_BY_RE)
+    if guarded:
+        model.guarded_by[attr] = guarded
+    if _line_directive(ctx, lineno, _SHARED_RE):
+        model.shared_attrs.add(attr)
 
 
 def _build_model(ctx: LintContext, cls: ast.ClassDef) -> ClassModel:
     model = ClassModel(node=cls, name=cls.name)
-
-    for method in _methods_of(cls):
-        model.methods[method.name] = method
-        if _line_directive(ctx, method.lineno, _OWNER_RE) == "external":
-            model.external_methods.add(method.name)
-
-    # Class-body directive lines (not on a def line): owner-thread entry.
-    def_lines = {m.lineno for m in model.methods.values()}
-    end = getattr(cls, "end_lineno", cls.lineno) or cls.lineno
-    for lineno in range(cls.lineno, end + 1):
-        entry = _line_directive(ctx, lineno, _OWNER_RE)
-        if entry and entry != "external" and lineno not in def_lines:
-            model.owner_entry = entry
-            break
+    for stmt in cls.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            model.methods[stmt.name] = stmt
 
     for method in model.methods.values():
-        callees: Set[str] = set()
         for node in ast.walk(method):
             # Attribute classification (constructor kinds + annotations)
             # keys off assignments: self.<attr> = <ctor>()  # directive
             if isinstance(node, ast.Assign):
                 for target in node.targets:
-                    attr = self_attr_name(target)
-                    if attr is None:
-                        continue
-                    kind = lock_ctor_kind(node.value)
-                    if kind == "lock":
-                        model.lock_attrs.add(attr)
-                    elif kind == "queue":
-                        model.queue_attrs.add(attr)
-                    elif kind == "thread":
-                        model.thread_attrs.add(attr)
-                    guarded = _line_directive(ctx, node.lineno, _GUARDED_BY_RE)
-                    if guarded:
-                        model.guarded_by[attr] = guarded
-                    if _line_directive(ctx, node.lineno, _SHARED_RE):
-                        model.shared_attrs.add(attr)
-            if isinstance(node, ast.AnnAssign):
-                attr = self_attr_name(node.target)
-                if attr is not None:
-                    if node.value is not None:
-                        kind = lock_ctor_kind(node.value)
-                        if kind == "lock":
-                            model.lock_attrs.add(attr)
-                        elif kind == "queue":
-                            model.queue_attrs.add(attr)
-                        elif kind == "thread":
-                            model.thread_attrs.add(attr)
-                    guarded = _line_directive(ctx, node.lineno, _GUARDED_BY_RE)
-                    if guarded:
-                        model.guarded_by[attr] = guarded
-                    if _line_directive(ctx, node.lineno, _SHARED_RE):
-                        model.shared_attrs.add(attr)
-            # Intra-class call graph: self.method(...) edges.
-            if isinstance(node, ast.Call):
-                callee = self_attr_name(node.func)
-                if callee is not None:
-                    callees.add(callee)
+                    _classify_attr(ctx, model, target, node.value, node.lineno)
+            elif isinstance(node, ast.AnnAssign):
+                _classify_attr(ctx, model, node.target, node.value, node.lineno)
             # Tracked attribute uses.
             attr = self_attr_name(node)
             if attr is not None:
-                classified = _classify_use(ctx, node)  # type: ignore[arg-type]
-                if classified is not None:
-                    use_kind, callee_name = classified
+                use_kind = _classify_use(ctx, node)  # type: ignore[arg-type]
+                if use_kind is not None:
                     model.uses.append(
                         AttrUse(
                             attr=attr,
                             method=method.name,
                             node=node,
                             kind=use_kind,
-                            callee=callee_name,
                             locks_held=held_locks(ctx, node),
                         )
                     )
-        model.calls[method.name] = callees
 
     # Lock attributes are synchronisation primitives, not state; their
     # own "uses" (with self._lock:) never count as attribute uses.
@@ -274,15 +183,7 @@ def _build_model(ctx: LintContext, cls: ast.ClassDef) -> ClassModel:
     # Restrict held-lock sets to the class's known lock attributes so a
     # ``with self.file:`` context never masquerades as a guard.
     model.uses = [
-        AttrUse(
-            attr=u.attr,
-            method=u.method,
-            node=u.node,
-            kind=u.kind,
-            callee=u.callee,
-            locks_held=frozenset(u.locks_held & model.lock_attrs),
-        )
-        for u in model.uses
+        replace(u, locks_held=u.locks_held & model.lock_attrs) for u in model.uses
     ]
     return model
 

@@ -1,20 +1,18 @@
-"""Lock-scope inference shared by the concurrency rules (REP007–REP010).
+"""Lock-scope inference shared by the concurrency rules (REP007, REP009).
 
 This module answers three lexical questions about a parsed file:
 
 * *Is this expression constructing a lock / queue / thread?*  The
   constructors the repo actually uses — ``threading.Lock()``,
-  ``threading.RLock()``, the sanitizer's ``new_lock(...)`` factory,
-  ``queue.Queue(...)`` and ``threading.Thread(...)`` — are recognised by
-  dotted name, so the class model in :mod:`repro.analysis.dataflow` can
-  classify ``self._lock = threading.Lock()`` attributes without type
-  inference.
+  ``threading.RLock()``, ``queue.Queue(...)`` and ``threading.Thread(...)``
+  — are recognised by dotted name, so the class model in
+  :mod:`repro.analysis.dataflow` can classify ``self._lock =
+  threading.Lock()`` attributes without type inference.
 
 * *Which locks are held at this node?*  :func:`held_locks` walks the
   ancestor chain looking for ``with self._lock:`` items (the only lock
   acquisition idiom in the codebase — ``acquire``/``release`` pairs are
-  deliberately not modelled, and the runtime sanitizer covers them
-  instead).
+  deliberately not modelled).
 
 * *Is this call blocking?*  :func:`blocking_reason` recognises the
   operations that must never run under a lock: sleeps, subprocesses,
@@ -49,12 +47,10 @@ LOCK_CONSTRUCTORS = {
     "threading.RLock",
     "Lock",
     "RLock",
-    "new_lock",
-    "sanitizer.new_lock",
 }
 
 #: Dotted call names that construct a thread-safe queue (auto-shared
-#: state for REP008: touching a queue from any thread is the API).
+#: state: touching a queue from any thread is the API).
 QUEUE_CONSTRUCTORS = {
     "queue.Queue",
     "queue.LifoQueue",
@@ -64,7 +60,7 @@ QUEUE_CONSTRUCTORS = {
     "SimpleQueue",
 }
 
-#: Dotted call names that construct a thread (REP010's subject).
+#: Dotted call names that construct a thread (joins can block).
 THREAD_CONSTRUCTORS = {"threading.Thread", "Thread"}
 
 #: Module-level callables that block (matched on the full dotted name).

@@ -27,8 +27,7 @@ line (or the call line)::
     with self._lock:  # sanctioned[blocking-under-lock]: <why>
 
 A sanction is stronger than a ``noqa``: it documents a reviewed design
-decision, and the runtime sanitizer still watches the sanctioned block
-for lock-order cycles (docs/static-analysis.md).
+decision (docs/static-analysis.md).
 """
 
 from __future__ import annotations
@@ -58,20 +57,28 @@ def _blocking_methods(ctx: LintContext, model: ClassModel) -> Dict[str, str]:
     queue_attrs = frozenset(model.queue_attrs)
     thread_attrs = frozenset(model.thread_attrs)
     direct: Dict[str, str] = {}
+    # Intra-class call graph: method -> self-methods it calls directly.
+    calls: Dict[str, Set[str]] = {}
     for name, method in model.methods.items():
         params = _param_names(method)
+        calls[name] = set()
         for node in ast.walk(method):
-            if isinstance(node, ast.Call):
-                reason = blocking_reason(node, queue_attrs, thread_attrs, params)
-                if reason is not None and not _sanctioned(ctx, node.lineno):
-                    direct[name] = reason
-                    break
+            if not isinstance(node, ast.Call):
+                continue
+            callee = self_attr_name(node.func)
+            if callee is not None:
+                calls[name].add(callee)
+            if name in direct:
+                continue
+            reason = blocking_reason(node, queue_attrs, thread_attrs, params)
+            if reason is not None and not _sanctioned(ctx, node.lineno):
+                direct[name] = reason
     # Transitive closure over the intra-class call graph.
     closed = dict(direct)
     changed = True
     while changed:
         changed = False
-        for name, callees in model.calls.items():
+        for name, callees in calls.items():
             if name in closed:
                 continue
             for callee in callees:

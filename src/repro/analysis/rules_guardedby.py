@@ -60,11 +60,13 @@ class GuardedByRule(Rule):
                     model.node,
                     f"{model.name}.{attr} is annotated guarded-by: {lock}, "
                     f"but self.{lock} is not a recognised lock attribute "
-                    "(threading.Lock/RLock or sanitizer.new_lock)",
+                    "(threading.Lock/RLock)",
                 )
                 continue
             uses = [
-                u for u in model.uses_of(attr) if u.method not in INIT_METHODS
+                u
+                for u in model.uses
+                if u.attr == attr and u.method not in INIT_METHODS
             ]
             guarded = [u for u in uses if lock in u.locks_held]
             for use in uses:

@@ -38,12 +38,12 @@ on the scalar path and what ``HsiaoCode.syndrome_many`` consumes.
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro._bits import Bits, int_to_bytes
-from repro.analysis import sanitizer
 from repro.compression.base import BLOCK_BYTES, SCHEME_TAG_BITS
 from repro.compression.combined import CombinedCompressor
 from repro.compression.msb import MSBCompressor
@@ -350,13 +350,11 @@ class MemoizedCodec:
         self._count_cache: Dict[bytes, int] = {}  # guarded-by: _lock
         self._m_hits = registry.counter("kernels.memo.hits")  # guarded-by: _lock
         self._m_misses = registry.counter("kernels.memo.misses")  # guarded-by: _lock
-        self._m_evictions = registry.counter("kernels.memo.evictions")
+        self._m_evictions = registry.counter("kernels.memo.evictions")  # guarded-by: _lock
         # One lock covers every cache and the counters: the size-check /
         # evict / insert sequence (and the counter increments) must be
         # atomic for the hit+miss bookkeeping to survive threaded shards.
-        # Minted through the sanitizer so REPRO_SANITIZE=locks runs audit
-        # acquisition order and guarded access at runtime (REP007's twin).
-        self._lock = sanitizer.new_lock("kernels.memo")
+        self._lock = threading.Lock()
 
     def __getstate__(self) -> Dict[str, Any]:
         # Locks don't pickle; codecs ride into fork-pool workers inside
@@ -368,17 +366,7 @@ class MemoizedCodec:
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
-        self._lock = sanitizer.new_lock("kernels.memo")
-
-    def _evict_if_full(self, cache: Dict[bytes, object]) -> None:
-        """Make room for one insertion.  Caller must hold ``self._lock``."""
-        sanitizer.assert_held(self._lock, "MemoizedCodec caches")
-        if len(cache) >= self.max_entries:
-            # FIFO eviction: dicts iterate in insertion order.
-            del cache[next(iter(cache))]
-            # Lexically unguarded, but the assert above enforces the
-            # lock at runtime under REPRO_SANITIZE=locks.
-            self._m_evictions.inc()  # repro: noqa[REP007]
+        self._lock = threading.Lock()
 
     def _memo(
         self,
@@ -399,7 +387,10 @@ class MemoizedCodec:
             # work is bounded by one scalar codec pass, which is the
             # service's per-request cost anyway (docs/kernels.md).
             value = compute(key)  # sanctioned[blocking-under-lock]: miss dedup invariant
-            self._evict_if_full(cache)
+            if len(cache) >= self.max_entries:
+                # FIFO eviction: dicts iterate in insertion order.
+                del cache[next(iter(cache))]
+                self._m_evictions.inc()
             cache[key] = value
             return value
 

@@ -101,7 +101,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Protocol, Tuple
 
-from repro.analysis import sanitizer as lock_sanitizer
 from repro.compression.base import BLOCK_BYTES
 from repro.core.controller import ProtectionMode
 from repro.obs.perf import now_ns, percentile_of
@@ -682,10 +681,6 @@ class LoadReport:
     #: Canonical chaos spec when fault injection was on (None: clean run).
     chaos: Optional[str] = None
     parity: Optional[Dict[str, object]] = None
-    #: Lock-sanitizer counters when the run was sanitized
-    #: (``REPRO_SANITIZE=locks``); ``None`` on plain runs so the
-    #: deterministic report keys stay identical either way.
-    sanitizer: Optional[Dict[str, int]] = None
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -708,7 +703,6 @@ class LoadReport:
             "resilience": self.resilience,
             "chaos": self.chaos,
             "parity": self.parity,
-            "sanitizer": self.sanitizer,
         }
 
     def save(self, path: Path) -> None:
@@ -749,13 +743,6 @@ class LoadReport:
             mode = "strict" if self.parity.get("strict", True) else "chaos"
             lines.append(
                 f"  parity: OK ({mode}; serial replay byte-identical)"
-            )
-        if self.sanitizer is not None:
-            lines.append(
-                f"  sanitizer: acquires={self.sanitizer.get('acquires', 0)} "
-                f"edges={self.sanitizer.get('edges', 0)} "
-                f"cycles={self.sanitizer.get('cycles', 0)} "
-                f"guarded_violations={self.sanitizer.get('guarded_violations', 0)}"
             )
         return "\n".join(lines)
 
@@ -835,7 +822,6 @@ def _collect_report(
         resilience=resilience,
         chaos=chaos.describe() if chaos is not None else None,
         parity=parity,
-        sanitizer=lock_sanitizer.report() if lock_sanitizer.enabled() else None,
     )
 
 
@@ -862,9 +848,6 @@ def run_loadgen(
     """
     if verify and connect is not None:
         raise ValueError("--verify needs in-process shard access; drop --connect")
-    if lock_sanitizer.enabled():
-        # Fresh order graph per run so the report covers exactly this load.
-        lock_sanitizer.reset()
     tallies = [_StreamTally() for _ in range(config.tenants)]
 
     def run_threads(new_link: Callable[[], _Link]) -> float:

@@ -75,7 +75,7 @@ class Status(enum.Enum):
     SHUTDOWN = "shutdown"
     #: Unexpected server-side failure (counted per shard, never silent).
     #: Ambiguous for writes: the op may or may not have executed, so
-    #: write retries must never key off this status (REP011).
+    #: write retries must never key off this status.
     INTERNAL = "internal"
     #: The home shard worker died before this request committed; the op
     #: definitely did not take effect — safe to retry, even writes.

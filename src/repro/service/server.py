@@ -41,7 +41,6 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Optional, Tuple
 
-from repro.analysis import sanitizer
 from repro.core.controller import ControllerStats
 from repro.experiments.resilience import backoff_delay
 from repro.obs.metrics import MetricsRegistry
@@ -81,8 +80,8 @@ NEVER_EXECUTED_STATUSES: FrozenSet[Status] = frozenset(
 
 #: Statuses additionally retryable for side-effect-free ops only.
 #: INTERNAL is ambiguous — the op may have half-executed — so it must
-#: never appear in a write-retry set (lint rule REP011 guards the
-#: inverse pattern: INTERNAL grouped with RETRYABLE in one retry set).
+#: never appear in a write-retry set (``test_retry_safe_matrix`` pins
+#: ``not retry_safe("write", Status.INTERNAL)``).
 READONLY_RETRY_STATUSES: FrozenSet[Status] = frozenset({Status.INTERNAL})
 
 _WRITE_OPS: FrozenSet[str] = frozenset({"write"})
@@ -327,7 +326,7 @@ class ServiceServer(socketserver.ThreadingTCPServer):
         super().__init__((host, port), _Handler)
         self._serve_thread: Optional[threading.Thread] = None
         self._conn_counter = itertools.count()
-        self._conn_lock = sanitizer.new_lock("service.server.conn_ids")
+        self._conn_lock = threading.Lock()
 
     def next_conn_id(self) -> int:
         """Monotonic connection id (the conn-drop chaos identity)."""
@@ -387,7 +386,7 @@ class ServiceClient:
         self._host = host
         self._port = port
         self._timeout = timeout
-        self._lock = sanitizer.new_lock("service.client")
+        self._lock = threading.Lock()
         self._connect()
 
     def _connect(self) -> None:

@@ -72,7 +72,6 @@ from repro.core.controller import (
     ProtectedMemory,
     ProtectionMode,
 )
-from repro.analysis import sanitizer
 from repro.kernels import MemoizedCodec
 from repro.obs import Observability
 from repro.obs.metrics import MetricsRegistry
@@ -244,7 +243,7 @@ class Shard:
         self._breaker_open = False  # shared (worker writes, health reads)
         self._consecutive_errors = 0
         self._inflight: List[_Work] = []  # guarded-by: _state_lock
-        self._state_lock = sanitizer.new_lock(f"service.shard.{index}.state")
+        self._state_lock = threading.Lock()
         # Keyed by (request id, attempt): a duplicate *delivery* of the
         # same attempt answers from the cache; a client-bumped attempt
         # (it saw the previous answer arrive out of order after a crash)
@@ -279,7 +278,7 @@ class Shard:
         self._c_retryable = self.registry.counter(  # guarded-by: _reject_lock
             f"{prefix}.retryable"
         )
-        self._reject_lock = sanitizer.new_lock(f"service.shard.{index}.reject")
+        self._reject_lock = threading.Lock()
         self._c_restarts = self.registry.counter(f"{prefix}.restarts")
         self._c_worker_crashes = self.registry.counter(f"{prefix}.worker_crashes")
         self._c_deadline_shed = self.registry.counter(f"{prefix}.deadline_shed")

@@ -279,7 +279,7 @@ class TestMemoizedCodec:
 
 
 class TestPickleSafety:
-    """Satellite of REP005: lazy numpy LUTs must not cross fork/pickle."""
+    """Lazy numpy LUTs must not cross fork/pickle."""
 
     def test_hsiao_pickle_drops_lazy_tables(self):
         codec = COPCodec()

@@ -306,6 +306,22 @@ class TestConcurrencyParity:
         assert report.parity is not None and report.parity["verified"]
         assert report.transport == "tcp+server"
 
+    @pytest.mark.parametrize("with_server", [False, True], ids=["inprocess", "tcp"])
+    def test_no_thread_outlives_its_run(self, with_server):
+        # Shard workers, supervisor, server and handler threads, tenant
+        # drivers: every thread the run starts must be gone once it
+        # returns (a short bounded join covers threads still unwinding).
+        before = set(threading.enumerate())
+        report = run_loadgen(
+            self._config(ops=1_000, tenants=2), with_server=with_server, verify=True
+        )
+        assert report.parity is not None and report.parity["verified"]
+        started = [t for t in threading.enumerate() if t not in before]
+        for thread in started:
+            thread.join(timeout=2.0)
+        alive = [t.name for t in started if t.is_alive()]
+        assert alive == [], f"threads outlived the run: {alive}"
+
     def test_schedule_is_deterministic(self):
         config = self._config(ops=500, tenants=2)
         first = [r.to_json() for r in interleave(config)]
