@@ -38,7 +38,7 @@ def _codewords(count=512, seed=1):
     return code, [code.encode(rng.getrandbits(120)) for _ in range(count)]
 
 
-# -- trajectory cases (run by `cop-experiments bench --suite kernels`) --------
+# -- bench cases (run by `cop-experiments bench --suite kernels`) -------------
 
 
 @perf_case(suite="kernels")

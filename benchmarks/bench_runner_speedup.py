@@ -36,7 +36,7 @@ _JOBS = [
 _HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
-# -- trajectory cases (run by `cop-experiments bench --suite runner`) ---------
+# -- bench cases (run by `cop-experiments bench --suite runner`) --------------
 
 
 @perf_case(suite="runner", repeats=3, warmup=1)

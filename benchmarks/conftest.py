@@ -9,7 +9,7 @@ paper-fidelity sample sizes.
 
 Timing in this directory goes through :mod:`repro.obs.perf` (monotonic
 ``time.perf_counter_ns``, explicit warmup) — the same protocol the
-``BENCH_*.json`` trajectory artifacts use — so guard assertions and
+``BENCH_*.json`` artifacts use — so guard assertions and
 artifacts never disagree about methodology.  The helpers are re-exported
 here for bench files that want one import point.
 """

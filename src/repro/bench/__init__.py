@@ -1,4 +1,4 @@
-"""Benchmark harness + performance-trajectory artifacts.
+"""Benchmark harness + committed BENCH baselines.
 
 ``repro.bench`` turns the ad-hoc timing loops scattered through
 ``benchmarks/bench_*.py`` into a first-class subsystem:
@@ -7,9 +7,10 @@
 * :class:`BenchRunner` discovers them, executes each under the shared
   protocol in :mod:`repro.obs.perf` (warmup, pinned repeats, monotonic
   ns clock), and emits versioned ``BENCH_<suite>.json`` artifacts;
-* every run appends to ``results/trajectory.jsonl``, the append-only
-  performance history the regression gate and ``report.py`` sparklines
-  read (``python -m repro.experiments.cli bench --compare --gate 20``).
+* the committed ``results/BENCH_<suite>.json`` is each suite's baseline:
+  every run diffs against it before overwriting it, and ``--gate PCT``
+  fails on a larger regression
+  (``python -m repro.experiments.cli bench --gate 20``).
 
 See docs/perf-trajectory.md for the artifact schema and gate semantics.
 """
@@ -23,9 +24,6 @@ from repro.bench.runner import (
     SuiteComparison,
     compare_artifact,
     default_bench_dir,
-    load_trajectory,
-    render_sparkline,
-    trajectory_path,
 )
 
 __all__ = [
@@ -39,8 +37,5 @@ __all__ = [
     "compare_artifact",
     "default_bench_dir",
     "iter_cases",
-    "load_trajectory",
     "perf_case",
-    "render_sparkline",
-    "trajectory_path",
 ]

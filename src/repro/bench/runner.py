@@ -4,13 +4,12 @@
 ``BenchRunner`` imports the repo's ``benchmarks/bench_*.py`` files (they
 register cases via :func:`repro.bench.perf_case` at import time), runs
 each requested suite under the shared protocol from
-:mod:`repro.obs.perf`, and emits:
-
-* ``BENCH_<suite>.json`` — one versioned artifact per suite with git
-  SHA, config hash, environment fingerprint and per-case p50/p90/p99;
-* ``results/trajectory.jsonl`` — an append-only history of compact
-  per-suite entries, the substrate the ``--compare``/``--gate``
-  machinery and the report's sparklines read.
+:mod:`repro.obs.perf`, and emits one versioned ``BENCH_<suite>.json``
+artifact per suite with git SHA, config hash, environment fingerprint
+and per-case p50/p90/p99.  The committed copy of that file is the
+suite's baseline: :func:`compare_artifact` diffs a fresh run against
+it, and the ``--gate`` check fails on a regression beyond its
+threshold.
 
 Timestamps here are sanctioned wall-clock (line-1 directive): artifacts
 record *when* a measurement happened; nothing simulated depends on it.
@@ -27,7 +26,6 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
 
 from repro.bench.registry import BenchCase, iter_cases, registered_suites
-from repro.durable import AppendLog
 from repro.obs.perf import (
     CLOCK_NAME,
     config_hash,
@@ -44,9 +42,6 @@ __all__ = [
     "SuiteComparison",
     "compare_artifact",
     "default_bench_dir",
-    "load_trajectory",
-    "render_sparkline",
-    "trajectory_path",
 ]
 
 #: Bump when the artifact layout changes incompatibly.
@@ -67,10 +62,6 @@ def default_bench_dir() -> Optional[Path]:
     root = Path(repro.__file__).resolve().parent.parent.parent
     candidate = root / "benchmarks"
     return candidate if candidate.is_dir() else None
-
-
-def trajectory_path(results: Union[str, Path]) -> Path:
-    return Path(results) / "trajectory.jsonl"
 
 
 @dataclass(frozen=True)
@@ -141,71 +132,25 @@ class BenchArtifact:
     def load(cls, path: Union[str, Path]) -> "BenchArtifact":
         return cls.from_dict(json.loads(Path(path).read_text()))
 
-    def trajectory_entry(self) -> dict[str, Any]:
-        """Compact append-only form (one JSONL line of the trajectory)."""
-        cases: dict[str, Any] = {}
-        for name, payload in self.cases.items():
-            ns = payload.get("ns", {})
-            cases[name] = {
-                "median": ns.get("median", 0.0),
-                "p50": ns.get("p50", 0.0),
-                "p90": ns.get("p90", 0.0),
-                "p99": ns.get("p99", 0.0),
-                "min": ns.get("min", 0),
-            }
-        return {
-            "suite": self.suite,
-            "scale": self.scale,
-            "git_sha": self.git_sha,
-            "config_hash": self.config_hash,
-            "unix_time": self.unix_time,
-            "cases": cases,
-        }
 
-
-def _decode_entry(line: bytes) -> Any:
-    return json.loads(line)
-
-
-def load_trajectory(path: Union[str, Path]) -> list[dict[str, Any]]:
-    """Parse the trajectory history, tolerating a torn tail.
-
-    A crash mid-append may leave an unparsable tail after the last entry;
-    the reader drops it (the next append cuts it off) — but an unparsable
-    line *before* the last entry means corruption and raises.
-    """
-    found = AppendLog(path).scan(_decode_entry)
-    if found.bad:
-        raise ValueError(
-            f"{path}:{found.bad[0]}: corrupt trajectory line is not "
-            "the final line — refusing to silently drop history"
-        )
-    return found.records
-
-
-def last_entry(
-    entries: Sequence[Mapping[str, Any]], suite: str
-) -> Optional[Mapping[str, Any]]:
-    for entry in reversed(entries):
-        if entry.get("suite") == suite:
-            return entry
-    return None
+#: Fingerprint keys whose difference makes a baseline's timings suspect.
+_FINGERPRINT_KEYS = ("cpus", "python")
 
 
 @dataclass(frozen=True)
 class CaseComparison:
-    """Current-vs-previous medians for one case."""
+    """Current-vs-baseline medians for one case."""
 
     name: str
     current_median_ns: float
-    previous_median_ns: Optional[float]
+    baseline_median_ns: Optional[float]
 
     @property
     def delta_pct(self) -> Optional[float]:
-        """Positive = slower than the previous entry (a regression)."""
-        if not self.previous_median_ns:
+        """Positive = slower than the baseline (a regression)."""
+        if not self.baseline_median_ns:
             return None
-        return (self.current_median_ns / self.previous_median_ns - 1.0) * 100.0
+        return (self.current_median_ns / self.baseline_median_ns - 1.0) * 100.0
 
     def regressed(self, gate_pct: float) -> bool:
         delta = self.delta_pct
@@ -214,16 +159,18 @@ class CaseComparison:
 
 @dataclass(frozen=True)
 class SuiteComparison:
-    """One suite's artifact diffed against its last trajectory entry."""
+    """One suite's artifact diffed against its baseline artifact."""
 
     suite: str
     cases: tuple[CaseComparison, ...]
-    previous_sha: Optional[str] = None
+    baseline_sha: Optional[str] = None
     config_mismatch: bool = False
+    #: ``(key, baseline value, current value)`` per differing fingerprint key.
+    fingerprint_mismatch: tuple[tuple[str, Any, Any], ...] = ()
 
     @property
     def has_baseline(self) -> bool:
-        return self.previous_sha is not None
+        return self.baseline_sha is not None
 
     def regressions(self, gate_pct: float) -> list[CaseComparison]:
         return [case for case in self.cases if case.regressed(gate_pct)]
@@ -231,19 +178,30 @@ class SuiteComparison:
     def render(self, gate_pct: Optional[float] = None) -> str:
         lines = [f"suite {self.suite}:"]
         if not self.has_baseline:
-            lines.append("  (no previous trajectory entry — nothing to diff)")
+            name = f"BENCH_{self.suite}.json"
+            lines.append(
+                f"  (no baseline {name} — nothing to diff)"
+                if gate_pct is None
+                else f"  ** no baseline: commit results/{name} to gate "
+                "this suite **"
+            )
             return "\n".join(lines)
         if self.config_mismatch:
             lines.append(
-                "  [warn] config hash differs from the previous entry; "
+                "  [warn] config hash differs from the baseline's; "
                 "deltas compare different protocols/case sets"
+            )
+        for key, then, now in self.fingerprint_mismatch:
+            lines.append(
+                f"  [warn] fingerprint {key} differs from the baseline's "
+                f"({then} -> {now}); deltas compare different hosts"
             )
         for case in self.cases:
             delta = case.delta_pct
             if delta is None:
                 verdict = "new case (no baseline)"
             else:
-                verdict = f"{delta:+.1f}% vs {self.previous_sha}"
+                verdict = f"{delta:+.1f}% vs {self.baseline_sha}"
                 if gate_pct is not None and case.regressed(gate_pct):
                     verdict += f"  ** REGRESSION > {gate_pct:g}% **"
             lines.append(
@@ -254,51 +212,32 @@ class SuiteComparison:
 
 
 def compare_artifact(
-    artifact: BenchArtifact,
-    entries: Sequence[Mapping[str, Any]],
+    artifact: BenchArtifact, baseline: Optional[BenchArtifact]
 ) -> SuiteComparison:
-    """Diff an artifact against the suite's last trajectory entry."""
-    previous = last_entry(entries, artifact.suite)
-    if previous is None:
-        cases = tuple(
-            CaseComparison(name, artifact.median_ns(name), None)
-            for name in sorted(artifact.cases)
+    """Diff an artifact against the suite's baseline (``None``: no baseline)."""
+    cases = tuple(
+        CaseComparison(
+            name,
+            artifact.median_ns(name),
+            baseline.median_ns(name)
+            if baseline is not None and name in baseline.cases
+            else None,
         )
+        for name in sorted(artifact.cases)
+    )
+    if baseline is None:
         return SuiteComparison(suite=artifact.suite, cases=cases)
-    prev_cases = previous.get("cases", {})
-    comparisons = []
-    for name in sorted(artifact.cases):
-        prev = prev_cases.get(name)
-        prev_median = float(prev["median"]) if prev else None
-        comparisons.append(
-            CaseComparison(name, artifact.median_ns(name), prev_median)
-        )
     return SuiteComparison(
         suite=artifact.suite,
-        cases=tuple(comparisons),
-        previous_sha=str(previous.get("git_sha", "unknown")),
-        config_mismatch=(
-            previous.get("config_hash") != artifact.config_hash
+        cases=cases,
+        baseline_sha=baseline.git_sha,
+        config_mismatch=baseline.config_hash != artifact.config_hash,
+        fingerprint_mismatch=tuple(
+            (key, baseline.fingerprint.get(key), artifact.fingerprint.get(key))
+            for key in _FINGERPRINT_KEYS
+            if baseline.fingerprint.get(key) != artifact.fingerprint.get(key)
         ),
     )
-
-
-_SPARK_CHARS = "▁▂▃▄▅▆▇█"
-
-
-def render_sparkline(values: Sequence[float], width: int = 24) -> str:
-    """Compact trend rendering for the report (newest entries rightmost)."""
-    if not values:
-        return ""
-    values = list(values)[-width:]
-    low, high = min(values), max(values)
-    if high <= low:
-        return _SPARK_CHARS[3] * len(values)
-    out = []
-    for value in values:
-        index = int((value - low) / (high - low) * (len(_SPARK_CHARS) - 1))
-        out.append(_SPARK_CHARS[index])
-    return "".join(out)
 
 
 class BenchRunner:
@@ -332,34 +271,51 @@ class BenchRunner:
         """Import every ``bench_*.py`` under the bench dir (idempotent).
 
         Importing registers cases through the :func:`perf_case`
-        decorator.  Files whose imports fail (an optional dependency
-        like ``pytest`` missing from a stripped environment) are skipped
-        and recorded in :attr:`skipped_files` rather than failing the
-        whole harness.
+        decorator.  The bench dir is importable while its files load, as
+        under pytest, so their ``from conftest import ...`` resolves to
+        the bench dir's own ``conftest.py``; afterwards ``sys.path`` and
+        ``sys.modules["conftest"]`` are restored, so that module never
+        shadows another ``conftest`` (say, a test session's).  Files
+        whose imports still fail (an optional dependency like ``pytest``
+        missing from a stripped environment) are skipped and recorded in
+        :attr:`skipped_files` rather than failing the whole harness.
         """
         self._discovered = True
         if self.bench_dir is None:
             return []
         loaded: list[str] = []
-        for path in sorted(self.bench_dir.glob("bench_*.py")):
-            module_name = f"repro_bench_discovered.{path.stem}"
-            if module_name in sys.modules:
-                loaded.append(path.stem)
-                continue
-            spec = importlib.util.spec_from_file_location(module_name, path)
-            if spec is None or spec.loader is None:
-                self.skipped_files.append((path.name, "no import spec"))
-                continue
-            module = importlib.util.module_from_spec(spec)
-            sys.modules[module_name] = module
-            try:
-                spec.loader.exec_module(module)
-            except ImportError as exc:
-                del sys.modules[module_name]
-                self.skipped_files.append((path.name, str(exc)))
-                continue
-            loaded.append(path.stem)
+        search_dir = str(self.bench_dir)
+        outer_conftest = sys.modules.pop("conftest", None)
+        sys.path.insert(0, search_dir)
+        try:
+            for path in sorted(self.bench_dir.glob("bench_*.py")):
+                if self._import(path):
+                    loaded.append(path.stem)
+        finally:
+            sys.path.remove(search_dir)
+            sys.modules.pop("conftest", None)
+            if outer_conftest is not None:
+                sys.modules["conftest"] = outer_conftest
         return loaded
+
+    def _import(self, path: Path) -> bool:
+        """Import one bench file; ``False`` (and a note) when it fails."""
+        module_name = f"repro_bench_discovered.{path.stem}"
+        if module_name in sys.modules:
+            return True
+        spec = importlib.util.spec_from_file_location(module_name, path)
+        if spec is None or spec.loader is None:
+            self.skipped_files.append((path.name, "no import spec"))
+            return False
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[module_name] = module
+        try:
+            spec.loader.exec_module(module)
+        except ImportError as exc:
+            del sys.modules[module_name]
+            self.skipped_files.append((path.name, str(exc)))
+            return False
+        return True
 
     def suites(self) -> list[str]:
         if not self._discovered:
@@ -433,33 +389,3 @@ class BenchRunner:
                 f"(bench dir: {self.bench_dir or 'not found'})"
             )
         return [self.run_suite(suite) for suite in targets]
-
-    # -- trajectory ----------------------------------------------------------
-
-    @staticmethod
-    def append_trajectory(
-        artifacts: Sequence[BenchArtifact], results: Union[str, Path]
-    ) -> Path:
-        """Append one compact entry per artifact to the history.
-
-        A torn tail (a crash mid-append) is cut off first, so the new
-        entries start on a line of their own; terminating it with a newline
-        instead would make it a corrupt mid-file line, which
-        :func:`load_trajectory` rejects.
-        """
-        path = trajectory_path(results)
-        log = AppendLog(path)
-        log.scan(_decode_entry)
-        try:
-            log.append(
-                b"".join(
-                    json.dumps(
-                        artifact.trajectory_entry(), separators=(",", ":")
-                    ).encode("utf-8")
-                    + b"\n"
-                    for artifact in artifacts
-                )
-            )
-        finally:
-            log.close()
-        return path

@@ -35,16 +35,8 @@ class CacheStats:
     overflow_hits: int = 0
     alias_pins: int = 0
 
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
-
     def as_dict(self) -> dict[str, int]:
-        """Every counter field, keyed by name (derived rates excluded)."""
+        """Every counter field, keyed by name."""
         from dataclasses import fields
 
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -170,14 +162,6 @@ class SetAssocCache:
         if victim_flags & DIRTY:
             stats.writebacks += 1
         return victim, victim_flags
-
-    def invalidate(self, addr: int) -> Optional[int]:
-        """Drop a line without writeback; returns its flags if it was cached."""
-        addr -= addr % self.line_bytes
-        flags = self._sets[(addr // self.line_bytes) % self.num_sets].pop(addr, None)
-        if flags is not None:
-            return flags
-        return self.overflow.pop(addr, None)
 
     def resident_lines(self) -> list[tuple[int, int]]:
         """Every ``(addr, flags)`` currently held (including overflow)."""

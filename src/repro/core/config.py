@@ -104,11 +104,6 @@ class COPConfig:
         """Stored block size (always the cache-line size)."""
         return BLOCK_BYTES
 
-    @property
-    def compression_ratio(self) -> float:
-        """Required compression ratio (6.25% for the 4-byte variant)."""
-        return self.ecc_bytes / BLOCK_BYTES
-
     # -- named variants ----------------------------------------------------
 
     @classmethod

@@ -103,9 +103,6 @@ class ECCRegion:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def is_allocated(self, index: int) -> bool:
-        return index in self._entries
-
     def _mark(self, index: int) -> None:
         block, slot = divmod(index, ENTRIES_PER_BLOCK)
         occ = self._occupancy.get(block, 0) | (1 << slot)

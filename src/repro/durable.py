@@ -1,9 +1,9 @@
 """Append-only line logs that stay readable after a crash at any point.
 
-The service's write-ahead log (:mod:`repro.service.wal`) and the bench
-trajectory (:mod:`repro.bench.runner`) are both files of whole lines,
-one record per line, appended and read back in order.  This module owns
-that protocol so each caller only encodes and decodes its records:
+The service's write-ahead log (:mod:`repro.service.wal`) is a file of
+whole lines, one record per line, appended and read back in order.  This
+module owns that protocol so the caller only encodes and decodes its
+records:
 
 * :meth:`AppendLog.append` writes whole lines through one handle opened
   once, then ``fdatasync``\\ s.  When the open creates the file, the
@@ -15,7 +15,7 @@ that protocol so each caller only encodes and decodes its records:
   than terminating it, so a torn fragment never becomes a permanent
   corrupt line.  Undecodable lines *before* the last good record are
   returned to the caller, which decides whether they are skipped (the
-  WAL) or an error (the trajectory).
+  WAL does) or an error.
 * :meth:`AppendLog.rewrite` replaces the log atomically: temp file,
   fsync, ``os.replace``, then fsync of the directory, so a crash leaves
   the old log or the new one and never loses the rename.

@@ -80,10 +80,6 @@ class HammingSEC:
             pos += 1
         return s
 
-    def data_of(self, word: int) -> int:
-        """Extract the data bits from a codeword."""
-        return word & self._data_mask
-
     def decode(self, word: int) -> DecodeResult:
         """Correct a single-bit error if present.
 

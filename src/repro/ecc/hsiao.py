@@ -179,10 +179,6 @@ class HsiaoCode:
         """True when ``word`` has a zero syndrome."""
         return self.syndrome(word) == 0
 
-    def data_of(self, word: int) -> int:
-        """Extract the data bits from a codeword."""
-        return word & self._data_mask
-
     def check_of(self, word: int) -> int:
         """Extract the check bits from a codeword."""
         return word >> self.k

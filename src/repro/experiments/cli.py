@@ -29,10 +29,11 @@ Observability::
     cop-experiments fig12 --trace /tmp/t.jsonl --jobs 4   # traced + parallel
     cop-experiments obs --metrics results/fig11.json --trace /tmp/t.jsonl
 
-Performance trajectory (see docs/perf-trajectory.md)::
+Bench suites, diffed against the committed BENCH_<suite>.json
+baselines (see docs/perf-trajectory.md)::
 
     cop-experiments bench                          # run all bench suites
-    cop-experiments bench --suite kernels --compare
+    cop-experiments bench --suite kernels
     cop-experiments bench --gate 20                # fail on >20% regression
 
 Service daemon + load generator (see docs/service.md)::
@@ -123,57 +124,59 @@ def _run_obs_command(args) -> int:
 
 
 def _run_bench_command(args, scale: Scale) -> int:
-    """``cop-experiments bench``: run suites, emit artifacts, gate.
+    """``cop-experiments bench``: run suites, diff, gate, save artifacts.
 
-    Order matters: each artifact is compared against the trajectory
-    *before* this run's entries are appended, so ``--compare``/``--gate``
-    always diff against the previous run.
+    Each suite's ``BENCH_<suite>.json`` in the results dir is its
+    baseline.  Every baseline is loaded before any artifact is saved, so
+    a run always diffs against the file it then overwrites.  Under
+    ``--gate`` a suite with no baseline fails.
     """
-    from repro.bench import (
-        BenchRunner,
-        compare_artifact,
-        load_trajectory,
-        trajectory_path,
-    )
+    from repro.bench import BenchArtifact, BenchRunner, compare_artifact
     from repro.experiments.common import results_dir
 
     runner = BenchRunner(scale=scale.value, bench_dir=args.bench_dir)
     try:
         artifacts = runner.run(args.suite or None)
-    except ValueError as exc:
+        results = results_dir()
+        baselines = [
+            BenchArtifact.load(path) if path.is_file() else None
+            for path in (results / a.artifact_name() for a in artifacts)
+        ]
+    except (KeyError, ValueError) as exc:
         print(f"bench: {exc}")
         return 2
-    results = results_dir()
-    entries = load_trajectory(trajectory_path(results))
     gate = args.gate
-    comparing = args.compare or gate is not None
     status = 0
     payload: list[dict] = []
-    for artifact in artifacts:
+    for artifact, baseline in zip(artifacts, baselines):
+        comparison = compare_artifact(artifact, baseline)
+        regressions = comparison.regressions(gate) if gate is not None else []
+        if regressions or (gate is not None and baseline is None):
+            status = 1
         path = artifact.save(results)
-        record: dict = {"artifact": str(path), **artifact.as_dict()}
-        comparison = compare_artifact(artifact, entries) if comparing else None
-        if comparison is not None:
-            regressions = comparison.regressions(gate) if gate is not None else []
-            if regressions:
-                status = 1
-            record["comparison"] = {
-                "baseline_sha": comparison.previous_sha,
+        payload.append({
+            "artifact": str(path),
+            **artifact.as_dict(),
+            "comparison": {
+                "baseline_sha": comparison.baseline_sha,
                 "config_mismatch": comparison.config_mismatch,
+                "fingerprint_mismatch": [
+                    key for key, _, _ in comparison.fingerprint_mismatch
+                ],
                 "cases": {
                     case.name: case.delta_pct for case in comparison.cases
                 },
                 "regressions": [case.name for case in regressions],
-            }
-        payload.append(record)
+            },
+        })
         if not args.json:
+            print(comparison.render(gate))
             print(f"[saved {path}]")
-            if comparison is not None:
-                print(comparison.render(gate))
-    BenchRunner.append_trajectory(artifacts, results)
     if runner.skipped_files and not args.json:
-        skipped = ", ".join(name for name, _ in runner.skipped_files)
-        print(f"[note] skipped bench files (unimportable here): {skipped}")
+        skipped = ", ".join(
+            f"{name} ({reason})" for name, reason in runner.skipped_files
+        )
+        print(f"[note] skipped bench files (import failed): {skipped}")
     if args.json:
         print(json.dumps({"suites": payload, "gate_pct": gate}, indent=2))
     if gate is not None and not args.json:
@@ -411,17 +414,13 @@ def main(argv: list[str] | None = None) -> int:
         help="[bench] suite to run (repeatable; default: all discovered)",
     )
     parser.add_argument(
-        "--compare",
-        action="store_true",
-        help="[bench] diff each suite against its last trajectory entry",
-    )
-    parser.add_argument(
         "--gate",
         type=float,
         default=None,
         metavar="PCT",
         help="[bench] exit non-zero if any case's median regresses more "
-        "than PCT%% vs the last trajectory entry (implies --compare)",
+        "than PCT%% vs the suite's baseline BENCH_<suite>.json in the "
+        "results dir, or if a suite has no baseline",
     )
     parser.add_argument(
         "--json",

@@ -189,58 +189,6 @@ def _execution_health_section() -> list[str]:
     return lines
 
 
-def _perf_trajectory_section() -> list[str]:
-    """Sparkline the benchmark history (``results/trajectory.jsonl``).
-
-    One row per case: the latest median, the delta vs the previous entry
-    of the same suite, and a sparkline over the case's whole recorded
-    history (older left, newer right — a rising line means it got
-    slower).  See docs/perf-trajectory.md.
-    """
-    from repro.bench import load_trajectory, render_sparkline, trajectory_path
-
-    try:
-        entries = load_trajectory(trajectory_path(results_dir()))
-    except ValueError:
-        return ["", "## Performance trajectory", "", "trajectory.jsonl is corrupt"]
-    if not entries:
-        return []
-    by_suite: dict[str, list[dict]] = {}
-    for entry in entries:
-        by_suite.setdefault(entry.get("suite", "?"), []).append(entry)
-    lines = [
-        "",
-        "## Performance trajectory",
-        "",
-        f"{len(entries)} recorded run(s) across {len(by_suite)} suite(s) "
-        "(medians, ns; sparkline oldest → newest):",
-        "",
-        "| case | latest median | vs previous | history |",
-        "|---|---|---|---|",
-    ]
-    for suite in sorted(by_suite):
-        history = by_suite[suite]
-        latest = history[-1]
-        for case in sorted(latest.get("cases", {})):
-            medians = [
-                float(entry["cases"][case]["median"])
-                for entry in history
-                if case in entry.get("cases", {})
-            ]
-            if not medians:
-                continue
-            if len(medians) > 1 and medians[-2]:
-                delta = (medians[-1] / medians[-2] - 1.0) * 100.0
-                vs_prev = f"{delta:+.1f}%"
-            else:
-                vs_prev = "—"
-            lines.append(
-                f"| {suite}.{case} | {medians[-1]:,.0f} | {vs_prev} | "
-                f"`{render_sparkline(medians)}` |"
-            )
-    return lines
-
-
 def generate() -> str:
     """The markdown scorecard."""
     lines = [
@@ -266,7 +214,6 @@ def generate() -> str:
         for check in missing:
             lines.append(f"* {check.label} (needs results/{check.source}.json)")
     lines.extend(_observability_section())
-    lines.extend(_perf_trajectory_section())
     lines.extend(_execution_health_section())
     return "\n".join(lines)
 

@@ -408,13 +408,3 @@ class MemoizedCodec:
     def is_alias(self, block: bytes) -> bool:
         """Alias check through the shared codeword-count cache."""
         return self.codeword_count(block) >= self.config.codeword_threshold
-
-    @property
-    def cache_sizes(self) -> Dict[str, int]:
-        """Live entry counts per memoised operation (for reporting)."""
-        with self._lock:
-            return {
-                "encode": len(self._encode_cache),
-                "decode": len(self._decode_cache),
-                "codeword_count": len(self._count_cache),
-            }

@@ -68,16 +68,6 @@ class DRAMTiming:
     def ns(self, cycles: float) -> float:
         return cycles * self.tck_ns
 
-    @property
-    def row_hit_ns(self) -> float:
-        """Column access + burst on an already-open row."""
-        return self.ns(self.cl + self.burst_cycles)
-
-    @property
-    def row_miss_ns(self) -> float:
-        """Precharge + activate + column access + burst."""
-        return self.ns(self.trp + self.trcd + self.cl + self.burst_cycles)
-
 
 class PagePolicy(enum.Enum):
     """Row-buffer management policy.

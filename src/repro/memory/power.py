@@ -92,11 +92,6 @@ class PowerModel:
     def total_chips(self) -> int:
         return self.chips_per_rank * self.total_ranks
 
-    @property
-    def device_overhead(self) -> float:
-        """Hardware overhead vs a non-ECC DIMM (0.125 for 9 chips)."""
-        return self.ecc_chips / self.data_chips
-
     def _burst_bits(self) -> float:
         """Bits moved per 64-byte access, including any check bits."""
         return 8 * self.block_bytes * (self.chips_per_rank / self.data_chips)

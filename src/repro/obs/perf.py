@@ -1,9 +1,10 @@
 # repro: sanctioned[wall-clock]
 """Performance-measurement protocol for the benchmark harness.
 
-Every timing number the repo publishes (``BENCH_*.json`` artifacts, the
-trajectory history, the ad-hoc speedup guards in ``benchmarks/``) comes
-through this module so the protocol is consistent everywhere:
+Every timing number the repo publishes (``BENCH_*.json`` artifacts and
+their committed baselines, the ad-hoc speedup guards in
+``benchmarks/``) comes through this module so the protocol is
+consistent everywhere:
 
 * the monotonic high-resolution clock (``time.perf_counter_ns``),
 * explicit warmup iterations (JIT'd numpy LUTs, page cache, allocator
@@ -11,8 +12,8 @@ through this module so the protocol is consistent everywhere:
 * a pinned number of repeats with per-repeat samples kept, so artifacts
   report distributions (min/p50/p90/p99) rather than one noisy number,
 * an environment fingerprint (interpreter, platform, CPU count, scale)
-  stamped into every artifact so trajectory entries are comparable only
-  when they should be.
+  stamped into every artifact so a run and its baseline are compared
+  only when they should be.
 
 This is host-side *measurement* code: wall-clock use here is sanctioned
 (see the directive on line 1 and docs/static-analysis.md) — the REP001
@@ -211,9 +212,9 @@ def fingerprint(extra: Optional[Mapping[str, Any]] = None) -> dict[str, Any]:
 def config_hash(payload: Mapping[str, Any]) -> str:
     """Short stable hash of a protocol/config description.
 
-    Two trajectory entries are directly comparable only when their
-    config hashes match (same suite make-up, same protocol, same scale);
-    the compare/gate machinery warns across differing hashes.
+    Two artifacts are directly comparable only when their config hashes
+    match (same suite make-up, same protocol, same scale); the bench
+    gate warns when a run's hash differs from its baseline's.
     """
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]

@@ -57,12 +57,6 @@ class VulnerabilityReport:
         """Expected consumed failures (errors landing in unprotected time)."""
         return expected_failures(self.unprotected_bit_ns, fit_per_mbit)
 
-    def failures_unprotected_baseline(
-        self, fit_per_mbit: float = RAW_FIT_PER_MBIT
-    ) -> float:
-        """Expected failures had nothing been protected (same trace)."""
-        return expected_failures(self.total_bit_ns, fit_per_mbit)
-
 
 class VulnerabilityTracker:
     """Accumulates vulnerable bit-time over a simulation run."""

@@ -13,9 +13,9 @@ power loss
     Only fsynced bytes survive, and a create or rename survives only once
     its directory has been fsynced.
 
-The service WAL and the bench trajectory are recorded through
-:mod:`repro.durable`'s ``os`` name; the result cache, which publishes with
-``Path.write_bytes`` and ``Path.replace``, through those two methods.
+The service WAL is recorded through :mod:`repro.durable`'s ``os`` name;
+the result cache, which publishes with ``Path.write_bytes`` and
+``Path.replace``, through those two methods.
 
 Model limits: directories are never lost (every scenario starts in an
 existing one), bytes that were never fsynced never partly survive a power
@@ -39,7 +39,6 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 from unittest import mock
 
 from repro import durable
-from repro.bench.runner import BenchArtifact, BenchRunner, load_trajectory
 from repro.core.controller import ProtectionMode
 from repro.experiments import runner
 from repro.experiments.common import Scale
@@ -349,40 +348,6 @@ def check_wal(state: Path, marks: Marks) -> None:
     again.close()
 
 
-def _artifact(suite: str, median: float) -> BenchArtifact:
-    return BenchArtifact(
-        suite=suite,
-        scale="smoke",
-        git_sha="0" * 40,
-        config_hash="c0ffee",
-        unix_time=1700000000.0 + median,
-        cases={"case": {"ns": {"median": median, "p50": median, "min": 1}}},
-    )
-
-
-TRAJECTORY = [_artifact(suite, n) for n, suite in enumerate(("a", "b", "c", "d"), 1)]
-TRAJECTORY_NAME = "trajectory.jsonl"
-
-
-def trajectory_scenario(root: Path, rec: Recorder) -> None:
-    """A one-entry append, then a two-entry append."""
-    BenchRunner.append_trajectory(TRAJECTORY[:1], root)
-    rec.mark("ack", 1)
-    BenchRunner.append_trajectory(TRAJECTORY[1:3], root)
-    rec.mark("ack", 3)
-
-
-def check_trajectory(state: Path, marks: Marks) -> None:
-    """The reader never raises and keeps every entry whose append returned."""
-    expected = [artifact.trajectory_entry() for artifact in TRAJECTORY]
-    acked = max([mark[1] for mark in marks if mark[0] == "ack"], default=0)
-    entries = load_trajectory(state / TRAJECTORY_NAME)
-    assert len(entries) >= acked, f"{acked} appended, {len(entries)} kept"
-    assert entries == expected[: len(entries)]
-    BenchRunner.append_trajectory(TRAJECTORY[3:], state)
-    assert load_trajectory(state / TRAJECTORY_NAME) == entries + expected[3:]
-
-
 def sweep_jobs() -> List[SimJob]:
     return [
         SimJob(benchmark=bench, mode=ProtectionMode.COP, scale=Scale.SMOKE, cores=1)
@@ -448,11 +413,6 @@ LOGS: Dict[str, Log] = {
         wal_scenario,
         lambda name: os.path.basename(name) == WAL_NAME,
         {KILL: [check_wal], POWER: [check_wal]},
-    ),
-    "trajectory": Log(
-        trajectory_scenario,
-        lambda name: os.path.basename(name) == TRAJECTORY_NAME,
-        {KILL: [check_trajectory], POWER: [check_trajectory]},
     ),
     "cache": Log(
         cache_scenario,

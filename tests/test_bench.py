@@ -1,5 +1,6 @@
-"""Tests for the benchmark harness + performance-trajectory subsystem."""
+"""Tests for the benchmark harness and its committed-baseline gate."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -12,11 +13,9 @@ from repro.bench import (
     BenchRunner,
     clear_cases,
     compare_artifact,
+    default_bench_dir,
     iter_cases,
-    load_trajectory,
     perf_case,
-    render_sparkline,
-    trajectory_path,
 )
 from repro.obs.perf import TimingStats, config_hash, git_sha, measure, percentile_of
 
@@ -48,6 +47,19 @@ def _isolate(tmp_path, monkeypatch):
         del sys.modules[name]
     yield
     clear_cases()
+
+
+#: A case whose median is at least ``NAP_NS``: ``time.sleep`` never
+#: returns early, so a baseline of ``NAP_NS / 3`` is beaten by > 200%.
+NAP_NS = 5_000_000
+NAP_BENCH = f"""
+import time
+from repro.bench import perf_case
+
+@perf_case(suite="nap")
+def nap():
+    return lambda: time.sleep({NAP_NS} / 1e9)
+"""
 
 
 @pytest.fixture
@@ -151,6 +163,15 @@ class TestRegistry:
             ("bench_broken.py", "No module named 'not_a_real_module'")
         ]
 
+    def test_repo_benchmarks_all_import(self):
+        outer_conftest = sys.modules.get("conftest")
+        runner = BenchRunner(scale="smoke", bench_dir=default_bench_dir())
+        assert len(runner.discover()) > 1
+        assert runner.skipped_files == []
+        # The benchmarks' conftest never stays registered as ``conftest``.
+        assert sys.modules.get("conftest") is outer_conftest
+        assert str(default_bench_dir()) not in sys.path
+
 
 class TestArtifacts:
     def test_run_suite_produces_schema_fields(self, bench_dir):
@@ -196,54 +217,16 @@ class TestArtifacts:
             BenchRunner(scale="huge")
 
 
-class TestTrajectory:
-    def test_append_and_load(self, bench_dir, tmp_path):
-        runner = BenchRunner(scale="smoke", bench_dir=bench_dir)
-        artifacts = runner.run(["fake", "other"])
-        path = BenchRunner.append_trajectory(artifacts, tmp_path)
-        BenchRunner.append_trajectory(artifacts, tmp_path)
-        entries = load_trajectory(path)
-        assert [e["suite"] for e in entries] == ["fake", "other", "fake", "other"]
-        assert all("median" in e["cases"]["spin"] for e in entries if e["suite"] == "fake")
-
-    def test_torn_tail_is_tolerated(self, tmp_path):
-        path = trajectory_path(tmp_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text('{"suite":"a","cases":{}}\n{"suite":"b", tor')
-        entries = load_trajectory(path)
-        assert [e["suite"] for e in entries] == ["a"]
-
-    def test_append_after_torn_tail_keeps_every_entry(self, bench_dir, tmp_path):
-        path = trajectory_path(tmp_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text('{"suite":"a","x":1}\n{"suite":"a","x":2')
-        runner = BenchRunner(scale="smoke", bench_dir=bench_dir)
-        artifacts = runner.run(["fake"])
-        BenchRunner.append_trajectory(artifacts, tmp_path)
-        assert [e["suite"] for e in load_trajectory(path)] == ["a", "fake"]
-        BenchRunner.append_trajectory(artifacts, tmp_path)
-        assert [e["suite"] for e in load_trajectory(path)] == ["a", "fake", "fake"]
-
-    def test_mid_file_corruption_raises(self, tmp_path):
-        path = trajectory_path(tmp_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text('not json\n{"suite":"a","cases":{}}\n')
-        with pytest.raises(ValueError, match="corrupt trajectory"):
-            load_trajectory(path)
-
-    def test_missing_file_is_empty_history(self, tmp_path):
-        assert load_trajectory(trajectory_path(tmp_path)) == []
-
-
 class TestCompare:
     @staticmethod
-    def _artifact(median, sha="abc1234", cfg="deadbeefcafe"):
+    def _artifact(median, sha="abc1234", cfg="deadbeefcafe", cpus=2):
         return BenchArtifact(
             suite="fake",
             scale="smoke",
             git_sha=sha,
             config_hash=cfg,
             unix_time=1.0,
+            fingerprint={"cpus": cpus, "python": "3.11.7"},
             cases={
                 "spin": {
                     "repeats": 3,
@@ -257,57 +240,40 @@ class TestCompare:
         )
 
     def test_no_baseline(self):
-        comparison = compare_artifact(self._artifact(100), [])
+        comparison = compare_artifact(self._artifact(100), None)
         assert not comparison.has_baseline
         assert comparison.regressions(20.0) == []
-        assert "nothing to diff" in comparison.render()
+        assert "no baseline BENCH_fake.json" in comparison.render()
 
     def test_regression_detected_above_gate(self):
-        baseline = self._artifact(100).trajectory_entry()
-        comparison = compare_artifact(self._artifact(150), [baseline])
+        baseline = self._artifact(100, sha="base123")
+        comparison = compare_artifact(self._artifact(150), baseline)
         (case,) = comparison.cases
         assert case.delta_pct == pytest.approx(50.0)
+        assert comparison.baseline_sha == "base123"
         assert comparison.regressions(20.0) == [case]
         assert comparison.regressions(60.0) == []
         assert "REGRESSION" in comparison.render(20.0)
 
     def test_improvement_never_gates(self):
-        baseline = self._artifact(100).trajectory_entry()
-        comparison = compare_artifact(self._artifact(50), [baseline])
+        comparison = compare_artifact(self._artifact(50), self._artifact(100))
         assert comparison.regressions(0.0) == []
 
     def test_config_mismatch_flagged(self):
-        baseline = self._artifact(100, cfg="000000000000").trajectory_entry()
-        comparison = compare_artifact(self._artifact(100), [baseline])
+        baseline = self._artifact(100, cfg="000000000000")
+        comparison = compare_artifact(self._artifact(100), baseline)
         assert comparison.config_mismatch
         assert "config hash differs" in comparison.render()
 
-    def test_diffs_against_latest_entry_of_same_suite(self):
-        entries = [
-            self._artifact(100, sha="old").trajectory_entry(),
-            {"suite": "unrelated", "git_sha": "x", "cases": {}},
-            self._artifact(200, sha="new").trajectory_entry(),
-        ]
-        comparison = compare_artifact(self._artifact(200), entries)
-        assert comparison.previous_sha == "new"
-        assert comparison.cases[0].delta_pct == pytest.approx(0.0)
-
-
-class TestSparkline:
-    def test_shapes(self):
-        assert render_sparkline([]) == ""
-        assert render_sparkline([5.0]) == "▄"
-        assert render_sparkline([1, 8]) == "▁█"
-        line = render_sparkline(list(range(8)))
-        assert line == "▁▂▃▄▅▆▇█"
-
-    def test_flat_series_renders_mid(self):
-        assert render_sparkline([3, 3, 3]) == "▄▄▄"
-
-    def test_width_keeps_newest(self):
-        line = render_sparkline([0] * 30 + [100], width=4)
-        assert len(line) == 4
-        assert line.endswith("█")
+    def test_fingerprint_mismatch_flagged(self):
+        comparison = compare_artifact(
+            self._artifact(100), self._artifact(100, cpus=1)
+        )
+        assert comparison.fingerprint_mismatch == (("cpus", 1, 2),)
+        assert not comparison.config_mismatch
+        assert "fingerprint cpus differs" in comparison.render()
+        same = compare_artifact(self._artifact(100), self._artifact(100))
+        assert same.fingerprint_mismatch == ()
 
 
 class TestCli:
@@ -319,53 +285,80 @@ class TestCli:
             ["bench", "--scale", "smoke", "--bench-dir", str(bench_dir)] + args
         )
 
-    def test_bench_writes_artifacts_and_trajectory(self, bench_dir, tmp_path):
+    @staticmethod
+    def _forge_baseline(suite, **changes):
+        """Rewrite the results dir's ``BENCH_<suite>.json`` in place."""
+        from repro.experiments.common import results_dir
+
+        path = results_dir() / f"BENCH_{suite}.json"
+        dataclasses.replace(BenchArtifact.load(path), **changes).save(
+            results_dir()
+        )
+
+    @staticmethod
+    def _medians(value):
+        return {
+            "spin": {"ns": {"median": value}},
+            "spin_inner": {"ns": {"median": value}},
+        }
+
+    def test_bench_writes_artifacts(self, bench_dir):
         from repro.experiments.common import results_dir
 
         assert self._bench(["--suite", "fake"], bench_dir) == 0
-        results = results_dir()
-        artifact = json.loads((results / "BENCH_fake.json").read_text())
+        artifact = json.loads((results_dir() / "BENCH_fake.json").read_text())
         assert artifact["schema"] == ARTIFACT_SCHEMA
-        entries = load_trajectory(trajectory_path(results))
-        assert [e["suite"] for e in entries] == ["fake"]
+        assert sorted(path.name for path in results_dir().iterdir()) == [
+            "BENCH_fake.json"
+        ]
 
     def test_gate_passes_then_fails_on_regression(self, bench_dir):
-        from repro.experiments.common import results_dir
-
+        assert self._bench(["--suite", "fake"], bench_dir) == 0
+        # A baseline nothing can regress against passes the gate ...
+        self._forge_baseline("fake", cases=self._medians(10**15))
         assert self._bench(["--suite", "fake", "--gate", "20"], bench_dir) == 0
-
-        # Forge a baseline the current machine can't possibly hit (1 ns
-        # medians), so the next gated run must regress and exit non-zero.
-        path = trajectory_path(results_dir())
-        entries = load_trajectory(path)
-        for case in entries[-1]["cases"].values():
-            case["median"] = 1
-        path.write_text(
-            "".join(json.dumps(e, separators=(",", ":")) + "\n" for e in entries)
-        )
+        # ... and one the current machine can't possibly hit (1 ns
+        # medians) fails it.
+        self._forge_baseline("fake", cases=self._medians(1))
         assert self._bench(["--suite", "fake", "--gate", "20"], bench_dir) == 1
 
-        # And a baseline nothing can regress against passes the gate.
-        entries = load_trajectory(path)
-        for case in entries[-1]["cases"].values():
-            case["median"] = 10**15
-        path.write_text(
-            "".join(json.dumps(e, separators=(",", ":")) + "\n" for e in entries)
-        )
-        assert self._bench(["--suite", "fake", "--gate", "20"], bench_dir) == 0
+    def test_gate_fails_against_3x_faster_baseline(self, bench_dir, capsys):
+        (bench_dir / "bench_nap.py").write_text(NAP_BENCH)
+        assert self._bench(["--suite", "nap"], bench_dir) == 0
+        self._forge_baseline("nap", cases={"nap": {"ns": {"median": NAP_NS / 3}}})
+        assert self._bench(["--suite", "nap", "--gate", "200"], bench_dir) == 1
+        out = capsys.readouterr().out
+        assert "REGRESSION > 200%" in out
+        assert "[gate 200%] FAIL" in out
 
-    def test_compare_without_gate_never_fails(self, bench_dir, capsys):
+    def test_missing_baseline_fails_gate_and_names_file(self, bench_dir, capsys):
+        assert self._bench(["--suite", "fake", "--gate", "200"], bench_dir) == 1
+        out = capsys.readouterr().out
+        assert "commit results/BENCH_fake.json" in out
+        assert "[gate 200%] FAIL" in out
+
+    def test_config_hash_mismatch_warns(self, bench_dir, capsys):
+        assert self._bench(["--suite", "fake"], bench_dir) == 0
+        self._forge_baseline(
+            "fake", config_hash="000000000000", cases=self._medians(10**15)
+        )
+        assert self._bench(["--suite", "fake", "--gate", "200"], bench_dir) == 0
+        assert "[warn] config hash differs" in capsys.readouterr().out
+
+    def test_baseline_is_read_before_it_is_overwritten(self, bench_dir, capsys):
         from repro.experiments.common import results_dir
 
-        assert self._bench(["--suite", "fake", "--compare"], bench_dir) == 0
-        path = trajectory_path(results_dir())
-        entries = load_trajectory(path)
-        for case in entries[-1]["cases"].values():
-            case["median"] = 1
-        path.write_text(
-            "".join(json.dumps(e, separators=(",", ":")) + "\n" for e in entries)
-        )
-        assert self._bench(["--suite", "fake", "--compare"], bench_dir) == 0
+        assert self._bench(["--suite", "fake"], bench_dir) == 0
+        self._forge_baseline("fake", git_sha="feedfac")
+        assert self._bench(["--suite", "fake"], bench_dir) == 0
+        assert "% vs feedfac" in capsys.readouterr().out
+        saved = BenchArtifact.load(results_dir() / "BENCH_fake.json")
+        assert saved.git_sha != "feedfac"
+
+    def test_compare_without_gate_never_fails(self, bench_dir, capsys):
+        assert self._bench(["--suite", "fake"], bench_dir) == 0
+        self._forge_baseline("fake", cases=self._medians(1))
+        assert self._bench(["--suite", "fake"], bench_dir) == 0
         assert "% vs " in capsys.readouterr().out
 
     def test_json_output_is_machine_readable(self, bench_dir, capsys):
@@ -375,6 +368,7 @@ class TestCli:
         (suite,) = payload["suites"]
         assert suite["suite"] == "fake"
         assert "spin" in suite["cases"]
+        assert suite["comparison"]["baseline_sha"] is None
 
     def test_unknown_suite_exits_2(self, bench_dir):
         assert self._bench(["--suite", "nope"], bench_dir) == 2

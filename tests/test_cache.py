@@ -90,13 +90,6 @@ class TestBasics:
         assert cache.peek(0, store=True) is None
         assert 0 not in cache
 
-    def test_invalidate(self):
-        cache = make_cache()
-        cache.insert(0, dirty=True)
-        assert cache.invalidate(0) == DIRTY
-        assert cache.peek(0) is None
-        assert cache.invalidate(0) is None
-
     def test_contains(self):
         cache = make_cache()
         cache.insert(128)
@@ -161,25 +154,8 @@ class TestAliasPinning:
         assert cache.peek(128, store=True) == DIRTY
         assert cache.overflow == {64: DIRTY, 128: DIRTY}
 
-    def test_overflow_invalidate(self):
-        cache = make_cache(sets=1, ways=1)
-        cache.insert(0, alias=True)
-        cache.insert(64)
-        assert cache.invalidate(64) == 0
-        assert len(cache.overflow) == 0
-
 
 class TestStatsAndResidency:
-    def test_hit_rate(self):
-        cache = make_cache()
-        cache.insert(0)
-        cache.lookup(0)
-        cache.lookup(64)
-        assert cache.stats.hit_rate == pytest.approx(0.5)
-
-    def test_hit_rate_empty(self):
-        assert make_cache().stats.hit_rate == 0.0
-
     def test_resident_lines_includes_overflow(self):
         cache = make_cache(sets=1, ways=1)
         cache.insert(0, alias=True)
@@ -263,19 +239,11 @@ class _MinLastUseCache:
             self.stats.writebacks += 1
         return victim[0], victim[1]
 
-    def invalidate(self, addr):
-        cache_set, line = self._find(addr)
-        if line is not None:
-            cache_set.remove(line)
-            return line[1]
-        line = self.overflow.pop(addr, None)
-        return None if line is None else line[1]
-
 
 _OPS = st.lists(
     st.tuples(
         st.sampled_from(
-            ["insert", "lookup", "store", "peek", "mark", "invalidate"]
+            ["insert", "lookup", "store", "peek", "mark"]
         ),
         st.integers(min_value=0, max_value=9),  # block: a few tags per set
         st.booleans(),  # dirty

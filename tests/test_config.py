@@ -12,7 +12,7 @@ class TestVariants:
         assert config.code_geometry == (128, 120)
         assert config.codeword_threshold == 3
         assert config.capacity_bits == 480
-        assert config.compression_ratio == pytest.approx(0.0625)
+        assert config.ecc_bytes == 4
 
     def test_eight_byte_geometry(self):
         config = COPConfig.eight_byte()
@@ -20,7 +20,7 @@ class TestVariants:
         assert config.code_geometry == (64, 56)
         assert config.codeword_threshold == 5
         assert config.capacity_bits == 448
-        assert config.compression_ratio == pytest.approx(0.125)
+        assert config.ecc_bytes == 8
 
     def test_default_is_four_byte(self):
         assert COPConfig() == COPConfig.four_byte()

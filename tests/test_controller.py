@@ -200,7 +200,7 @@ class TestCoperMode:
             assert read.data == data
             assert read.was_uncompressed and not read.uncorrectable
         assert memory.entry_of[0] != old
-        assert not memory.region.is_allocated(old)
+        assert old not in memory.region._entries
         assert result.ecc_writes == (
             memory.entry_block_addr(old),
             memory.entry_block_addr(memory.entry_of[0]),

@@ -42,8 +42,7 @@ class TestRegionAllocation:
         region.allocate()
         region.free(0)
         assert len(region) == 1
-        assert region.is_allocated(1)
-        assert not region.is_allocated(0)
+        assert set(region._entries) == {1}
 
     def test_free_unallocated_raises(self, region):
         with pytest.raises(KeyError):
@@ -100,9 +99,7 @@ class TestRegionAllocation:
                 victim = sorted(live)[value % len(live)]
                 region.free(victim)
                 live.remove(victim)
-        assert len(region) == len(live)
-        for index in live:
-            assert region.is_allocated(index)
+        assert set(region._entries) == live
         # First-fit: the next allocation is the smallest free index.
         expected = next(i for i in range(10_000) if i not in live)
         assert region.allocate() == expected

@@ -1,4 +1,4 @@
-"""Every crash point of the WAL, the bench trajectory and the result cache.
+"""Every crash point of the service WAL and the result cache.
 
 The harness lives in ``tests/crashpoints.py`` (also ``make crash-points``);
 these tests run it under both crash models and pin the regressions it

@@ -94,8 +94,10 @@ class TestAddressMapper:
 class TestTiming:
     def test_latency_constants(self):
         t = DRAMTiming()
-        assert t.row_hit_ns == pytest.approx((11 + 4) * 1.25)
-        assert t.row_miss_ns == pytest.approx((11 + 11 + 11 + 4) * 1.25)
+        assert t.ns(t.cl + t.burst_cycles) == pytest.approx((11 + 4) * 1.25)
+        assert t.ns(t.trp + t.trcd + t.cl + t.burst_cycles) == pytest.approx(
+            (11 + 11 + 11 + 4) * 1.25
+        )
 
     def test_first_access_is_row_open_no_precharge(self):
         dram = DRAMSystem()
@@ -109,7 +111,7 @@ class TestTiming:
         first = dram.access(0, False, 0.0)
         second = dram.access(128, False, first.complete_ns)
         assert second.row_hit
-        assert second.latency_ns == pytest.approx(DRAMTiming().row_hit_ns)
+        assert second.latency_ns == pytest.approx((11 + 4) * 1.25)
 
     def test_row_conflict_pays_precharge(self):
         dram = DRAMSystem()
@@ -121,7 +123,7 @@ class TestTiming:
         start = first.complete_ns + 100.0
         second = dram.access(conflict_addr, False, start)
         assert not second.row_hit
-        assert second.latency_ns == pytest.approx(DRAMTiming().row_miss_ns)
+        assert second.latency_ns == pytest.approx((11 + 11 + 11 + 4) * 1.25)
 
     def test_channel_bus_serialises_bursts(self):
         dram = DRAMSystem()

@@ -1,9 +1,8 @@
 """Tests for the shared append-only log (``repro.durable``) and its users.
 
-``tests/golden/wal.golden`` and ``tests/golden/trajectory.golden`` were
-written by :func:`write_golden_wal` and :func:`write_golden_trajectory`
-before the service WAL and the bench trajectory shared one log
-implementation; both writers must keep reproducing them byte for byte.
+``tests/golden/wal.golden`` was written by :func:`write_golden_wal`
+before the service WAL moved onto the shared log implementation; the
+writer must keep reproducing it byte for byte.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import pytest
 
 from crashpoints import Recorder
 from repro import durable
-from repro.bench.runner import BenchArtifact, BenchRunner, load_trajectory
 from repro.durable import AppendLog
 from repro.service.wal import ShardWAL
 
@@ -41,30 +39,6 @@ def write_golden_wal(path: Path) -> None:
     wal.close()
 
 
-def golden_artifact(suite: str, median: float) -> BenchArtifact:
-    ns = {"median": median, "p50": median, "p90": median * 1.5,
-          "p99": median * 2.25, "min": int(median) - 7}
-    return BenchArtifact(
-        suite=suite,
-        scale="smoke",
-        git_sha="0123456789abcdef0123456789abcdef01234567",
-        config_hash="cafef00d",
-        unix_time=1700000000.5,
-        fingerprint={"python": "3.11.7"},
-        protocol={"repeats": 3, "warmup": 1},
-        cases={"encode": {"ns": ns}, "decode": {"ns": dict(ns, min=1)}},
-    )
-
-
-def write_golden_trajectory(results: Path) -> Path:
-    """One single-entry append, then one two-entry append."""
-    BenchRunner.append_trajectory([golden_artifact("kernels", 1234.5)], results)
-    return BenchRunner.append_trajectory(
-        [golden_artifact("service", 98765.25), golden_artifact("lint", 3.0)],
-        results,
-    )
-
-
 class TestGoldenBytes:
     def test_wal_writer_reproduces_golden(self, tmp_path):
         write_golden_wal(tmp_path / "shard-00.wal")
@@ -79,17 +53,6 @@ class TestGoldenBytes:
         ]
         assert records[0].data == b"\xff" * 64
         assert wal.next_seq == 4 and wal.torn_lines == 0
-
-    def test_trajectory_writer_reproduces_golden(self, tmp_path):
-        path = write_golden_trajectory(tmp_path)
-        assert path.read_bytes() == (GOLDEN / "trajectory.golden").read_bytes()
-
-    def test_trajectory_reader_loads_golden(self):
-        entries = load_trajectory(GOLDEN / "trajectory.golden")
-        assert [entry["suite"] for entry in entries] == [
-            "kernels", "service", "lint",
-        ]
-        assert entries[1] == golden_artifact("service", 98765.25).trajectory_entry()
 
 
 def _decode(line: bytes):

@@ -43,7 +43,7 @@ class TestEncodeDecode:
             data = rng.getrandbits(28)
             word = code.encode(data)
             assert code.syndrome(word) == 0
-            assert code.data_of(word) == data
+            assert code.decode(word).data == data
 
     def test_every_single_bit_error_corrected(self):
         code = HammingSEC(34, 28)

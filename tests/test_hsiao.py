@@ -80,7 +80,7 @@ class TestEncodeDecode:
 
     def test_data_and_check_extraction(self, code128):
         word = code128.encode(0xDEADBEEF)
-        assert code128.data_of(word) == 0xDEADBEEF
+        assert code128.decode(word).data == 0xDEADBEEF
         assert word == 0xDEADBEEF | (code128.check_of(word) << 120)
 
     @pytest.mark.parametrize("n,k", GEOMETRIES)

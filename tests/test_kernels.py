@@ -52,6 +52,15 @@ def _boundary_block(codec: COPCodec, rng: random.Random, valid: int) -> bytes:
     return bytes(out)
 
 
+def _cache_sizes(memo: MemoizedCodec) -> dict[str, int]:
+    """Live entry counts per memoised operation."""
+    return {
+        "encode": len(memo._encode_cache),
+        "decode": len(memo._decode_cache),
+        "codeword_count": len(memo._count_cache),
+    }
+
+
 def _corpus(codec: COPCodec, total: int, seed: int = 2024) -> list[bytes]:
     """Mixed adversarial corpus: noise, content, faulted images, aliases."""
     from repro.experiments.common import sample_blocks
@@ -240,7 +249,7 @@ class TestMemoizedCodec:
         snap = registry.snapshot()["counters"]
         assert snap["kernels.memo.hits"] > 0
         assert snap["kernels.memo.misses"] == 3 * len(blocks)  # one per op
-        assert memo.cache_sizes == {
+        assert _cache_sizes(memo) == {
             "encode": len(blocks),
             "decode": len(blocks),
             "codeword_count": len(blocks),
@@ -252,7 +261,7 @@ class TestMemoizedCodec:
         rng = random.Random(6)
         for _ in range(10):
             memo.codeword_count(rng.randbytes(64))
-        assert memo.cache_sizes["codeword_count"] == 4
+        assert _cache_sizes(memo)["codeword_count"] == 4
         assert registry.snapshot()["counters"]["kernels.memo.evictions"] == 6
 
     def test_rejects_bad_bound(self):
@@ -378,7 +387,7 @@ class TestMemoizedCodecThreads:
         # No evictions => misses is exactly the number of live entries,
         # i.e. each distinct content was computed exactly once.
         assert evictions == 0
-        assert misses == sum(memo.cache_sizes.values())
+        assert misses == sum(_cache_sizes(memo).values())
         # Cached values are the scalar codec's, bit for bit.
         reference = COPCodec()
         for block, value in list(memo._encode_cache.items()):
@@ -396,6 +405,6 @@ class TestMemoizedCodecThreads:
         evictions = counters.get("kernels.memo.evictions", 0)
         assert hits + misses == lookups
         # Each miss either still lives in a cache or was evicted.
-        assert misses == evictions + sum(memo.cache_sizes.values())
+        assert misses == evictions + sum(_cache_sizes(memo).values())
         # The FIFO bound held under contention.
-        assert all(size <= 8 for size in memo.cache_sizes.values())
+        assert all(size <= 8 for size in _cache_sizes(memo).values())

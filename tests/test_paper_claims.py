@@ -89,6 +89,7 @@ class TestCompressibilityHeadlines:
     def test_ecc_dimm_device_overhead(self):
         from repro.memory.power import PowerModel
 
-        assert PowerModel(ecc_chips_per_rank=1).device_overhead == claim(
+        ecc_dimm = PowerModel(ecc_chips_per_rank=1)
+        assert ecc_dimm.ecc_chips / ecc_dimm.data_chips == claim(
             "ecc_dimm_device_overhead"
         ).value

@@ -24,8 +24,8 @@ class TestConstruction:
 
     def test_device_overhead_is_papers_12_5_percent(self):
         ecc_dimm = PowerModel(ecc_chips_per_rank=1)
-        assert ecc_dimm.device_overhead == pytest.approx(0.125)
-        assert PowerModel().device_overhead == 0.0
+        assert ecc_dimm.ecc_chips / ecc_dimm.data_chips == pytest.approx(0.125)
+        assert PowerModel().ecc_chips == 0
 
     def test_chip_counts(self):
         model = PowerModel(ecc_chips_per_rank=1, total_ranks=4)

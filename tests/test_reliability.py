@@ -99,7 +99,7 @@ class TestVulnerabilityTracker:
         tracker.on_read(0, 1e9)
         report = tracker.report()
         assert report.failures() == pytest.approx(
-            report.failures_unprotected_baseline()
+            expected_failures(report.total_bit_ns)
         )
         assert report.failures() > 0
 

@@ -3,7 +3,7 @@
 Random interleavings of operations against reference models:
 
 * the COP-ER ECC region (allocate / free / store / load) against a dict,
-* the LLC (insert / lookup / invalidate with alias pinning) against a
+* the LLC (insert / lookup / peek with alias pinning) against a
   shadow map, checking that pinned aliases are never silently dropped.
 """
 
@@ -72,8 +72,8 @@ class CacheMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.cache = SetAssocCache(self.SETS * self.WAYS * 64, self.WAYS)
-        #: addr -> expected flag word of every line inserted and not
-        #: invalidated (an evicted line leaves the cache, not the shadow).
+        #: addr -> expected flag word of every line inserted (an evicted
+        #: line leaves the cache, not the shadow).
         self.shadow: dict[int, int] = {}
 
     def _expect_resident(self, addr):
@@ -114,14 +114,6 @@ class CacheMachine(RuleBasedStateMachine):
             self.shadow[addr] |= DIRTY
         flags = self.cache.peek(addr, store=True)
         assert flags is None or flags == self.shadow[addr]
-
-    @precondition(lambda self: self.shadow)
-    @rule(choice=st.integers(min_value=0, max_value=1 << 30))
-    def invalidate(self, choice):
-        addr = sorted(self.shadow)[choice % len(self.shadow)]
-        flags = self._expect_resident(addr)
-        assert self.cache.invalidate(addr) == flags
-        del self.shadow[addr]
 
     @invariant()
     def pinned_aliases_never_dropped(self):
