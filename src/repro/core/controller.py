@@ -462,15 +462,12 @@ class ProtectedMemory:
         ``ever_incompressible`` and ECC-block write counts as a classified
         :meth:`write` per block, without a result per block.  Every block
         must be accepted, so an incompressible COP alias is refused up
-        front; COP-ER is refused outright, since its entry indices depend
-        on the order of allocations and frees.  Nothing is stored when a
-        write is refused.
+        front.  A COP-ER batch must be entry-free: its entry indices depend
+        on the order of allocations and frees, so a block that is
+        incompressible, or that holds an entry a compressible write would
+        free, is refused.  Nothing is stored when a write is refused.
         """
         mode = self.mode
-        if mode is ProtectionMode.COP_ER:
-            raise ValueError(
-                "COP-ER allocates entries in write order; write one block at a time"
-            )
         if len(addrs) != len(kinds):
             raise ValueError("need one classification per address")
         if any(addr % BLOCK_BYTES for addr in addrs):
@@ -479,6 +476,14 @@ class ProtectedMemory:
             alias and not compressible for compressible, alias in kinds
         ):
             raise ValueError("an incompressible alias is rejected; write it on its own")
+        if mode is ProtectionMode.COP_ER and (
+            not all(compressible for compressible, _ in kinds)
+            or (self.entry_of and not self.entry_of.keys().isdisjoint(addrs))
+        ):
+            raise ValueError(
+                "COP-ER allocates and frees entries in write order; "
+                "write a block that takes or holds one on its own"
+            )
         packed: Sequence[int] = ()
         raw: Sequence[int] = addrs
         if self.codec is not None:

@@ -21,19 +21,21 @@ fresh.
 
 Cores are interleaved by simulated time (the core furthest behind runs
 next), which serialises DRAM contention realistically without an event
-queue.  The replay rests on four observations:
+queue.  ``run`` is one loop per job: it binds the LLC, controller, DRAM
+and bookkeeping entry points once, then replays every epoch and resolves
+every wave inline.  The replay rests on four observations:
 
 Wave-deferred DRAM timing
     Within one MSHR wave every miss issues at the same time and no
     LLC/controller *decision* depends on DRAM timings — only the epoch's
     stall does.  So the replay does all cache and controller bookkeeping
     inline, merely *recording* the DRAM requests, and services the whole
-    wave at the wave boundary through
-    :meth:`~repro.memory.dram.DRAMSystem.service_wave`, which serves it in
-    arrival order and carries bank state across waves.  Trace addresses,
-    and the ECC blocks that are a pure function of them, are premapped
-    into the DRAM location table first, so almost no request decomposes
-    its address.  Trace events are buffered in issue order and
+    wave through :meth:`~repro.memory.dram.DRAMSystem.service_wave` once
+    ``mshrs`` misses are outstanding or the epoch ends; it serves the
+    wave in arrival order and carries bank state across waves.  Trace
+    addresses, and the ECC blocks that are a pure function of them, are
+    premapped into the DRAM location table first, so almost no request
+    decomposes its address.  Trace events are buffered in issue order and
     flushed after timing resolves, so deferral never reorders or re-times
     an event.
 
@@ -59,12 +61,13 @@ First touches in one pass
     classifications and stamps their vulnerability clocks at t=0.
     Population is warm-up traffic: it never reaches the DRAM model.  The
     per-miss path (``_populate``) is kept only where the outcome depends
-    on *when* a block is stored.  That covers every COP-ER block, because
-    entry indices depend on how allocations interleave with writeback
-    frees.  It covers a COP alias, which is nudged to a storable version
-    and traced as ``alias_reject`` at first touch.  It also covers the
-    rare address that is one of the job's ECC blocks as well (embedded
-    layouts) or that two content streams share.
+    on *when* a block is stored.  That covers every incompressible COP-ER
+    first touch, because entry indices depend on how allocations
+    interleave with writeback frees; a compressible COP-ER block takes no
+    entry, so it joins the one write.  It covers a COP alias, which is
+    nudged to a storable version and traced as ``alias_reject`` at first
+    touch.  It also covers the rare address that is one of the job's ECC
+    blocks as well (embedded layouts) or that two content streams share.
 """
 
 from __future__ import annotations
@@ -154,17 +157,15 @@ class _CoreState:
 
 
 class _Wave:
-    """Deferred state of one MSHR wave (shared ``issue_at``)."""
+    """The MSHR wave being filled, as the miss-path helpers see it."""
 
-    __slots__ = ("now_ns", "requests", "misses", "events")
+    __slots__ = ("now_ns", "requests", "events")
 
     def __init__(self, now_ns: float) -> None:
+        #: Issue time shared by every request of the wave.
         self.now_ns = now_ns
         #: DRAM requests in issue order.
         self.requests: List[Tuple[int, bool]] = []
-        #: Per miss: (data request idx, ecc request idxs, decompress ns,
-        #: deferred "access" event payload or None).
-        self.misses: List[Tuple[int, List[int], float, Optional[dict]]] = []
         #: Trace events in issue order, flushed after timing resolves.
         self.events: List[Tuple[str, dict]] = []
 
@@ -206,7 +207,6 @@ class MultiCoreSystem:
         self._need_content = memory.mode is ProtectionMode.COP_ER
         self._classify = self.oracle.active
         self._obs_enabled = self.obs.enabled
-        self._cycle_ns = config.cycle_ns
 
     def _protected(self, compressed: bool) -> bool:
         mode = self.memory.mode
@@ -224,12 +224,14 @@ class MultiCoreSystem:
         """Store the first touch of every stream address in one write.
 
         See "First touches in one pass" in the module docstring.  Left to
-        :meth:`_populate` at their first miss: COP aliases, and the
-        ``clash`` addresses that are also ECC blocks of the job (the LLC
-        may cache one as metadata before its first data access, so its
-        first write may come at a later version, or never).
+        :meth:`_populate` at their first miss: COP aliases, COP-ER's
+        incompressible blocks, and the ``clash`` addresses that are also
+        ECC blocks of the job (the LLC may cache one as metadata before
+        its first data access, so its first write may come at a later
+        version, or never).
         """
         kind = self.oracle.kind
+        coper = self._need_content
         addrs: List[int] = []
         kinds: List[Tuple[bool, bool]] = []
         for core, stream in streams:
@@ -237,11 +239,12 @@ class MultiCoreSystem:
                 firsts = [kind(core, addr, 0) for addr in stream]
             else:
                 firsts = [UNCLASSIFIED] * len(stream)
-            if clash or _ALIAS in firsts:
+            if clash or coper or _ALIAS in firsts:
+                # A compressible block never aliases and takes no entry.
                 kept = [
                     (addr, first)
                     for addr, first in zip(stream, firsts)
-                    if not first[1] and addr not in clash
+                    if (first[0] or not (coper or first[1])) and addr not in clash
                 ]
                 stream = [addr for addr, _ in kept]
                 firsts = [first for _, first in kept]
@@ -257,7 +260,15 @@ class MultiCoreSystem:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> PerfResult:
-        """Replay all traces to completion; cores interleave by time."""
+        """Replay all traces to completion; cores interleave by time.
+
+        One loop per job: each popped core replays one epoch, its compute
+        time and then its accesses in order.  A miss is serviced inline
+        and its DRAM requests recorded; the wave resolves in place once
+        ``mshrs`` misses are outstanding or the epoch ends.  A flush never
+        touches the LLC, so flushing a full wave before the hits that
+        follow it equals flushing it when the next miss arrives.
+        """
         cores = self._cores
         with self.obs.profile.phase("system.run"), self.obs.trace.span(
             "system.run", cores=len(cores)
@@ -275,134 +286,150 @@ class MultiCoreSystem:
             trace_addrs = set().union(*(plan[2] for plan in plans))
             side = self.memory.side_ecc_blocks(trace_addrs)
             self.dram.premap(trace_addrs | side)
-            if not self._need_content:
-                self._populate_all(streams, side.intersection(trace_addrs))
+            self._populate_all(streams, side.intersection(trace_addrs))
+
+            mshrs = self.config.mshrs
+            cycle_ns = self.config.cycle_ns
+            lookup = self.llc.lookup
+            insert = self.llc.insert
+            contents = self.memory.contents
+            read = self.memory.read
+            mode = self.memory.mode.value
+            service_wave = self.dram.service_wave
+            on_read = self.tracker.on_read if self.tracker is not None else None
+            populate = self._populate
+            handle_eviction = self._handle_eviction
+            versions = self._versions
+            versions_get = versions.get
+            writer = self._writer
+            obs_enabled = self._obs_enabled
+            count = self.obs.profile.count
+            observe = self.obs.metrics.observe
+            emit = self.obs.trace.emit
+            wave = _Wave(0.0)
+            requests = wave.requests
+            events = wave.events
+            #: Per miss of the wave: (data request idx, ecc request idxs,
+            #: decompress ns, deferred "access" event payload or None).
+            misses: List[Tuple[int, List[int], float, Optional[dict]]] = []
+
             cursors = [0] * len(cores)
-            heap = [(0.0, i) for i in range(len(cores))]
+            heap = [(0.0, i) for i, plan in enumerate(plans) if plan[0]]
             heapq.heapify(heap)
             while heap:
                 _, index = heapq.heappop(heap)
                 instructions, starts, addrs, stores = plans[index]
                 cursor = cursors[index]
-                if cursor >= len(instructions):
-                    continue
-                cursors[index] = cursor + 1
-                self._run_epoch(
-                    index,
-                    instructions[cursor],
-                    addrs,
-                    stores,
-                    starts[cursor],
-                    starts[cursor + 1],
-                )
-                heapq.heappush(heap, (cores[index].time_ns, index))
+                core = cores[index]
+                compute_ns = (instructions[cursor] / core.perfect_ipc) * cycle_ns
+                epoch_ns = stall_until = wave.now_ns = core.time_ns + compute_ns
+                start = starts[cursor]
+                stop = starts[cursor + 1]
+                while True:
+                    now_ns = wave.now_ns
+                    end = stop
+                    for i in range(start, stop):
+                        addr = addrs[i]
+                        is_store = stores[i]
+                        if lookup(addr, is_store):
+                            if is_store:
+                                # The store rewrites the line: advance its version.
+                                versions[addr] = versions_get(addr, 0) + 1
+                                writer[addr] = index
+                            continue
+
+                        if addr not in contents:
+                            populate(index, addr, wave)
+                        result = read(addr)
+                        if on_read is not None:
+                            on_read(addr, now_ns)
+                        data_idx = len(requests)
+                        requests.append((addr, False))
+                        ecc_idxs: List[int] = []
+                        for ecc_addr in result.ecc_reads:
+                            if not lookup(ecc_addr):
+                                ecc_idxs.append(len(requests))
+                                requests.append((ecc_addr, False))
+                                victim = insert(ecc_addr)
+                                if victim is not None and victim[1]:
+                                    handle_eviction(index, victim, wave)
+
+                        payload: Optional[dict] = None
+                        if obs_enabled:
+                            count("misses")
+                            payload = {
+                                "t_ns": round(now_ns, 3),
+                                "core": index,
+                                "addr": addr,
+                                "store": is_store,
+                                "mode": mode,
+                                "compressed": result.compressed,
+                                "uncompressed": result.was_uncompressed,
+                                "corrected": result.corrected,
+                                "ecc_blocks": len(result.ecc_reads),
+                                "row_hit": None,  # patched at the flush
+                                "latency_ns": None,  # patched at the flush
+                            }
+                            events.append(("access", payload))
+                        decompress_ns = result.decompress_cycles * cycle_ns
+                        misses.append((data_idx, ecc_idxs, decompress_ns, payload))
+
+                        if is_store:
+                            versions[addr] = versions_get(addr, 0) + 1
+                            writer[addr] = index
+                        victim = insert(addr, is_store)
+                        # A clean, unpinned victim (flag word 0) is simply dropped.
+                        if victim is not None and victim[1]:
+                            handle_eviction(index, victim, wave)
+                        # MSHR limit: once a full wave of misses is
+                        # outstanding, the next wave issues when it drains.
+                        if len(misses) == mshrs:
+                            end = i + 1
+                            break
+
+                    if misses:
+                        # Flush: the wave's stall lasts until its slowest
+                        # miss has its data, ECC blocks and decompression.
+                        _, completes, row_hits = service_wave(requests, now_ns)
+                        for data_idx, ecc_idxs, decompress_ns, payload in misses:
+                            usable = completes[data_idx]
+                            for idx in ecc_idxs:
+                                complete = completes[idx]
+                                if complete > usable:
+                                    usable = complete
+                            usable += decompress_ns
+                            if usable > stall_until:
+                                stall_until = usable
+                            if payload is not None:
+                                latency_ns = usable - now_ns
+                                observe("system.miss_latency_ns", latency_ns)
+                                payload["row_hit"] = row_hits[data_idx]
+                                payload["latency_ns"] = round(latency_ns, 3)
+                        if events:
+                            if obs_enabled:
+                                for name, payload in events:
+                                    emit(name, **payload)
+                            events.clear()
+                        requests.clear()
+                        misses.clear()
+                    if end == stop:
+                        break
+                    start = end
+                    wave.now_ns = stall_until
+
+                core.time_ns = stall_until
+                totals = core.result
+                totals.instructions += instructions[cursor]
+                totals.compute_ns += compute_ns
+                totals.stall_ns += stall_until - epoch_ns
+                totals.epochs += 1
+                cursor += 1
+                cursors[index] = cursor
+                if cursor < len(instructions):
+                    heapq.heappush(heap, (stall_until, index))
 
         self.publish_metrics()
         return self._perf_result()
-
-    def _run_epoch(
-        self,
-        core_index: int,
-        instructions: int,
-        addrs: List[int],
-        stores: List[bool],
-        lo: int,
-        hi: int,
-    ) -> None:
-        """Replay one epoch's accesses in order.
-
-        A miss is serviced inline; its timing resolves at the wave flush.
-        """
-        core = self._cores[core_index]
-        config = self.config
-        compute_ns = (instructions / core.perfect_ipc) * config.cycle_ns
-        now_ns = core.time_ns + compute_ns
-
-        stall_until = now_ns
-        outstanding = 0
-        mshrs = config.mshrs
-        lookup = self.llc.lookup
-        insert = self.llc.insert
-        memory = self.memory
-        contents = memory.contents
-        read = memory.read
-        on_read = self.tracker.on_read if self.tracker is not None else None
-        handle_eviction = self._handle_eviction
-        versions = self._versions
-        versions_get = versions.get
-        writer = self._writer
-        obs_enabled = self._obs_enabled
-        cycle_ns = self._cycle_ns
-        wave = _Wave(now_ns)
-        for i in range(lo, hi):
-            addr = addrs[i]
-            is_store = stores[i]
-            if lookup(addr, is_store):
-                if is_store:
-                    # The store rewrites the line: advance its version.
-                    versions[addr] = versions_get(addr, 0) + 1
-                    writer[addr] = core_index
-                continue
-            # MSHR limit: once a full wave of misses is outstanding, the
-            # next wave issues when the current one has drained.
-            if mshrs and outstanding >= mshrs:
-                stall_until = self._flush_wave(wave, stall_until)
-                outstanding = 0
-                wave = _Wave(stall_until)
-            outstanding += 1
-
-            if addr not in contents:
-                self._populate(core_index, addr, wave)
-            result = read(addr)
-            if on_read is not None:
-                on_read(addr, wave.now_ns)
-            requests = wave.requests
-            data_idx = len(requests)
-            requests.append((addr, False))
-            ecc_idxs: List[int] = []
-            for ecc_addr in result.ecc_reads:
-                if not lookup(ecc_addr):
-                    ecc_idxs.append(len(requests))
-                    requests.append((ecc_addr, False))
-                    victim = insert(ecc_addr)
-                    if victim is not None and victim[1]:
-                        handle_eviction(core_index, victim, wave)
-
-            payload: Optional[dict] = None
-            if obs_enabled:
-                self.obs.profile.count("misses")
-                payload = {
-                    "t_ns": round(wave.now_ns, 3),
-                    "core": core_index,
-                    "addr": addr,
-                    "store": is_store,
-                    "mode": memory.mode.value,
-                    "compressed": result.compressed,
-                    "uncompressed": result.was_uncompressed,
-                    "corrected": result.corrected,
-                    "ecc_blocks": len(result.ecc_reads),
-                    "row_hit": None,  # patched at wave flush
-                    "latency_ns": None,  # patched at wave flush
-                }
-                wave.events.append(("access", payload))
-            wave.misses.append(
-                (data_idx, ecc_idxs, result.decompress_cycles * cycle_ns, payload)
-            )
-
-            if is_store:
-                versions[addr] = versions_get(addr, 0) + 1
-                writer[addr] = core_index
-            victim = insert(addr, is_store)
-            # A clean, unpinned victim (flag word 0) is simply dropped.
-            if victim is not None and victim[1]:
-                handle_eviction(core_index, victim, wave)
-        stall_until = self._flush_wave(wave, stall_until)
-
-        core.time_ns = stall_until
-        core.result.instructions += instructions
-        core.result.compute_ns += compute_ns
-        core.result.stall_ns += stall_until - now_ns
-        core.result.epochs += 1
 
     # -- miss path ---------------------------------------------------------
 
@@ -411,9 +438,7 @@ class MultiCoreSystem:
         oracle = self.oracle
         return self.memory.write(
             addr,
-            oracle.kind(core_index, addr, version)
-            if self._classify
-            else UNCLASSIFIED,
+            oracle.kind(core_index, addr, version),
             content=(
                 (lambda: oracle.take_bytes(core_index, addr, version))
                 if self._need_content
@@ -503,38 +528,6 @@ class MultiCoreSystem:
                     wave.requests.append((addr, True))
             elif flags:  # dirty or alias-pinned
                 victim = self._writeback(core_index, addr, wave)
-
-    # -- wave flush --------------------------------------------------------
-
-    def _flush_wave(self, wave: _Wave, stall_until: float) -> float:
-        """Service the wave's DRAM requests and resolve deferred timing."""
-        if wave.requests:
-            _starts, completes, row_hits = self.dram.service_wave(
-                wave.requests, wave.now_ns
-            )
-        else:
-            completes, row_hits = [], []
-        now_ns = wave.now_ns
-        metrics = self.obs.metrics
-        for data_idx, ecc_idxs, decompress_ns, payload in wave.misses:
-            usable = completes[data_idx]
-            for idx in ecc_idxs:
-                complete = completes[idx]
-                if complete > usable:
-                    usable = complete
-            usable += decompress_ns
-            if usable > stall_until:
-                stall_until = usable
-            if payload is not None:
-                latency_ns = usable - now_ns
-                metrics.observe("system.miss_latency_ns", latency_ns)
-                payload["row_hit"] = row_hits[data_idx]
-                payload["latency_ns"] = round(latency_ns, 3)
-        if self.obs.enabled:
-            trace = self.obs.trace
-            for name, payload in wave.events:
-                trace.emit(name, **payload)
-        return stall_until
 
     def _perf_result(self) -> PerfResult:
         return PerfResult(

@@ -53,11 +53,51 @@ class TestValidation:
 class TestSequenceWrite:
     """``write(addrs, [classification, ...])``: bulk first-touch population."""
 
-    def test_coper_is_refused(self):
-        memory = ProtectedMemory(ProtectionMode.COP_ER)
+    def test_coper_accepts_only_compressible_batches(self):
+        """A COP-ER batch of compressible blocks takes no entry and is
+        stored; one incompressible block refuses the whole write."""
+        refused = ProtectedMemory(ProtectionMode.COP_ER)
         with pytest.raises(ValueError, match="COP-ER"):
-            memory.write([0], [(True, False)])
-        assert not memory.contents and memory.stats.writes == 0
+            refused.write([0, 64, 128], [(True, False), (False, False), (True, False)])
+        assert not refused.contents and refused.stats.writes == 0
+        assert not refused.compressed_blocks and not refused.ever_incompressible
+
+        accepted = ProtectedMemory(ProtectionMode.COP_ER)
+        accepted.write([0, 64], [(True, False), (True, False)])
+        assert set(accepted.contents) == accepted.compressed_blocks == {0, 64}
+        assert accepted.stats.writes == accepted.stats.compressed_writes == 2
+        assert not accepted.entry_of and len(accepted.region) == 0
+
+    def test_coper_refuses_a_batch_over_a_held_entry(self, noise):
+        """A compressible write frees the block's entry in write order, so
+        a batch over an entry-holding block is refused too."""
+        memory = ProtectedMemory(ProtectionMode.COP_ER)
+        memory.write(64, noise)
+        before = memory.stats.as_dict()
+        with pytest.raises(ValueError, match="COP-ER"):
+            memory.write([0, 64], [(True, False), (True, False)])
+        assert set(memory.contents) == set(memory.entry_of) == {64}
+        assert memory.stats.as_dict() == before
+
+    def test_coper_bulk_write_equals_one_by_one(self, rng, noise):
+        """Differential: the bulk write of compressible blocks leaves the
+        controller exactly as writing them one at a time does, beside a
+        block that already holds an entry."""
+        addrs = [64 * rng.randrange(1 << 20) for _ in range(200)]
+        kinds = [(True, False)] * len(addrs)
+        bulk = ProtectedMemory(ProtectionMode.COP_ER)
+        single = ProtectedMemory(ProtectionMode.COP_ER)
+        for memory in (bulk, single):
+            memory.write(1 << 30, noise)
+        assert bulk.entry_of
+        bulk.write(addrs, kinds)
+        for addr, kind in zip(addrs, kinds):
+            assert single.write(addr, kind).accepted
+        assert bulk.stats == single.stats
+        assert list(bulk.contents) == list(single.contents)
+        assert bulk.compressed_blocks == single.compressed_blocks
+        assert bulk.entry_of == single.entry_of
+        assert bulk.ever_incompressible == single.ever_incompressible
 
     def test_cop_alias_is_refused_before_anything_is_stored(self):
         memory = ProtectedMemory(ProtectionMode.COP)

@@ -244,10 +244,25 @@ class TestFirstTouchPopulation:
         assert set(sim.memory.contents) <= touched
         assert touched - set(sim.memory.contents) <= side
 
-    def test_cop_er_populates_every_block_at_its_first_miss(self, populated):
+    def test_cop_er_populates_its_incompressible_first_touches_per_miss(
+        self, populated
+    ):
+        """A compressible COP-ER block takes no entry, so it is stored up
+        front; an incompressible one allocates its entry at its miss."""
         sim = build_system(mode=ProtectionMode.COP_ER, epochs=80)
         sim.run()
-        assert len(populated) == len(set(populated)) == len(sim.memory.contents)
+        touched = set()
+        incompressible = set()
+        for core, state in enumerate(sim._cores):
+            addrs = set(state.epochs.addrs.tolist())
+            touched |= addrs
+            incompressible |= {
+                addr for addr in addrs if not sim.oracle.kind(core, addr, 0)[0]
+            }
+        assert incompressible and incompressible != touched
+        assert len(populated) == len(set(populated))
+        assert set(populated) == incompressible
+        assert set(sim.memory.contents) == touched
 
     def test_cop_alias_waits_for_its_first_miss(self, populated, monkeypatch):
         """A first-touch alias is nudged to a storable version at its miss,
