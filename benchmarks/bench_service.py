@@ -20,7 +20,6 @@ on a busy host, a component ratio does not (same idiom as
 
 import random
 import tempfile
-from concurrent.futures import Future
 
 from repro.bench import perf_case
 from repro.obs.perf import measure, now_ns
@@ -92,12 +91,12 @@ def _drive_writes(shard, requests):
     """Push ``requests`` through the shard's batch path, full batches."""
     for start in range(0, len(requests), _WAL_BATCH):
         work = [
-            _Work(request=request, future=Future(), enqueue_ns=now_ns())
+            _Work(request, now_ns())
             for request in requests[start : start + _WAL_BATCH]
         ]
         shard._process(work)
         for item in work:
-            assert item.future.result().status.name == "OK"
+            assert item.result().status.name == "OK"
 
 
 def _write_burst_case(wal_dir):
@@ -189,9 +188,9 @@ def service_submit_path():
     pings = [Request("ping", id=i) for i in range(1_000)]
 
     def burst():
-        futures = [service.submit(request) for request in pings]
-        for future in futures:
-            future.result()
+        replies = [service.submit(request) for request in pings]
+        for reply in replies:
+            reply.result()
 
     burst()
     return burst

@@ -39,6 +39,7 @@ from repro.service.server import (
     retry_safe,
 )
 from repro.service.shard import (
+    Reply,
     ServiceConfig,
     Shard,
     route_request,
@@ -54,6 +55,7 @@ __all__ = [
     "LoadReport",
     "LoadgenConfig",
     "ProtocolError",
+    "Reply",
     "Request",
     "Response",
     "RetryPolicy",

@@ -36,7 +36,7 @@ Parity under chaos
 
 One driver (:func:`_drive`) runs every tenant over either transport: a
 *link* that answers requests in send order — :class:`ServiceClient`
-over TCP, or :class:`_InprocessLink` over shard futures, which never
+over TCP, or :class:`_InprocessLink` over shard replies, which never
 drops.  With service-layer fault injection on (``config.service.chaos``),
 two mechanisms keep the final response streams serial:
 
@@ -96,7 +96,6 @@ import threading
 import time
 from array import array
 from collections import deque
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Protocol, Tuple
@@ -112,7 +111,7 @@ from repro.service.server import (
     ServiceServer,
     retry_safe,
 )
-from repro.service.shard import ServiceConfig
+from repro.service.shard import Reply, ServiceConfig
 from repro.workloads.blocks import BlockSource
 from repro.workloads.profiles import PROFILES
 
@@ -385,17 +384,17 @@ class _Link(Protocol):
 
 
 class _InprocessLink:
-    """The in-process link: shard futures answered in send order."""
+    """The in-process link: shard replies answered in send order."""
 
     def __init__(self, service: COPService) -> None:
         self._service = service
-        self._futures: "Deque[Future[Response]]" = deque()
+        self._replies: Deque[Reply] = deque()
 
     def send(self, request: Request) -> None:
-        self._futures.append(self._service.submit(request))
+        self._replies.append(self._service.submit(request))
 
     def recv(self) -> Response:
-        return self._futures.popleft().result()
+        return self._replies.popleft().result()
 
     def reconnect(self) -> None:
         """Never called: an in-process link does not drop."""

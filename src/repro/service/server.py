@@ -9,7 +9,7 @@ threaded TCP server speaking the newline-delimited JSON protocol of
 :mod:`repro.service.protocol`.
 
 Each client connection gets a reader (the handler thread) and a writer
-thread joined by an in-order future queue, so clients may pipeline many
+thread joined by an in-order queue of replies, so clients may pipeline many
 requests on one socket — responses always come back in request order,
 while the shards batch whatever is in flight.
 
@@ -21,7 +21,7 @@ Resilience (docs/service.md, "Resilience"):
   its queue.
 * A peer that drops mid-pipeline increments ``service.server.conn_drops``
   and releases the writer thread promptly (no traceback, no waiting on
-  futures whose responses can no longer be delivered).
+  replies whose responses can no longer be delivered).
 * The retry building blocks, which the loadgen driver applies over
   :class:`ServiceClient` or in process: a ``RetryPolicy`` with deterministic seeded-jitter exponential backoff
   (:func:`repro.experiments.resilience.backoff_delay`) and the
@@ -37,7 +37,6 @@ import queue
 import socket
 import socketserver
 import threading
-from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Optional, Tuple
 
@@ -51,6 +50,7 @@ from repro.service.protocol import (
     Status,
 )
 from repro.service.shard import (
+    Reply,
     ServiceConfig,
     Shard,
     route_request,
@@ -173,15 +173,13 @@ class COPService:
         """Home shard of a request (deterministic across processes)."""
         return route_request(request, self.config.shards)
 
-    def submit(self, request: Request) -> "Future[Response]":
+    def submit(self, request: Request) -> Reply:
         if request.op in ("stats", "health"):
-            done: "Future[Response]" = Future()
-            done.set_result(
+            return Reply(
                 self.stats_response(request)
                 if request.op == "stats"
                 else self.health_response(request)
             )
-            return done
         return self.shards[self.route(request)].submit(request)
 
     def call(self, request: Request) -> Response:
@@ -236,7 +234,7 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:
         conn_id = self.server.next_conn_id()
-        pending: "queue.Queue[Optional[Future[Response]]]" = queue.Queue()
+        pending: "queue.Queue[Optional[Reply]]" = queue.Queue()
         writer = threading.Thread(
             target=self._write_loop, args=(pending, conn_id), daemon=True
         )
@@ -255,20 +253,16 @@ class _Handler(socketserver.StreamRequestHandler):
             pending.put(None)
             writer.join()
 
-    def _submit_line(self, line: str) -> "Future[Response]":
+    def _submit_line(self, line: str) -> Reply:
         try:
             request = Request.from_json(line)
         except ProtocolError as exc:
-            done: "Future[Response]" = Future()
-            done.set_result(
-                Response(id=0, status=Status.BAD_REQUEST, error=str(exc))
-            )
-            return done
+            return Reply(Response(id=0, status=Status.BAD_REQUEST, error=str(exc)))
         return self.server.service.submit(request)
 
     def _write_loop(
         self,
-        pending: "queue.Queue[Optional[Future[Response]]]",
+        pending: "queue.Queue[Optional[Reply]]",
         conn_id: int,
     ) -> None:
         chaos = self.server.service.config.chaos
@@ -276,15 +270,15 @@ class _Handler(socketserver.StreamRequestHandler):
         response_seq = 0
         broken = False
         while True:
-            future = pending.get()
-            if future is None:
+            reply = pending.get()
+            if reply is None:
                 return
             if broken:
                 # Peer is gone: drain the queue without waiting on the
-                # futures so this thread exits as soon as the reader does,
+                # replies so this thread exits as soon as the reader does,
                 # instead of idling until every in-flight op completes.
                 continue
-            response = future.result()
+            response = reply.result()
             try:
                 self.wfile.write(response.to_json().encode("utf-8") + b"\n")
             except (OSError, ValueError):

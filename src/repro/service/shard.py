@@ -33,11 +33,11 @@ Resilience (docs/service.md, "Resilience")
 
 With ``wal_dir`` set, every *accepted* write is framed into a per-shard
 :class:`~repro.service.wal.ShardWAL` and group-committed (append + fdatasync)
-once per drained batch **before** any future in the batch resolves, so
+once per drained batch **before** any reply in the batch is answered, so
 an acknowledged write is durable by construction.  A worker that dies
 (a bug, or injected :class:`~repro.service.chaos.ChaosWorkerKill`) flags
 itself; the :class:`~repro.service.supervisor.Supervisor` then calls
-:meth:`Shard.recover`, which answers all queued/in-flight futures with
+:meth:`Shard.recover`, which answers all queued/in-flight replies with
 ``Status.RETRYABLE`` (none of them committed), rebuilds the
 ``ProtectedMemory`` by replaying the WAL's last-write-per-address, and
 restarts the worker.  Requests arriving mid-recovery are answered
@@ -61,7 +61,6 @@ import threading
 import time
 import zlib
 from collections import deque
-from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
@@ -87,6 +86,7 @@ from repro.service.protocol import (
 from repro.service.wal import ShardWAL
 
 __all__ = [
+    "Reply",
     "ServiceConfig",
     "Shard",
     "route_request",
@@ -203,13 +203,58 @@ class _Stop:
 _STOP = _Stop()
 
 
-@dataclass
-class _Work:
-    """One queued request plus its completion plumbing."""
+class Reply:
+    """One request's answer: set once, then read by any number of waiters.
 
-    request: Request
-    future: "Future[Response]"
-    enqueue_ns: int
+    The lock is acquired when the reply is made and released by
+    :meth:`set_result`, so a waiter parks in one ``acquire`` and wakes as
+    soon as the answer lands.  A queued request's work item is itself
+    its reply, so a request costs one object.  Answers come from one
+    thread at a time — the shard worker, or the thread that stops or
+    recovers the shard after joining it — so the unlocked check in
+    :meth:`set_result` is enough to ignore a second answer.
+    """
+
+    __slots__ = ("_lock", "_response")
+
+    def __init__(self, response: Optional[Response] = None) -> None:
+        self._response = response
+        self._lock = threading.Lock()
+        if response is None:
+            self._lock.acquire()
+
+    def done(self) -> bool:
+        """True once an answer is set."""
+        return self._response is not None
+
+    def set_result(self, response: Response) -> None:
+        """Answer the request and wake its waiters; a second answer is ignored."""
+        if self._response is None:
+            self._response = response
+            self._lock.release()
+
+    def result(self, timeout: Optional[float] = None) -> Response:
+        """The answer, waiting up to ``timeout`` seconds (``None``: forever)."""
+        response = self._response
+        if response is None:
+            wait = -1.0 if timeout is None else timeout
+            if not self._lock.acquire(timeout=wait):
+                raise TimeoutError(f"no answer within {timeout} s")
+            self._lock.release()
+            response = self._response
+            assert response is not None
+        return response
+
+
+class _Work(Reply):
+    """One queued request; the work item is also the caller's reply."""
+
+    __slots__ = ("request", "enqueue_ns")
+
+    def __init__(self, request: Request, enqueue_ns: int) -> None:
+        Reply.__init__(self)
+        self.request = request
+        self.enqueue_ns = enqueue_ns
 
 
 class Shard:
@@ -341,33 +386,30 @@ class Shard:
 
     # -- submission (caller threads) -----------------------------------------
 
-    def submit(self, request: Request) -> "Future[Response]":
-        """Enqueue a request; the future resolves when the worker answers."""
-        future: "Future[Response]" = Future()
+    def submit(self, request: Request) -> Reply:
+        """Enqueue a request; the reply is answered when the worker is done."""
         if self._stopping:
-            future.set_result(
+            return Reply(
                 Response(id=request.id, status=Status.SHUTDOWN, error="stopping")
             )
-            return future
         if self._crashed or self._recovering:
             with self._reject_lock:
                 self._c_retryable.inc()
-            future.set_result(
+            return Reply(
                 Response(
                     id=request.id,
                     status=Status.RETRYABLE,
                     error=f"shard {self.index} is recovering; retry",
                 )
             )
-            return future
-        work = _Work(request=request, future=future, enqueue_ns=now_ns())
+        work = _Work(request, now_ns())
         if self.config.admission == "reject":
             try:
                 self._queue.put_nowait(work)
             except queue.Full:
                 with self._reject_lock:
                     self._c_rejected.inc()
-                future.set_result(
+                work.set_result(
                     Response(
                         id=request.id,
                         status=Status.BUSY,
@@ -376,7 +418,7 @@ class Shard:
                 )
         else:
             self._queue.put(work)
-        return future
+        return work
 
     def call(self, request: Request) -> Response:
         """Submit and wait."""
@@ -404,7 +446,7 @@ class Shard:
 
         Sequence: reap the dead thread, drop uncommitted WAL appends
         (they were never acknowledged), answer every queued/in-flight
-        future ``RETRYABLE`` (none of it committed), rebuild the
+        reply ``RETRYABLE`` (none of it committed), rebuild the
         ``ProtectedMemory`` by replaying the journal's
         last-write-per-address, restart the worker, re-admit traffic.
         """
@@ -468,7 +510,7 @@ class Shard:
             self.memory.codec = old_codec
 
     def _fail_pending(self, status: Status, error: str) -> int:
-        """Resolve every queued and in-flight future with a typed status."""
+        """Answer every queued and in-flight reply with a typed status."""
         with self._state_lock:
             inflight, self._inflight = self._inflight, []
         sentinels = 0
@@ -487,8 +529,8 @@ class Shard:
             self._queue.put_nowait(_STOP)
         failed = 0
         for item in inflight + drained:
-            if not item.future.done():
-                item.future.set_result(
+            if not item.done():
+                item.set_result(
                     Response(id=item.request.id, status=status, error=error)
                 )
                 failed += 1
@@ -588,9 +630,9 @@ class Shard:
             raise RuntimeError("shard worker is running; use submit()")
         out: List[Response] = []
         for request in requests:
-            work = _Work(request=request, future=Future(), enqueue_ns=now_ns())
+            work = _Work(request, now_ns())
             self._process([work])
-            out.append(work.future.result())
+            out.append(work.result())
         return out
 
     def _process(self, batch: List[_Work]) -> None:
@@ -687,8 +729,7 @@ class Shard:
             self.registry.inc(
                 f"{self.prefix}.tenant.{item.request.tenant}.requests"
             )
-        if not item.future.done():
-            item.future.set_result(response)
+        item.set_result(response)
 
     def _remember(self, request: Request, response: Response) -> None:
         cache = self._responses

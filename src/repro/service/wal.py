@@ -2,7 +2,7 @@
 
 Each shard appends one ``COPW1``-framed JSONL record per *accepted*
 write and group-commits (append + fdatasync) once per drained batch, before
-any future in that batch resolves.  Acknowledged writes are therefore
+any reply in that batch is answered.  Acknowledged writes are therefore
 durable: after a worker crash — or a whole-process restart — replaying
 the journal rebuilds the shard's stored contents byte-identically,
 because COP-mode writes are pure per-address functions of content.

@@ -4,7 +4,8 @@
 skips a name that no longer resolves, so a rename would move that layer's
 time into the engine's self time without failing anything.  This test
 loads the tracer from its file (it is never edited or wrapped here) and
-checks that the layers the Fig. 11 sweep spends its time in still resolve.
+checks that the layers the Fig. 11 sweep and the service bursts spend
+their time in still resolve.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 #: Absent targets the tracer's list named when this bound was set.
 MAX_ABSENT = 9
 
-#: ``(module, qualname)`` of each layer boundary of the simulator.
+#: ``(module, qualname)`` of each layer boundary of the simulator and the
+#: service.
 HOT = (
     ("repro.cache.cache", "SetAssocCache.lookup"),
     ("repro.cache.cache", "SetAssocCache.insert"),
@@ -30,6 +32,14 @@ HOT = (
     ("repro.memory.dram", "DRAMSystem.service_wave"),
     ("repro.experiments.runner", "run_benchmark"),
     ("repro.experiments.runner", "run_jobs"),
+    ("repro.service.server", "COPService.submit"),
+    ("repro.service.wal", "ShardWAL.append"),
+    ("repro.service.wal", "ShardWAL.commit"),
+    *(
+        ("repro.service.protocol", f"{cls}.{name}")
+        for cls in ("Request", "Response")
+        for name in ("to_json", "from_json")
+    ),
 )
 
 

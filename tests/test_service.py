@@ -1,15 +1,17 @@
 """Tests for the COP service daemon (repro.service).
 
 Covers the wire protocol, deterministic routing, single-op semantics
-with typed error statuses, backpressure, clean shutdown, the TCP front
-end, and — the heart of the PR — the concurrency parity suite: N client
-threads against the sharded daemon must produce byte-identical contents,
+with typed error statuses, the one-shot reply each request is answered
+through, backpressure, clean shutdown, the TCP front end, and — the
+heart of the suite — the concurrency parity suite: N client threads
+against the sharded daemon must produce byte-identical contents,
 controller stats and memo counters to a serial replay.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -19,8 +21,10 @@ from repro.service import (
     COPService,
     LoadgenConfig,
     ProtocolError,
+    Reply,
     Request,
     Response,
+    ServiceChaosConfig,
     ServiceClient,
     ServiceConfig,
     ServiceServer,
@@ -197,6 +201,68 @@ class TestSingleOps:
         assert response.status is Status.OK
         assert response.payload["controller"]["writes"] == 1
         assert response.payload["shards"] == 2
+
+
+class TestReply:
+    def test_answer_from_another_thread_wakes_a_blocked_result(self):
+        reply = Reply()
+        got = []
+        waiter = threading.Thread(target=lambda: got.append(reply.result()))
+        waiter.start()
+        time.sleep(0.05)  # let the waiter park in result()
+        assert got == []
+        reply.set_result(Response(id=3, status=Status.OK))
+        waiter.join(timeout=5)
+        assert not waiter.is_alive()
+        assert got == [Response(id=3, status=Status.OK)]
+
+    def test_result_times_out_when_unanswered(self):
+        reply = Reply()
+        with pytest.raises(TimeoutError):
+            reply.result(timeout=0.01)
+        with pytest.raises(TimeoutError):
+            reply.result(timeout=0)
+        # A timed-out wait leaves the reply answerable.
+        reply.set_result(Response(id=1, status=Status.OK))
+        assert reply.result(timeout=0).status is Status.OK
+
+    def test_done_only_after_the_answer(self):
+        reply = Reply()
+        assert not reply.done()
+        reply.set_result(Response(id=1, status=Status.OK))
+        assert reply.done()
+        assert Reply(Response(id=2, status=Status.BUSY)).done()
+
+    def test_second_answer_never_replaces_the_first(self):
+        reply = Reply()
+        first = Response(id=1, status=Status.OK)
+        reply.set_result(first)
+        reply.set_result(Response(id=1, status=Status.SHUTDOWN, error="late"))
+        assert reply.result() is first
+        assert reply.result(timeout=1) is first
+
+    def test_stop_answers_queued_and_in_flight_replies_shutdown(self):
+        # Every op kills the worker, so the first drained batch stays in
+        # flight and the rest stays queued until stop() answers both.
+        config = ServiceConfig(
+            shards=1,
+            batch_max=2,
+            supervise=False,
+            chaos=ServiceChaosConfig(worker_kill=1.0),
+        )
+        shard = Shard(0, config)
+        replies = [shard.submit(Request("ping", id=i)) for i in range(5)]
+        shard.start()
+        deadline = time.monotonic() + 5
+        while not shard.needs_recovery() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert shard.needs_recovery()
+        assert len(shard._inflight) == 2
+        assert shard.health()["queue_depth"] == 3
+        assert not any(reply.done() for reply in replies)
+        shard.stop()
+        statuses = [reply.result(timeout=1).status for reply in replies]
+        assert statuses == [Status.SHUTDOWN] * 5
 
 
 class TestBackpressureAndShutdown:
