@@ -156,16 +156,18 @@ service-smoke:
 # Self-healing gate: the same verified loadgen burst with service-layer
 # chaos injected (worker kills, connection drops, delays) and the durable
 # WAL on, once over a real TCP server and once in-process, so the shared
-# tenant driver is exercised on both transports.  Each run must survive
-# at least one supervised shard restart and STILL replay byte-identical
-# against the clean serial schedule (final responses + stored contents;
-# docs/service.md, "Resilience").  Budgeted well under a minute.
+# tenant driver is exercised on both transports; the in-process leg also
+# sheds on a 3 ms deadline, so kills land on batches holding shed replies.
+# Each run must survive at least one in-place shard recovery and STILL
+# replay byte-identical against the clean serial schedule (final
+# responses + stored contents; docs/service.md, "Resilience").  Budgeted
+# well under a minute.
 CHAOS_SMOKE_CHECK = PYTHONPATH=src $(PYTHON) -c "import json, sys; \
 	rep = json.load(open(sys.argv[1] + '/service_loadgen.json')); \
 	res = rep['resilience']; \
 	assert rep['parity'] and rep['parity']['verified'], 'parity not verified'; \
 	assert not rep['parity']['strict'], 'chaos run should verify non-strict'; \
-	assert res['restarts'] >= 1, f'no supervised restart happened: {res}'; \
+	assert res['restarts'] >= 1, f'no shard recovery happened: {res}'; \
 	assert res['wal_records'] >= 1, f'WAL recorded nothing: {res}'; \
 	print(f\"service-chaos-smoke ({rep['transport']}): {res['restarts']} \" \
 	      f\"restarts, {res['reconnects']} reconnects, {res['wal_replayed']} \" \
@@ -184,7 +186,7 @@ service-chaos-smoke:
 	rm -rf /tmp/cop-chaos-smoke-inproc /tmp/cop-chaos-smoke-inproc-wal
 	REPRO_RESULTS_DIR=/tmp/cop-chaos-smoke-inproc PYTHONPATH=src \
 		REPRO_CHAOS="$(CHAOS_SMOKE_SPEC)" \
-		$(PYTHON) -m repro.experiments.cli loadgen \
+		$(PYTHON) -m repro.experiments.cli loadgen --deadline-ms 3 \
 		$(CHAOS_SMOKE_ARGS) --wal-dir /tmp/cop-chaos-smoke-inproc-wal
 	@$(CHAOS_SMOKE_CHECK) /tmp/cop-chaos-smoke-inproc
 

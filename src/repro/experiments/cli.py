@@ -534,7 +534,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="DIR",
         default=None,
         help="[serve/loadgen] journal acknowledged writes to per-shard "
-        "write-ahead logs under DIR so supervisor recovery replays them "
+        "write-ahead logs under DIR so crash recovery replays them "
         "(required for loadgen parity under worker-kill chaos; stale "
         "WALs in DIR are replayed on startup, so point fresh runs at a "
         "fresh directory)",

@@ -9,8 +9,8 @@ and share one WAL group commit, and serves clients over
 newline-delimited JSON on TCP.
 
 The service is self-healing: each shard journals acknowledged writes to
-an append-only write-ahead log, a :class:`~repro.service.supervisor.Supervisor`
-replays the WAL and restarts workers that die, clients retry with
+an append-only write-ahead log, a worker that dies replays its WAL and
+resumes serving on its own thread, clients retry with
 deterministic seeded backoff, and ``REPRO_CHAOS`` can inject
 service-layer faults (worker kills, delays, connection drops) to prove
 all of it under load.
@@ -18,7 +18,6 @@ all of it under load.
 * :mod:`repro.service.protocol` — requests, typed response statuses, wire format
 * :mod:`repro.service.shard` — single-owner shard workers + micro-batch drain
 * :mod:`repro.service.wal` — per-shard durable write-ahead log (COPW1)
-* :mod:`repro.service.supervisor` — crash detection + recovery loop
 * :mod:`repro.service.chaos` — deterministic service-layer fault injection
 * :mod:`repro.service.server` — in-process facade, TCP front end, client
 * :mod:`repro.service.loadgen` — deterministic mixed-tenant load + parity check
@@ -46,7 +45,6 @@ from repro.service.shard import (
     shard_of_addr,
     shard_of_data,
 )
-from repro.service.supervisor import Supervisor
 from repro.service.wal import ShardWAL, WalRecord
 
 __all__ = [
@@ -66,7 +64,6 @@ __all__ = [
     "Shard",
     "ShardWAL",
     "Status",
-    "Supervisor",
     "WalRecord",
     "parse_host_port",
     "retry_safe",

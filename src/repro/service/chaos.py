@@ -6,7 +6,7 @@ kills and hangs *worker processes*; this module injects faults inside the
 
 ``worker-kill:p``   raise :class:`ChaosWorkerKill` inside the shard worker
                     loop with probability ``p`` per executed operation —
-                    the supervisor must recover the shard from its WAL.
+                    the worker must recover its shard from the WAL.
 ``delay:p:ms``      sleep ``ms`` milliseconds before executing an
                     operation with probability ``p`` (queueing pressure,
                     deadline misses).

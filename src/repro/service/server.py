@@ -15,10 +15,9 @@ while the shards batch whatever is in flight.
 
 Resilience (docs/service.md, "Resilience"):
 
-* ``config.supervise`` (default on) runs a
-  :class:`~repro.service.supervisor.Supervisor` beside the shards, so a
-  dead worker is WAL-replayed and restarted instead of silently eating
-  its queue.
+* ``config.supervise`` (default on) has each shard worker whose loop
+  raises recover in place — WAL replay, then back to serving — instead
+  of silently eating its queue.
 * A peer that drops mid-pipeline increments ``service.server.conn_drops``
   and releases the writer thread promptly (no traceback, no waiting on
   replies whose responses can no longer be delivered).
@@ -55,7 +54,6 @@ from repro.service.shard import (
     Shard,
     route_request,
 )
-from repro.service.supervisor import Supervisor
 
 __all__ = [
     "COPService",
@@ -132,9 +130,6 @@ class COPService:
         self._c_chaos_drops = self.registry.counter(
             "service.server.chaos_conn_drops"
         )
-        self.supervisor: Optional[Supervisor] = (
-            Supervisor(self.shards) if self.config.supervise else None
-        )
         self._started = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -144,18 +139,10 @@ class COPService:
             raise RuntimeError("service already started")
         for shard in self.shards:
             shard.start()
-        if self.supervisor is not None:
-            self.supervisor.start()
         self._started = True
 
     def stop(self) -> None:
-        """Drain every shard queue and stop the workers (idempotent).
-
-        The supervisor stops first so a draining worker's planned exit is
-        not mistaken for a crash and "recovered" mid-shutdown.
-        """
-        if self.supervisor is not None and self._started:
-            self.supervisor.stop()
+        """Drain every shard queue and stop the workers (idempotent)."""
         for shard in self.shards:
             shard.stop()
         self._started = False
@@ -216,7 +203,7 @@ class COPService:
         """Answer the ``health`` op: per-shard liveness/breaker/WAL state."""
         shard_health = [shard.health() for shard in self.shards]
         payload: Dict[str, Any] = {
-            "supervised": self.supervisor is not None,
+            "supervised": self.config.supervise,
             "conn_drops": self._c_conn_drops.value,
             "shards": shard_health,
             "restarts": sum(int(h["restarts"]) for h in shard_health),

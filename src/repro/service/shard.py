@@ -34,14 +34,13 @@ Resilience (docs/service.md, "Resilience")
 With ``wal_dir`` set, every *accepted* write is framed into a per-shard
 :class:`~repro.service.wal.ShardWAL` and group-committed (append + fdatasync)
 once per drained batch **before** any reply in the batch is answered, so
-an acknowledged write is durable by construction.  A worker that dies
-(a bug, or injected :class:`~repro.service.chaos.ChaosWorkerKill`) flags
-itself; the :class:`~repro.service.supervisor.Supervisor` then calls
-:meth:`Shard.recover`, which answers all queued/in-flight replies with
-``Status.RETRYABLE`` (none of them committed), rebuilds the
-``ProtectedMemory`` by replaying the WAL's last-write-per-address, and
-restarts the worker.  Requests arriving mid-recovery are answered
-``RETRYABLE`` immediately.
+an acknowledged write is durable by construction.  A worker whose loop
+raises (a bug, or injected :class:`~repro.service.chaos.ChaosWorkerKill`)
+recovers in place on its own thread when ``supervise`` is set: it answers
+all queued/in-flight replies with ``Status.RETRYABLE`` (none of them
+committed), rebuilds the ``ProtectedMemory`` by replaying the WAL's
+last-write-per-address, and re-enters its loop.  Requests arriving
+mid-recovery are answered ``RETRYABLE`` immediately.
 
 Three more shedding mechanisms keep the shard honest under pressure:
 requests whose ``deadline_ms`` elapsed in the queue are shed *before*
@@ -63,7 +62,7 @@ import zlib
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.core.config import COPConfig
 from repro.core.controller import (
@@ -107,6 +106,9 @@ _BREAKER_QUEUE_FRACTION = 0.9
 #: The breaker trips after this many consecutive INTERNAL errors.
 _BREAKER_TRIP_ERRORS = 8
 
+#: Seconds a worker waits before retrying a recovery that raised.
+_RECOVERY_RETRY_S = 0.25
+
 #: Exactly-once response-cache entries per shard.  The cache turns on
 #: automatically when the WAL or chaos is configured (client retries can
 #: then deliver duplicates); it requires globally unique request ids,
@@ -127,11 +129,11 @@ class ServiceConfig:
     #: ``block`` parks callers on a full queue; ``reject`` answers BUSY.
     admission: str = "block"
     #: Directory for per-shard write-ahead journals.  ``None`` disables
-    #: the WAL — supervisor restarts then recover an *empty* shard, so
+    #: the WAL — in-place recovery then rebuilds an *empty* shard, so
     #: set this whenever worker deaths are possible (chaos, production).
     wal_dir: Optional[str] = None
-    #: Have :class:`~repro.service.server.COPService` run a Supervisor so
-    #: dead shard workers are detected, WAL-replayed and restarted.
+    #: A worker whose loop raises recovers in place (WAL replay, then
+    #: back to serving).  Off, it stays down: submits answer RETRYABLE.
     supervise: bool = True
     #: Service-layer fault injection (``REPRO_CHAOS``; see
     #: :mod:`repro.service.chaos`).
@@ -210,9 +212,9 @@ class Reply:
     :meth:`set_result`, so a waiter parks in one ``acquire`` and wakes as
     soon as the answer lands.  A queued request's work item is itself
     its reply, so a request costs one object.  Answers come from one
-    thread at a time — the shard worker, or the thread that stops or
-    recovers the shard after joining it — so the unlocked check in
-    :meth:`set_result` is enough to ignore a second answer.
+    thread at a time — the shard worker (recovery included), or the
+    thread that stops the shard after joining it — so the unlocked check
+    in :meth:`set_result` is enough to ignore a second answer.
     """
 
     __slots__ = ("_lock", "_response")
@@ -275,12 +277,9 @@ class Shard:
             maxsize=config.queue_depth
         )
         self._stopping = False  # shared
-        self._crashed = False  # shared
+        self._crashed = False  # shared (unsupervised worker died)
         self._recovering = False  # shared
         self._thread: Optional[threading.Thread] = None
-        #: Supervisor nudge; set (under no lock: write-once before start)
-        #: via set_on_crash and called from the dying worker thread.
-        self._on_crash: Optional[Callable[[int], None]] = None  # shared
         #: Shard-lifetime op sequence — the chaos identity.  Never reset,
         #: even across recoveries: resetting would re-fire the same
         #: injected kill on the retried op forever.
@@ -302,8 +301,8 @@ class Shard:
             self._wal = ShardWAL(Path(config.wal_dir) / f"shard-{index:02d}.wal")
 
         # Worker-owned counters (single writer: the shard thread) except
-        # rejected_busy and retryable, which caller/supervisor threads
-        # bump under _reject_lock.
+        # rejected_busy and retryable, which caller threads also bump, so
+        # every writer holds _reject_lock.
         prefix = f"service.shard.{index}"
         self.prefix = prefix
         self._c_requests = self.registry.counter(f"{prefix}.requests")
@@ -361,25 +360,14 @@ class Shard:
     def stop(self) -> None:  # owner-thread: external
         """Finish queued work, then stop the worker (idempotent)."""
         self._stopping = True
-        if self._thread is None:
-            self._fail_pending(Status.SHUTDOWN, "stopping")
-            if self._wal is not None:
-                self._wal.close()
-            return
-        if self._crashed or not self._thread.is_alive():
-            # A dead worker can't drain its own queue; reap it and fail
-            # everything (queued and in-flight) with a typed status.
+        if self._thread is not None:
+            # A dead worker can't drain its own queue: only reap it.
+            if not self._crashed and self._thread.is_alive():
+                self._queue.put(_STOP)
             self._thread.join()
             self._thread = None
-            self._fail_pending(Status.SHUTDOWN, "stopping")
-            if self._wal is not None:
-                self._wal.close()
-            return
-        self._queue.put(_STOP)
-        self._thread.join()
-        self._thread = None
-        # A submitter racing stop() may have enqueued behind the sentinel
-        # after the worker exited; fail its work explicitly.
+        # Whatever is still queued or in flight (a dead worker's, or a
+        # submitter's that raced the sentinel) fails with a typed status.
         self._fail_pending(Status.SHUTDOWN, "stopping")
         if self._wal is not None:
             self._wal.close()
@@ -424,70 +412,7 @@ class Shard:
         """Submit and wait."""
         return self.submit(request).result()
 
-    # -- supervision hooks (supervisor thread) --------------------------------
-
-    def set_on_crash(self, callback: Optional[Callable[[int], None]]) -> None:
-        """Install the supervisor nudge; call before :meth:`start`."""
-        self._on_crash = callback
-
-    def needs_recovery(self) -> bool:  # owner-thread: external
-        """True when the worker died and :meth:`recover` should run."""
-        if self._stopping or self._recovering:
-            return False
-        if self._crashed:
-            return True
-        thread = self._thread
-        # Backstop for a death that never reached the crash handler: a
-        # started worker whose thread is no longer alive outside stop().
-        return thread is not None and not thread.is_alive()
-
-    def recover(self) -> None:  # owner-thread: external (supervisor)
-        """Rebuild from the WAL and restart the worker after a crash.
-
-        Sequence: reap the dead thread, drop uncommitted WAL appends
-        (they were never acknowledged), answer every queued/in-flight
-        reply ``RETRYABLE`` (none of it committed), rebuild the
-        ``ProtectedMemory`` by replaying the journal's
-        last-write-per-address, restart the worker, re-admit traffic.
-        """
-        if self._stopping:
-            return
-        t0 = now_ns()
-        self._recovering = True
-        try:
-            thread = self._thread
-            if thread is not None:
-                thread.join()
-            self._thread = None
-            self._crashed = False
-            if self._wal is not None:
-                self._wal.abort()
-            failed = self._fail_pending(
-                Status.RETRYABLE,
-                f"shard {self.index} worker restarted; safe to retry",
-            )
-            if failed:
-                with self._reject_lock:
-                    self._c_retryable.inc(failed)
-            self._rebuild_memory()
-            if self._wal is not None:
-                self._replay_wal(compact=True)
-            self._c_restarts.inc()
-            self._h_recovery.observe((now_ns() - t0) / 1000.0)
-            # Re-admit traffic before the visible restart: otherwise a
-            # client that observed restarts>=1 could still race a
-            # RETRYABLE answer out of the closing _recovering window.
-            self._recovering = False
-            self.start()
-        except Exception:
-            # Re-flag so needs_recovery() stays true and the supervisor's
-            # next poll retries; submit() keeps answering RETRYABLE.
-            self._crashed = True
-            raise
-        finally:
-            self._recovering = False
-
-    def _rebuild_memory(self) -> None:  # owner-thread: external (recovery)
+    def _rebuild_memory(self) -> None:
         old_codec = self.memory.codec
         self.memory = ProtectedMemory(
             mode=self.config.mode,
@@ -525,7 +450,7 @@ class Shard:
                 continue
             drained.append(item)
         for _ in range(sentinels):
-            # Preserve a racing stop()'s sentinel for the restarted worker.
+            # Preserve a racing stop()'s sentinel for the recovered worker.
             self._queue.put_nowait(_STOP)
         failed = 0
         for item in inflight + drained:
@@ -536,7 +461,7 @@ class Shard:
                 failed += 1
         return failed
 
-    def _replay_wal(self, compact: bool) -> int:  # owner-thread: external (recovery)
+    def _replay_wal(self, compact: bool) -> int:
         """Replay the journal's last-write-per-address into the memory."""
         assert self._wal is not None
         records = self._wal.load_records()
@@ -582,18 +507,62 @@ class Shard:
     # -- worker loop (shard thread) ------------------------------------------
 
     def _run(self) -> None:
-        try:
-            self._loop()
-        except Exception:
-            # A dead worker is an event, never a silent state: count it
-            # (REP006), flag for the supervisor, nudge it awake.  No
-            # re-raise — the stack is recorded by the restart counters,
-            # and a traceback per injected chaos kill would drown CI.
-            self._c_worker_crashes.inc()
-            self._crashed = True
-            notify = self._on_crash
-            if notify is not None:
-                notify(self.index)
+        while True:
+            try:
+                self._loop()
+                return
+            except Exception:
+                # A dead loop is an event, never a silent state: count it
+                # (REP006).  No re-raise — a traceback per injected chaos
+                # kill would drown CI.
+                self._c_worker_crashes.inc()
+            if not self.config.supervise:
+                self._crashed = True
+                return
+            if not self._recover():
+                return
+
+    def _recover(self) -> bool:
+        """Rebuild from the WAL on the worker's own thread after a crash.
+
+        Drop uncommitted WAL appends (they were never acknowledged),
+        answer every queued/in-flight reply ``RETRYABLE`` (none of it
+        committed), rebuild the ``ProtectedMemory`` by replaying the
+        journal's last-write-per-address, re-admit traffic.  A recovery
+        that raises is counted and retried; returns False (the worker
+        exits) once the shard is stopping.
+        """
+        t0 = now_ns()
+        self._recovering = True
+        while not self._stopping:
+            try:
+                if self._wal is not None:
+                    self._wal.abort()
+                failed = self._fail_pending(
+                    Status.RETRYABLE,
+                    f"shard {self.index} worker restarted; safe to retry",
+                )
+                if failed:
+                    with self._reject_lock:
+                        self._c_retryable.inc(failed)
+                self._rebuild_memory()
+                if self._wal is not None:
+                    self._replay_wal(compact=True)
+            except Exception:
+                # Counted, never silent (REP006); submit() keeps
+                # answering RETRYABLE until a retry succeeds.
+                self.registry.inc(f"{self.prefix}.recovery_errors")
+                time.sleep(_RECOVERY_RETRY_S)
+                continue
+            # Re-admit traffic before the visible restart: otherwise a
+            # client that observed restarts>=1 could still race a
+            # RETRYABLE answer out of the closing _recovering window.
+            self._recovering = False
+            self._c_restarts.inc()
+            self._h_recovery.observe((now_ns() - t0) / 1000.0)
+            return True
+        self._recovering = False
+        return False
 
     def _loop(self) -> None:
         while True:
@@ -660,7 +629,8 @@ class Shard:
                     kept.append(item)
             ready = kept
         with self._state_lock:
-            self._inflight = list(ready)
+            # The whole batch: a crash below must answer the shed items too.
+            self._inflight = batch
         chaos = self.config.chaos
         results: List[Tuple[_Work, Response]] = []
         for item in ready:

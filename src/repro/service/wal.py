@@ -26,10 +26,9 @@ Record format (one JSON object per line)::
     {"m": "COPW1", "seq": 17, "id": 12345, "addr": 4096,
      "data": "<128 hex chars>", "ck": "<crc32 of seq|id|addr|data, 8 hex>"}
 
-Threading: the owning shard worker appends/commits; the supervisor (or
-a cold-starting shard) loads/compacts while the worker is not running.
-The two never overlap — the supervisor only touches the WAL after the
-worker died and before it is restarted.
+Threading: the owning shard worker appends/commits, and loads/compacts
+when it recovers from a crash; a cold-starting shard loads/compacts
+before its worker starts.  The two phases never overlap.
 """
 
 from __future__ import annotations
@@ -100,8 +99,8 @@ def _decode(line: bytes) -> WalRecord:
 class ShardWAL:
     """Append-only group-committed journal of one shard's accepted writes."""
 
-    # owner-thread: external  (worker appends/commits; supervisor recovers;
-    # the shard lifecycle guarantees the two phases never overlap)
+    # owner-thread: external  (the shard worker appends, commits and
+    # recovers; a cold start loads before the worker starts)
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
@@ -162,13 +161,13 @@ class ShardWAL:
         self._buffer.clear()
         return count
 
-    # -- recovery path (supervisor / cold start) ------------------------------
+    # -- recovery path (crash recovery / cold start) --------------------------
 
     def load_records(self) -> List[WalRecord]:
         """Every durable record, in append order.
 
         A first call with nothing committed since opening returns what
-        the opening scan found; any other call (supervisor recovery)
+        the opening scan found; any other call (crash recovery)
         re-reads the file.
         """
         records, self._opened = self._opened, None

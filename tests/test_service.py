@@ -254,9 +254,9 @@ class TestReply:
         replies = [shard.submit(Request("ping", id=i)) for i in range(5)]
         shard.start()
         deadline = time.monotonic() + 5
-        while not shard.needs_recovery() and time.monotonic() < deadline:
+        while shard.health()["alive"] and time.monotonic() < deadline:
             time.sleep(0.005)
-        assert shard.needs_recovery()
+        assert not shard.health()["alive"]
         assert len(shard._inflight) == 2
         assert shard.health()["queue_depth"] == 3
         assert not any(reply.done() for reply in replies)
@@ -374,7 +374,7 @@ class TestConcurrencyParity:
 
     @pytest.mark.parametrize("with_server", [False, True], ids=["inprocess", "tcp"])
     def test_no_thread_outlives_its_run(self, with_server):
-        # Shard workers, supervisor, server and handler threads, tenant
+        # Shard workers, server and handler threads, tenant
         # drivers: every thread the run starts must be gone once it
         # returns (a short bounded join covers threads still unwinding).
         before = set(threading.enumerate())

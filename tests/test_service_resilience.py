@@ -2,7 +2,7 @@
 
 Covers the per-shard write-ahead log (framing, torn-tail repair,
 checksums, compaction, cold-start replay), the shared ``REPRO_CHAOS``
-grammar, supervisor-driven crash recovery (acked writes survive
+grammar, in-place crash recovery (acked writes survive
 byte-identically, in-flight work answers RETRYABLE), deadline shedding,
 the overload breaker, the exactly-once response cache, the loadgen
 driver's retry/replay rules over a scripted link, and end-to-end loadgen
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import socket
 import struct
+import threading
 import time
 
 import pytest
@@ -243,7 +244,7 @@ class TestChaosGrammar:
             Request.from_wire({"op": "read", "addr": 0, "deadline_ms": True})
 
 
-# -- supervised crash recovery ------------------------------------------------
+# -- in-place crash recovery --------------------------------------------------
 
 
 def _single_kill_chaos(phase1_ops: int, total_ops: int):
@@ -318,7 +319,7 @@ class TestSupervisedRecovery:
                 >= 1
                 and shard.health()["alive"]
                 and not shard.health()["recovering"]
-            ), "supervisor never restarted the shard"
+            ), "the worker never recovered the shard"
             # The client contract: re-send everything answered RETRYABLE.
             for rid, addr, data in retryable:
                 response = service.call(
@@ -359,6 +360,109 @@ class TestSupervisedRecovery:
             assert all(h["alive"] for h in payload["shards"])
         finally:
             service.stop()
+
+    def test_recovery_runs_in_place_on_the_worker_thread(self, tmp_path):
+        chaos, _ = _single_kill_chaos(0, 20)
+        config = ServiceConfig(
+            shards=1, wal_dir=str(tmp_path), supervise=True, chaos=chaos
+        )
+        shard = Shard(0, config)
+        shard.start()
+        thread = shard._thread
+        try:
+            for i in range(20):
+                shard.call(Request("ping", id=i))
+            assert _wait_until(lambda: shard.health()["restarts"] >= 1)
+            assert shard._thread is thread and thread.is_alive()
+            names = [t.name for t in threading.enumerate()]
+            assert "cop-supervisor" not in names
+            health = shard.health()
+            assert health["restarts"] == health["worker_crashes"] == 1
+            assert shard.call(Request("ping", id=99)).status is Status.OK
+        finally:
+            shard.stop()
+
+    def test_failed_recovery_is_counted_and_retried(self, tmp_path, monkeypatch):
+        phase1 = 6
+        chaos, _ = _single_kill_chaos(phase1, 40)
+        config = ServiceConfig(
+            shards=1, wal_dir=str(tmp_path), supervise=True, chaos=chaos
+        )
+        shard = Shard(0, config)
+        rebuild = shard._rebuild_memory
+        calls = []
+
+        def flaky_rebuild():
+            calls.append(1)
+            if len(calls) == 1:
+                raise OSError("injected recovery failure")
+            rebuild()
+
+        monkeypatch.setattr(shard, "_rebuild_memory", flaky_rebuild)
+        shard.start()
+        try:
+            acked = {}
+            for i in range(phase1):
+                addr, data = i * 64, _compressible(b"acked-%d" % i)
+                request = Request("write", id=i, addr=addr, data=data)
+                assert shard.call(request).status is Status.OK
+                acked[addr] = data
+            rid = 100
+            while shard.health()["worker_crashes"] == 0 and rid < 140:
+                shard.call(Request("ping", id=rid))
+                rid += 1
+            assert _wait_until(lambda: shard.health()["restarts"] >= 1)
+            errors = shard.registry.counter("service.shard.0.recovery_errors")
+            assert errors.value == 1 and len(calls) == 2
+            for addr, data in acked.items():
+                read = shard.call(Request("read", id=1000 + addr, addr=addr))
+                assert read.status is Status.OK and read.data == data
+        finally:
+            shard.stop()
+
+    def test_stop_during_a_failing_recovery_returns(self, monkeypatch):
+        config = ServiceConfig(
+            shards=1, supervise=True, chaos=ServiceChaosConfig(worker_kill=1.0)
+        )
+        shard = Shard(0, config)
+
+        def broken_rebuild():
+            raise OSError("recovery keeps failing")
+
+        monkeypatch.setattr(shard, "_rebuild_memory", broken_rebuild)
+        shard.start()
+        reply = shard.submit(Request("ping", id=1))
+        assert reply.result(timeout=5).status is Status.RETRYABLE
+        errors = shard.registry.counter("service.shard.0.recovery_errors")
+        assert _wait_until(lambda: errors.value >= 1)
+        assert shard.call(Request("ping", id=2)).status is Status.RETRYABLE
+        stopper = threading.Thread(target=shard.stop)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive(), "stop() hung on a failing recovery"
+        assert shard._thread is None
+
+    @pytest.mark.parametrize("supervise", [False, True])
+    def test_worker_death_answers_the_shed_replies_of_its_batch(self, supervise):
+        # The kill lands on the ready ping; the deadline-shed ping drained
+        # into the same batch must be answered too, not stranded.
+        config = ServiceConfig(
+            shards=1,
+            batch_max=2,
+            supervise=supervise,
+            chaos=ServiceChaosConfig(worker_kill=1.0),
+        )
+        shard = Shard(0, config)
+        shed = shard.submit(Request("ping", id=1, deadline_ms=0))
+        ready = shard.submit(Request("ping", id=2))
+        shard.start()
+        assert _wait_until(lambda: shard.health()["worker_crashes"] >= 1)
+        if not supervise:
+            shard.stop()  # a dead worker's replies are answered by stop()
+        statuses = [shed.result(timeout=1).status, ready.result(timeout=1).status]
+        shard.stop()
+        expected = Status.RETRYABLE if supervise else Status.SHUTDOWN
+        assert statuses == [expected, expected]
 
     def test_submit_during_recovery_is_retryable(self):
         shard = Shard(0, ServiceConfig(shards=1, supervise=False))
