@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench results report examples lint loc perf-check obs-smoke par-smoke chaos-smoke crash-points bench-gate trace-smoke service-smoke service-chaos-smoke clean
+.PHONY: install test bench results report headline-check examples lint loc perf-check obs-smoke par-smoke chaos-smoke crash-points bench-gate trace-smoke service-smoke service-chaos-smoke clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -19,6 +19,16 @@ results:
 
 report:
 	$(PYTHON) -m repro.experiments.cli report
+
+# Headline gate: every figure at SMALL scale into a fresh results dir,
+# then the scorecard, which exits 1 if any paper claim is out of
+# tolerance or its result is missing (see repro.experiments.report).
+headline-check:
+	rm -rf /tmp/cop-headline-results
+	REPRO_RESULTS_DIR=/tmp/cop-headline-results PYTHONPATH=src \
+		$(PYTHON) -m repro.experiments.cli all --scale small --jobs 2
+	REPRO_RESULTS_DIR=/tmp/cop-headline-results PYTHONPATH=src \
+		$(PYTHON) -m repro.experiments.cli report
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src $(PYTHON) $$f || exit 1; done

@@ -11,7 +11,7 @@ invariant that each code word carries exactly one byte of check bits, so a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.compression.base import BLOCK_BITS, BLOCK_BYTES
 from repro.ecc.hashmask import DEFAULT_HASH_SEED
@@ -41,25 +41,12 @@ class COPConfig:
     decompress_latency:
         Extra memory-read latency in CPU cycles charged by the performance
         model ("an additional decode/decompress latency of 4 cycles").
-    use_batch:
-        Route the controller's codec through the content-keyed memo cache
-        of :mod:`repro.kernels`.  Results are bit-for-bit identical to
-        the scalar reference codec (see docs/kernels.md).  The service
-        turns it on: its warm reads repeat contents and hit the memo.
-        The simulator leaves it off, because its codec calls do not
-        repeat: one SMALL Fig. 11 sweep makes 13,701 scalar
-        ``COPCodec.is_alias`` calls over 13,700 distinct contents, so a
-        memo there is pure cost.  13,506 of those calls go through the
-        controller's codec (13,302 from COP-ER's de-alias check in
-        ``ECCRegion.allocate``, 204 from ``ProtectedMemory.write``); the
-        other 195 come from the simulator's content oracle.
     """
 
     ecc_bytes: int = 4
     codeword_threshold: int = 3
     hash_seed: int = DEFAULT_HASH_SEED
     decompress_latency: int = 4
-    use_batch: bool = False
 
     def __post_init__(self) -> None:
         if BLOCK_BITS % max(self.ecc_bytes, 1) or self.ecc_bytes < 1:

@@ -194,6 +194,10 @@ class ProtectedMemory:
     block's classification instead of its bytes; the block is then stored
     without an image and reads of it return no data, with every counter,
     flag and ECC address exactly as if the bytes had been stored.
+
+    ``codec`` stands in for the :class:`COPCodec` built from ``config``;
+    the service passes each shard's :class:`~repro.kernels.MemoizedCodec`,
+    which COP-ER's entry formatter then shares.
     """
 
     def __init__(
@@ -203,6 +207,7 @@ class ProtectedMemory:
         capacity_bytes: int = 8 << 30,
         region_base: Optional[int] = None,
         obs=None,
+        codec: Optional[COPCodec] = None,
     ) -> None:
         from repro.obs import NULL_OBS
 
@@ -226,16 +231,7 @@ class ProtectedMemory:
             ProtectionMode.COP_ER,
             ProtectionMode.MEMZIP,
         ):
-            self.codec = COPCodec(self.config)
-            if self.config.use_batch:
-                # Content-keyed memo cache in front of the scalar codec —
-                # bit-for-bit identical results, hit/miss counters under
-                # kernels.memo.* (see docs/kernels.md).
-                from repro.kernels import MemoizedCodec
-
-                self.codec = MemoizedCodec(  # type: ignore[assignment]
-                    self.codec, metrics=self.obs.metrics
-                )
+            self.codec = codec if codec is not None else COPCodec(self.config)
         #: Addresses whose resident block is stored compressed.  For
         #: MemZip this is its explicit compression-tracking metadata; COP
         #: and COP-ER consult it only for a block stored without an image,

@@ -15,7 +15,9 @@ results are bit-identical to serial runs and cached under
     cop-experiments fig11 --no-cache     # force re-simulation
 
 Fault tolerance (see docs/resilience.md; also ``REPRO_TIMEOUT``,
-``REPRO_RETRIES`` and the test-only ``REPRO_CHAOS`` knobs)::
+``REPRO_RETRIES`` and the test-only ``REPRO_CHAOS`` knobs).  Every run
+option resolves flag > environment > default in one place,
+:func:`repro.experiments.runner.resolve`::
 
     cop-experiments all --scale full --jobs 8 --timeout 600 --retries 2
     cop-experiments all --scale full   # re-run a Ctrl-C'd sweep: finished
@@ -28,6 +30,11 @@ Observability::
         --trace-sample 0.01                        # + sampled event trace
     cop-experiments fig12 --trace /tmp/t.jsonl --jobs 4   # traced + parallel
     cop-experiments obs --metrics results/fig11.json --trace /tmp/t.jsonl
+
+Scorecard of the saved results against the paper's headline claims
+(exit 1 if a claim is out of tolerance or its result is missing)::
+
+    cop-experiments report
 
 Bench suites, diffed against the committed BENCH_<suite>.json
 baselines (see docs/perf-trajectory.md)::
@@ -277,23 +284,6 @@ def _run_loadgen_command(args) -> int:
     report.save(path)
     print(f"[saved {path}]")
     return 0
-
-
-def _call_experiment(fn, scale, workers=None, use_cache=None):
-    """Invoke a harness, forwarding runner options only where supported.
-
-    The simulation-matrix harnesses (Figs. 10-12, sweeps, mixes) accept
-    ``workers``/``use_cache``; the cheap analytic ones take just a scale.
-    """
-    import inspect
-
-    params = inspect.signature(fn).parameters
-    kwargs = {}
-    if "workers" in params:
-        kwargs["workers"] = workers
-    if "use_cache" in params:
-        kwargs["use_cache"] = use_cache
-    return fn(scale, **kwargs)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -575,8 +565,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.experiment == "report":
         from repro.experiments import report
 
-        report.main()
-        return 0
+        return report.main()
 
     if args.scale is not None:
         scale = Scale(args.scale)
@@ -589,9 +578,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.experiment == "bench":
         return _run_bench_command(args, scale)
 
-    from repro.experiments import resilience
+    from repro.experiments import runner
 
-    resilience.configure(
+    runner.configure(
+        workers=args.jobs,
+        use_cache=False if args.no_cache else None,
         timeout=args.timeout,
         retries=args.retries,
         fail_fast=True if args.fail_fast else None,
@@ -609,14 +600,8 @@ def main(argv: list[str] | None = None) -> int:
         set_obs(obs)
 
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    use_cache = False if args.no_cache else None
     for name in names:
-        table = _call_experiment(
-            EXPERIMENTS[name],
-            scale,
-            workers=args.jobs,
-            use_cache=use_cache,
-        )
+        table = EXPERIMENTS[name](scale)
         if obs is not None:
             table.metrics = obs.snapshot()
         print(table.to_text())

@@ -13,8 +13,6 @@ single-bit failure model, where every corrected upset is a removed failure.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.config import COPConfig
 from repro.core.controller import ProtectionMode
 from repro.experiments.common import ExperimentTable, Scale
@@ -26,11 +24,7 @@ __all__ = ["run", "main"]
 _COLUMNS = ("COP 8-byte", "COP 4-byte", "COP-ER 4-byte")
 
 
-def run(
-    scale: Scale = Scale.SMALL,
-    workers: Optional[int] = None,
-    use_cache: Optional[bool] = None,
-) -> ExperimentTable:
+def run(scale: Scale = Scale.SMALL) -> ExperimentTable:
     table = ExperimentTable(
         title="Figure 10: soft-error-rate reduction vs unprotected DRAM",
         columns=_COLUMNS,
@@ -47,7 +41,7 @@ def run(
         for name in MEMORY_INTENSIVE
         for mode, config in variants
     ]
-    results = run_jobs(jobs, workers=workers, use_cache=use_cache)
+    results = run_jobs(jobs)
     per_suite: dict[str, list[tuple[float, ...]]] = {}
     for bench_index, name in enumerate(MEMORY_INTENSIVE):
         row = tuple(

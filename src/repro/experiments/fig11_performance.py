@@ -10,8 +10,6 @@ writeback — trails COP-ER by ~8 %.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.controller import ProtectionMode
 from repro.experiments.common import ExperimentTable, Scale, geomean
 from repro.experiments.runner import SimJob, run_jobs
@@ -28,12 +26,7 @@ MODES = (
 )
 
 
-def run(
-    scale: Scale = Scale.SMALL,
-    cores: int = 4,
-    workers: Optional[int] = None,
-    use_cache: Optional[bool] = None,
-) -> ExperimentTable:
+def run(scale: Scale = Scale.SMALL, cores: int = 4) -> ExperimentTable:
     """Produce the Fig. 11 table."""
     table = ExperimentTable(
         title="Figure 11: IPC normalized to the unprotected configuration",
@@ -52,7 +45,7 @@ def run(
         for name in MEMORY_INTENSIVE
         for _, mode in MODES
     ]
-    results = run_jobs(jobs, workers=workers, use_cache=use_cache)
+    results = run_jobs(jobs)
     per_suite: dict[str, list[tuple[float, ...]]] = {}
     for bench_index, name in enumerate(MEMORY_INTENSIVE):
         ipcs = {

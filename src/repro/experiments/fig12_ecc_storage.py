@@ -11,8 +11,6 @@ footprint.  The paper reports an 80 % average reduction.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.controller import ProtectionMode
 from repro.core.coper import ECCRegion
 from repro.experiments.common import ExperimentTable, Scale
@@ -24,11 +22,7 @@ __all__ = ["run", "main"]
 _BASELINE_BYTES_PER_BLOCK = 2
 
 
-def run(
-    scale: Scale = Scale.SMALL,
-    workers: Optional[int] = None,
-    use_cache: Optional[bool] = None,
-) -> ExperimentTable:
+def run(scale: Scale = Scale.SMALL) -> ExperimentTable:
     table = ExperimentTable(
         title="Figure 12: ECC storage reduction of COP-ER vs the ECC-Region baseline",
         columns=("Reduction",),
@@ -43,7 +37,7 @@ def run(
         )
         for name in MEMORY_INTENSIVE
     ]
-    results = run_jobs(jobs, workers=workers, use_cache=use_cache)
+    results = run_jobs(jobs)
     reductions = []
     for name, result in zip(MEMORY_INTENSIVE, results):
         # Measure the ever-incompressible fraction on the simulated

@@ -11,8 +11,6 @@ multiprogrammed metric.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.controller import ProtectionMode
 from repro.experiments.common import ExperimentTable, Scale, geomean
 from repro.experiments.runner import SimJob, run_jobs
@@ -35,11 +33,7 @@ _MODES = (
 )
 
 
-def run(
-    scale: Scale = Scale.SMALL,
-    workers: Optional[int] = None,
-    use_cache: Optional[bool] = None,
-) -> ExperimentTable:
+def run(scale: Scale = Scale.SMALL) -> ExperimentTable:
     table = ExperimentTable(
         title="Multiprogrammed 4-core mixes: weighted speedup per scheme",
         columns=tuple(label for label, _ in _MODES) + ("COP SER red.",),
@@ -57,7 +51,7 @@ def run(
         for _, benchmarks in mixes
         for _, mode in _MODES
     ]
-    results = run_jobs(jobs, workers=workers, use_cache=use_cache)
+    results = run_jobs(jobs)
     for mix_index, (mix_name, _) in enumerate(mixes):
         base_ipcs = None
         speedups = {}

@@ -4,14 +4,14 @@
 under ``results/`` and emits a markdown scorecard against
 :mod:`repro.paper`'s claim registry — the automated version of
 EXPERIMENTS.md's headline table.  Experiments that have not been run are
-listed as missing rather than failed.
+listed as missing.  :func:`main` exits 1 when any headline is out of
+tolerance or missing, so ``make headline-check`` gates the claims.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Optional
 
 from repro.core.controller import ControllerStats
@@ -189,8 +189,8 @@ def _execution_health_section() -> list[str]:
     return lines
 
 
-def generate() -> str:
-    """The markdown scorecard."""
+def generate() -> tuple[str, bool]:
+    """The markdown scorecard, and whether every headline held."""
     lines = [
         "# Reproduction scorecard",
         "",
@@ -198,12 +198,14 @@ def generate() -> str:
         "|---|---|---|---|",
     ]
     missing = []
+    failed = False
     for check in HEADLINES:
         outcome = check.evaluate()
         if outcome is None:
             missing.append(check)
             continue
         measured, expected, ok = outcome
+        failed = failed or not ok
         lines.append(
             f"| {check.label} | {expected:g} | {measured:.4g} | "
             f"{'yes' if ok else 'NO'} |"
@@ -215,16 +217,18 @@ def generate() -> str:
             lines.append(f"* {check.label} (needs results/{check.source}.json)")
     lines.extend(_observability_section())
     lines.extend(_execution_health_section())
-    return "\n".join(lines)
+    return "\n".join(lines), not (failed or missing)
 
 
-def main() -> None:
-    report = generate()
+def main() -> int:
+    """Print and save the scorecard; 1 if a headline failed or is missing."""
+    report, ok = generate()
     print(report)
     path = results_dir() / "scorecard.md"
     path.write_text(report + "\n")
     print(f"\n[saved {path}]")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -23,13 +23,15 @@ an opt-in chaos hook (test/CI only)
     ``os._exit`` or stall, with every decision drawn from a generator
     seeded by ``(seed, job, attempt)`` — the harness-level twin of
     :mod:`repro.reliability.injection`, and just as reproducible.
+    :class:`ChaosConfig` is the one parser of ``REPRO_CHAOS`` for the
+    runner and the service (:mod:`repro.service.chaos`) alike.
 
-Knob resolution is explicit argument > :func:`configure` (the CLI's
-``--timeout/--retries/--fail-fast``) > environment
-(``REPRO_TIMEOUT``, ``REPRO_RETRIES``, ``REPRO_CHAOS``).  Invalid
-environment values warn once on stderr and are recorded in the obs
-snapshot (``runner.config.invalid_env.*``) instead of silently falling
-through.  See docs/resilience.md.
+Which timeout, retries, fail-fast and chaos a run uses is decided in
+:func:`repro.experiments.runner.resolve`, with the worker count and the
+cache policy.  Invalid environment values warn once on stderr and are
+recorded in the obs snapshot (``runner.config.invalid_env.*``) by
+:func:`invalid_env` instead of silently falling through.  See
+docs/resilience.md.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional, TypeVar
 
 from repro.obs import get_obs
 
@@ -54,11 +56,8 @@ __all__ = [
     "ResilienceConfig",
     "backoff_delay",
     "chaos_key",
-    "configure",
     "guarded_execute",
     "invalid_env",
-    "reset",
-    "resolve",
     "time_limit",
     "CHAOS_EXIT_CODE",
 ]
@@ -86,55 +85,82 @@ CHAOS_EXIT_CODE = 113
 # ---------------------------------------------------------------------------
 
 
+_C = TypeVar("_C", bound="ChaosConfig")
+
+#: Knobs that take one probability; ``delay:p:ms`` and ``seed:N`` are
+#: parsed on their own.
+_CHAOS_PROBABILITIES = ("crash", "hang", "worker-kill", "conn-drop")
+
+
 @dataclass(frozen=True)
 class ChaosConfig:
-    """Deterministic worker-fault injection (test/CI only).
+    """One ``REPRO_CHAOS`` spec: deterministic fault injection (test/CI only).
 
-    ``crash``/``hang`` are per-attempt probabilities; every decision is
-    drawn from ``random.Random(f"chaos|{seed}|{key}|{attempt}")`` so a
-    fixed seed reproduces the exact fault schedule run after run.
+    The runner injects ``crash``/``hang`` (per-attempt probabilities of a
+    worker ``os._exit`` or stall); every decision is drawn from
+    ``random.Random(f"chaos|{seed}|{key}|{attempt}")`` so a fixed seed
+    reproduces the exact fault schedule run after run.  The service
+    subclass :class:`repro.service.chaos.ServiceChaosConfig` injects
+    ``worker_kill``, ``delay_p``/``delay_ms`` and ``conn_drop`` from the
+    same spec, under the same ``seed``.
     """
 
     crash: float = 0.0
     hang: float = 0.0
+    worker_kill: float = 0.0
+    delay_p: float = 0.0
+    delay_ms: float = 0.0
+    conn_drop: float = 0.0
     seed: int = 0
 
-    #: Service-layer knobs (repro.service.chaos) sharing the REPRO_CHAOS
-    #: grammar; the runner parser skips them, the service parser skips
-    #: crash/hang — one spec can fault both layers at once.
-    SERVICE_KNOBS = ("worker-kill", "delay", "conn-drop")
+    def __post_init__(self) -> None:
+        for name in ("crash", "hang", "worker_kill", "delay_p", "conn_drop"):
+            p = float(getattr(self, name))
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"{name} must be a probability, got {p}")
+        if self.delay_ms < 0:
+            raise ValueError("delay_ms must be non-negative")
+
+    @property
+    def active(self) -> bool:
+        """Whether the spec faults this harness (the runner: crash/hang)."""
+        return bool(self.crash or self.hang)
 
     @classmethod
-    def parse(cls, spec: str) -> Optional["ChaosConfig"]:
-        """Parse ``"crash:0.1,hang:0.05,seed:3"``; None for empty/invalid."""
-        spec = spec.strip()
-        if not spec:
+    def parse(cls: type[_C], spec: str) -> Optional[_C]:
+        """Parse ``"crash:0.1,worker-kill:0.01,delay:0.02:5,seed:3"``.
+
+        Knobs: ``crash``, ``hang``, ``worker-kill`` and ``conn-drop``
+        take a probability, ``delay:p:ms`` a probability and a pause,
+        ``seed:N`` the schedule seed.  A spec is valid or invalid as a
+        whole, whichever harness parses it: one unknown knob, malformed
+        token (an empty one included) or out-of-range value disables
+        chaos for both, warned once and counted in
+        ``runner.config.invalid_env.repro_chaos``.  Returns None for an
+        empty or invalid spec, and for a valid one that sets none of this
+        harness's knobs (:attr:`active`).
+        """
+        if not spec.strip():
             return None
-        crash, hang, seed = 0.0, 0.0, 0
-        for part in spec.split(","):
-            name, _, raw = part.partition(":")
-            name = name.strip().lower()
-            raw = raw.strip()
-            try:
-                if name == "crash":
-                    crash = float(raw)
-                elif name == "hang":
-                    hang = float(raw)
+        values: dict[str, Any] = {}
+        try:
+            for token in spec.split(","):
+                name, _, raw = token.partition(":")
+                name = name.strip().lower()
+                if name == "delay":
+                    p, _, ms = raw.partition(":")
+                    values["delay_p"], values["delay_ms"] = float(p), float(ms)
                 elif name == "seed":
-                    seed = int(raw)
-                elif name in cls.SERVICE_KNOBS:
-                    continue
+                    values["seed"] = int(raw)
+                elif name in _CHAOS_PROBABILITIES:
+                    values[name.replace("-", "_")] = float(raw)
                 else:
                     raise ValueError(f"unknown chaos knob {name!r}")
-            except ValueError:
-                invalid_env("REPRO_CHAOS", spec, "chaos injection disabled")
-                return None
-        if not 0.0 <= crash <= 1.0 or not 0.0 <= hang <= 1.0:
+            config = cls(**values)
+        except ValueError:
             invalid_env("REPRO_CHAOS", spec, "chaos injection disabled")
             return None
-        if crash == 0.0 and hang == 0.0:
-            return None
-        return cls(crash=crash, hang=hang, seed=seed)
+        return config if config.active else None
 
     def decide(self, key: str, attempt: int) -> Optional[str]:
         """``"crash"``, ``"hang"`` or None for this (job, attempt) pair."""
@@ -179,34 +205,7 @@ class ResilienceConfig:
     chaos: Optional[ChaosConfig] = None
 
 
-_configured: dict[str, Any] = {}
 _warned: set[str] = set()
-
-
-def configure(
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    fail_fast: Optional[bool] = None,
-    chaos: Optional[ChaosConfig] = None,
-) -> None:
-    """Set process-wide resilience defaults (the CLI's flags).
-
-    ``None`` leaves a knob untouched; :func:`reset` clears everything.
-    """
-    for name, value in (
-        ("timeout", timeout),
-        ("retries", retries),
-        ("fail_fast", fail_fast),
-        ("chaos", chaos),
-    ):
-        if value is not None:
-            _configured[name] = value
-
-
-def reset() -> None:
-    """Clear :func:`configure` state and warn-once latches (tests)."""
-    _configured.clear()
-    _warned.clear()
 
 
 def invalid_env(name: str, raw: str, action: str) -> None:
@@ -218,45 +217,6 @@ def invalid_env(name: str, raw: str, action: str) -> None:
     print(
         f"[resilience] ignoring invalid {name}={raw!r}; {action}",
         file=sys.stderr,
-    )
-
-
-def _env_float(name: str) -> Optional[float]:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        invalid_env(name, raw, "no timeout will be enforced")
-        return None
-    return value if value > 0 else None
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        invalid_env(name, raw, f"using {default} retries")
-        return default
-
-
-def resolve(explicit: Optional[ResilienceConfig] = None) -> ResilienceConfig:
-    """Policy resolution: explicit arg > :func:`configure` > environment."""
-    if explicit is not None:
-        return explicit
-    chaos = _configured.get("chaos")
-    if chaos is None:
-        chaos = ChaosConfig.parse(os.environ.get("REPRO_CHAOS", ""))
-    timeout = _configured.get("timeout", _env_float("REPRO_TIMEOUT"))
-    return ResilienceConfig(
-        timeout=timeout,
-        retries=_configured.get("retries", _env_int("REPRO_RETRIES", 0)),
-        fail_fast=_configured.get("fail_fast", False),
-        chaos=chaos,
     )
 
 

@@ -65,13 +65,14 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 from repro.core.config import COPConfig
 from repro.core.controller import ProtectedMemory, ProtectionMode
 from repro.experiments import resilience
 from repro.experiments.common import Scale, results_dir
 from repro.experiments.resilience import (
+    ChaosConfig,
     ChaosCrashError,
     JobFailedError,
     JobTimeoutError,
@@ -100,8 +101,7 @@ __all__ = [
     "run_jobs",
     "configure",
     "reset",
-    "resolve_workers",
-    "cache_enabled",
+    "resolve",
     "code_salt",
 ]
 
@@ -386,70 +386,100 @@ class ResultCache:
 
 
 # ---------------------------------------------------------------------------
-# worker-count / cache-policy resolution
+# run options: explicit argument > configure() > environment > default
 # ---------------------------------------------------------------------------
 
-_configured_workers: Optional[int] = None
-_configured_cache: Optional[bool] = None
+
+class _Option(NamedTuple):
+    """How one run option is read from the environment."""
+
+    #: Environment variable (None: the option has none).
+    env: Optional[str]
+    #: Raw variable text -> value; ValueError marks it invalid.
+    parse: Callable[[str], Any]
+    #: What an invalid variable falls back to (the warning's tail).
+    fallback: str
+    default: Any
+
+
+def _no_cache(raw: str) -> bool:
+    return raw.lower() not in ("1", "true", "yes", "on")
+
+
+_OPTIONS: dict[str, _Option] = {
+    "workers": _Option("REPRO_JOBS", int, "falling back to serial (1 worker)", 1),
+    "use_cache": _Option("REPRO_NO_CACHE", _no_cache, "", True),
+    "timeout": _Option("REPRO_TIMEOUT", float, "no timeout will be enforced", None),
+    "retries": _Option("REPRO_RETRIES", int, "using 0 retries", 0),
+    "fail_fast": _Option(None, bool, "", False),
+    "chaos": _Option("REPRO_CHAOS", ChaosConfig.parse, "", None),
+}
+
+_configured: dict[str, Any] = {}
 
 
 def configure(
-    workers: Optional[int] = None, use_cache: Optional[bool] = None
+    workers: Optional[int] = None,
+    use_cache: Optional[bool] = None,
+    timeout: Optional[float] = None,
+    retries: Optional[int] = None,
+    fail_fast: Optional[bool] = None,
 ) -> None:
-    """Set process-wide runner defaults (the CLI's --jobs / --no-cache).
+    """Set the process-wide run options (the CLI's flags).
 
-    ``None`` leaves a setting untouched; :func:`reset` clears both.
+    Each call replaces the previous one; ``None`` leaves an option to
+    the environment.
     """
-    global _configured_workers, _configured_cache
-    if workers is not None:
-        _configured_workers = workers
-    if use_cache is not None:
-        _configured_cache = use_cache
+    options = {
+        "workers": workers,
+        "use_cache": use_cache,
+        "timeout": timeout,
+        "retries": retries,
+        "fail_fast": fail_fast,
+    }
+    _configured.clear()
+    _configured.update(
+        (name, value) for name, value in options.items() if value is not None
+    )
 
 
 def reset() -> None:
-    """Clear :func:`configure` state and resilience defaults (tests)."""
-    global _configured_workers, _configured_cache
-    _configured_workers = None
-    _configured_cache = None
-    resilience.reset()
+    """Clear :func:`configure` state and the warn-once latches (tests)."""
+    _configured.clear()
+    resilience._warned.clear()
 
 
-def _env_truthy(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
+def resolve(name: str, explicit: Any = None) -> Any:
+    """One run option: explicit argument > :func:`configure` > environment.
 
-
-def resolve_workers(explicit: Optional[int] = None) -> int:
-    """Worker count: explicit arg > configure() > $REPRO_JOBS > 1 (serial).
-
-    An unparsable ``REPRO_JOBS`` warns once on stderr, is recorded in
-    the obs snapshot (``runner.config.invalid_env.repro_jobs``) and
-    falls back to serial — a typo'd environment must not crash (or
-    silently reshape) a long sweep.
+    ``name`` is one of ``workers``, ``use_cache``, ``timeout``,
+    ``retries``, ``fail_fast`` and ``chaos``.  The environment variable
+    (``REPRO_JOBS``, ``REPRO_NO_CACHE``, ``REPRO_TIMEOUT``,
+    ``REPRO_RETRIES``, ``REPRO_CHAOS``) is read only when nothing above
+    it is set.  An unparsable one warns once on stderr, is recorded in
+    the obs snapshot (``runner.config.invalid_env.<variable>``) and
+    falls back to the default — a typo'd environment must not crash (or
+    silently reshape) a long sweep.  Worker counts floor at 1, retries
+    at 0, and a non-positive timeout means none.
     """
-    if explicit is None:
-        explicit = _configured_workers
-    if explicit is None:
-        raw = os.environ.get("REPRO_JOBS", "").strip()
+    option = _OPTIONS[name]
+    value = explicit if explicit is not None else _configured.get(name)
+    if value is None and option.env is not None:
+        raw = os.environ.get(option.env, "").strip()
         if raw:
             try:
-                explicit = int(raw)
+                value = option.parse(raw)
             except ValueError:
-                resilience.invalid_env(
-                    "REPRO_JOBS", raw, "falling back to serial (1 worker)"
-                )
-                explicit = None
-    workers = explicit if explicit is not None else 1
-    return max(1, workers)
-
-
-def cache_enabled(explicit: Optional[bool] = None) -> bool:
-    """Cache policy: explicit arg > configure() > not $REPRO_NO_CACHE."""
-    if explicit is not None:
-        return explicit
-    if _configured_cache is not None:
-        return _configured_cache
-    return not _env_truthy("REPRO_NO_CACHE")
+                resilience.invalid_env(option.env, raw, option.fallback)
+    if value is None:
+        return option.default
+    if name == "workers":
+        return max(1, value)
+    if name == "retries":
+        return max(0, value)
+    if name == "timeout":
+        return value if value > 0 else None
+    return value
 
 
 def _fork_available() -> bool:
@@ -587,8 +617,15 @@ def run_jobs(
     """
     obs = obs if obs is not None else get_obs()
     collect_metrics = obs.metrics.enabled
-    workers = resolve_workers(workers)
-    cfg = resilience.resolve(resilience_config)
+    workers = resolve("workers", workers)
+    cfg = resilience_config
+    if cfg is None:
+        cfg = ResilienceConfig(
+            timeout=resolve("timeout"),
+            retries=resolve("retries"),
+            fail_fast=resolve("fail_fast"),
+            chaos=resolve("chaos"),
+        )
     tracing = obs.trace.enabled
     shard_spec: Optional[TraceShardSpec] = None
     if tracing:
@@ -603,7 +640,7 @@ def run_jobs(
             seed=obs.trace.seed,
         )
     if cache is None:
-        cache = ResultCache(enabled=cache_enabled(use_cache), obs=obs)
+        cache = ResultCache(enabled=resolve("use_cache", use_cache), obs=obs)
     elif use_cache is not None:
         cache = ResultCache(root=cache.root, enabled=use_cache, obs=obs)
     if cache.obs is NULL_OBS:

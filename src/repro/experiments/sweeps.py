@@ -13,8 +13,6 @@ Two knobs the evaluation pins that a skeptical reader would wiggle:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.config import COPConfig
 from repro.core.controller import ProtectionMode
 from repro.experiments.common import ExperimentTable, Scale
@@ -28,11 +26,7 @@ _FIT_RATES = (1000.0, 5000.0, 10000.0, 20000.0)
 _BENCH = "mcf"  # the most memory-bound benchmark: worst case for latency
 
 
-def latency_sweep(
-    scale: Scale = Scale.SMALL,
-    workers: Optional[int] = None,
-    use_cache: Optional[bool] = None,
-) -> ExperimentTable:
+def latency_sweep(scale: Scale = Scale.SMALL) -> ExperimentTable:
     table = ExperimentTable(
         title=f"Decompress-latency sensitivity ({_BENCH}, IPC vs unprotected)",
         columns=("Normalized IPC",),
@@ -58,7 +52,7 @@ def latency_sweep(
         )
         for cycles in _LATENCIES
     )
-    results = run_jobs(jobs, workers=workers, use_cache=use_cache)
+    results = run_jobs(jobs)
     base = results[0].perf.ipc
     for cycles, result in zip(_LATENCIES, results[1:]):
         table.add(f"{cycles} cycles", (result.perf.ipc / base,))
@@ -72,11 +66,7 @@ def latency_sweep(
     return table
 
 
-def fit_sweep(
-    scale: Scale = Scale.SMALL,
-    workers: Optional[int] = None,
-    use_cache: Optional[bool] = None,
-) -> ExperimentTable:
+def fit_sweep(scale: Scale = Scale.SMALL) -> ExperimentTable:
     table = ExperimentTable(
         title=f"Raw-FIT-rate sweep ({_BENCH}, consumed failures per run, scaled)",
         columns=("Unprotected", "COP", "COP-ER"),
@@ -86,7 +76,7 @@ def fit_sweep(
         SimJob(benchmark=_BENCH, mode=mode, scale=scale, cores=1)
         for mode in (ProtectionMode.COP, ProtectionMode.COP_ER)
     ]
-    results = run_jobs(jobs, workers=workers, use_cache=use_cache)
+    results = run_jobs(jobs)
     reports = {
         "cop": results[0].vulnerability,
         "coper": results[1].vulnerability,

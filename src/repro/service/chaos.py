@@ -13,10 +13,13 @@ kills and hangs *worker processes*; this module injects faults inside the
 ``conn-drop:p``     hard-close a client connection after writing a
                     response with probability ``p`` per response — the
                     client must reconnect and replay its window.
-``seed:N``          the schedule seed (shared with the runner grammar).
+``seed:N``          the schedule seed (shared with the runner's knobs).
 
-Both harnesses parse the same ``REPRO_CHAOS`` string and each ignores the
-other's knobs, so one spec can fault the runner and the service at once.
+Both harnesses parse ``REPRO_CHAOS`` with the one grammar of
+:meth:`repro.experiments.resilience.ChaosConfig.parse`, so a spec is
+valid or invalid for both, and one spec can fault the runner and the
+service at once.  A spec that sets only runner knobs (``crash``/``hang``)
+leaves the service chaos-free.
 
 Every decision is a pure function of ``(seed, fault kind, identity)``
 where the identity is the shard index plus the shard-lifetime operation
@@ -30,53 +33,22 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
 from typing import Optional
 
-from repro.obs import get_obs
+from repro.experiments.resilience import ChaosConfig
 
 __all__ = [
     "ChaosWorkerKill",
     "ServiceChaosConfig",
 ]
 
-#: Runner-side knobs (repro.experiments.resilience) we silently skip.
-_RUNNER_KNOBS = ("crash", "hang", "seed")
-
 
 class ChaosWorkerKill(Exception):
     """Injected shard-worker death (caught by nothing: the worker dies)."""
 
 
-def _invalid(spec: str, why: str) -> None:
-    # Count, warn once, and disable — a typo'd chaos spec must never make
-    # a run silently fault-free *and* unnoticed.
-    get_obs().metrics.inc("service.chaos.invalid_env")
-    import sys
-
-    print(
-        f"repro.service.chaos: ignoring REPRO_CHAOS={spec!r} ({why})",
-        file=sys.stderr,
-    )
-
-
-@dataclass(frozen=True)
-class ServiceChaosConfig:
-    """Parsed service-layer knobs of one ``REPRO_CHAOS`` spec."""
-
-    worker_kill: float = 0.0
-    delay_p: float = 0.0
-    delay_ms: float = 0.0
-    conn_drop: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("worker_kill", "delay_p", "conn_drop"):
-            p = float(getattr(self, name))
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be a probability, got {p}")
-        if self.delay_ms < 0:
-            raise ValueError("delay_ms must be non-negative")
+class ServiceChaosConfig(ChaosConfig):
+    """The service's knobs of one ``REPRO_CHAOS`` spec, and its decisions."""
 
     @property
     def active(self) -> bool:
@@ -93,59 +65,6 @@ class ServiceChaosConfig:
             parts.append(f"conn-drop:{self.conn_drop:g}")
         parts.append(f"seed:{self.seed}")
         return ",".join(parts)
-
-    # -- parsing --------------------------------------------------------------
-
-    @classmethod
-    def parse(cls, spec: str) -> Optional["ServiceChaosConfig"]:
-        """Parse a ``REPRO_CHAOS`` spec; ``None`` when no service knob set.
-
-        Runner knobs (``crash``/``hang``) are skipped, unknown or
-        malformed tokens disable service chaos entirely (counted via
-        ``service.chaos.invalid_env`` and warned on stderr).
-        """
-        text = spec.strip()
-        if not text:
-            return None
-        worker_kill = delay_p = delay_ms = conn_drop = 0.0
-        seed = 0
-        for token in text.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            name, _, raw = token.partition(":")
-            name = name.strip().lower()
-            try:
-                if name == "worker-kill":
-                    worker_kill = float(raw)
-                elif name == "delay":
-                    p_text, _, ms_text = raw.partition(":")
-                    delay_p = float(p_text)
-                    delay_ms = float(ms_text)
-                elif name == "conn-drop":
-                    conn_drop = float(raw)
-                elif name == "seed":
-                    seed = int(raw)
-                elif name in _RUNNER_KNOBS:
-                    continue
-                else:
-                    _invalid(spec, f"unknown knob {name!r}")
-                    return None
-            except ValueError:
-                _invalid(spec, f"malformed value in token {token!r}")
-                return None
-        try:
-            config = cls(
-                worker_kill=worker_kill,
-                delay_p=delay_p,
-                delay_ms=delay_ms,
-                conn_drop=conn_drop,
-                seed=seed,
-            )
-        except ValueError as exc:
-            _invalid(spec, str(exc))
-            return None
-        return config if config.active else None
 
     @classmethod
     def from_env(cls) -> Optional["ServiceChaosConfig"]:

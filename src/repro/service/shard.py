@@ -1,7 +1,8 @@
 """One shard of the COP service: a single-owner worker over a bounded queue.
 
-Each shard owns a :class:`~repro.core.controller.ProtectedMemory` (and,
-through it, a :class:`~repro.kernels.MemoizedCodec`) and a private
+Each shard owns a :class:`~repro.kernels.MemoizedCodec`, a
+:class:`~repro.core.controller.ProtectedMemory` built around it (and
+rebuilt around the same memo on recovery) and a private
 :class:`~repro.obs.metrics.MetricsRegistry`.  All controller state is
 touched by exactly one worker thread; callers only interact with the
 bounded request queue, so the controller itself needs no locking.
@@ -64,7 +65,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
-from repro.core.config import COPConfig
 from repro.core.controller import (
     BlockNotWrittenError,
     ProtectedMemory,
@@ -93,11 +93,6 @@ __all__ = [
     "shard_of_data",
 ]
 
-
-#: Every shard's codec config.  The memo is on because the service's warm
-#: reads repeat contents; the simulator's codec calls do not (see
-#: ``COPConfig.use_batch``).
-_COP_CONFIG = COPConfig.four_byte(use_batch=True)
 
 #: The breaker trips when queue depth reaches this fraction of
 #: ``ServiceConfig.queue_depth`` (resets at half the trip depth).
@@ -268,11 +263,13 @@ class Shard:
         self.index = index
         self.config = config
         self.registry = MetricsRegistry()
-        self.memory = ProtectedMemory(
-            mode=config.mode,
-            config=_COP_CONFIG,
-            obs=Observability(metrics=self.registry),
-        )
+        #: The shard's one codec, memoised because the service's warm
+        #: reads repeat contents (the simulator's codec calls do not; see
+        #: docs/kernels.md).  Every rebuilt memory keeps it: it caches
+        #: pure content -> image results, so kernels.memo.* counters stay
+        #: monotonic and replay stays fast.
+        self._codec = MemoizedCodec(metrics=self.registry)
+        self.memory = self._new_memory()
         self._queue: "queue.Queue[Union[_Work, _Stop]]" = queue.Queue(
             maxsize=config.queue_depth
         )
@@ -412,27 +409,20 @@ class Shard:
         """Submit and wait."""
         return self.submit(request).result()
 
-    def _rebuild_memory(self) -> None:
-        old_codec = self.memory.codec
-        self.memory = ProtectedMemory(
+    def _new_memory(self) -> ProtectedMemory:
+        return ProtectedMemory(
             mode=self.config.mode,
-            config=_COP_CONFIG,
             obs=Observability(metrics=self.registry),
+            codec=self._codec,  # type: ignore[arg-type]
         )
+
+    def _rebuild_memory(self) -> None:
+        self.memory = self._new_memory()
         # Exactly-once entries describe executions the rebuilt state no
         # longer reflects; duplicates of uncommitted ops must re-execute.
         if self._responses is not None:
             self._responses = {}
             self._response_order.clear()
-        if (
-            self.config.mode is ProtectionMode.COP
-            and isinstance(old_codec, MemoizedCodec)
-            and isinstance(self.memory.codec, MemoizedCodec)
-        ):
-            # Keep the warm memo across the rebuild: it caches pure
-            # content → image results, so reuse is safe, replay stays
-            # fast, and kernels.memo.* counters stay monotonic.
-            self.memory.codec = old_codec
 
     def _fail_pending(self, status: Status, error: str) -> int:
         """Answer every queued and in-flight reply with a typed status."""

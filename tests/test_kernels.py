@@ -268,23 +268,25 @@ class TestMemoizedCodec:
         with pytest.raises(ValueError):
             MemoizedCodec(max_entries=0)
 
-    def test_controller_use_batch_is_bit_identical(self):
+    def test_controller_memoized_codec_is_bit_identical(self):
         from repro.core.controller import ProtectedMemory, ProtectionMode
         from repro.experiments.common import sample_blocks
 
         blocks = sample_blocks("mcf", 120)
         results = []
-        for use_batch in (False, True):
-            config = COPConfig(use_batch=use_batch)
-            memory = ProtectedMemory(ProtectionMode.COP, config=config)
-            if use_batch:
-                assert isinstance(memory.codec, MemoizedCodec)
+        for codec in (None, MemoizedCodec()):
+            memory = ProtectedMemory(ProtectionMode.COP, codec=codec)
+            if codec is not None:
+                assert memory.codec is codec
             out = []
             for i, block in enumerate(blocks):
                 if memory.write(i * 64, block).accepted:
                     out.append(memory.read(i * 64).data)
             results.append((out, memory.stats.as_dict()))
         assert results[0] == results[1]
+        memo = MemoizedCodec()
+        coper = ProtectedMemory(ProtectionMode.COP_ER, codec=memo)
+        assert coper.formatter is not None and coper.formatter.codec is memo
 
 
 class TestPickleSafety:

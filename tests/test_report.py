@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.experiments.common import ExperimentTable, Scale
+from repro.experiments import report as report_module
 from repro.experiments.report import HEADLINES, generate
 
 
@@ -16,7 +17,8 @@ def _results_to_tmp(tmp_path, monkeypatch):
 
 class TestScorecard:
     def test_missing_results_reported(self):
-        report = generate()
+        report, ok = generate()
+        assert not ok
         assert "Missing results" in report
         for check in HEADLINES:
             assert check.label in report
@@ -26,7 +28,7 @@ class TestScorecard:
 
         table = fig04_msb_shift.run(Scale.SMOKE)
         table.save("fig4")
-        report = generate()
+        report, _ = generate()
         assert "| shifted-MSB gain (Fig. 4) |" in report
         # The row carries a verdict cell.
         line = next(
@@ -43,19 +45,38 @@ class TestScorecard:
         assert data["columns"] == ["a"]
 
     def test_execution_health_section(self, _results_to_tmp):
-        assert "Execution health" not in generate()  # clean repo: silent
+        assert "Execution health" not in generate()[0]  # clean repo: silent
         quarantine = _results_to_tmp / ".cache" / "quarantine"
         quarantine.mkdir(parents=True)
         (quarantine / "deadbeef.pkl").write_bytes(b"rotten")
-        report = generate()
+        report, _ = generate()
         assert "## Execution health" in report
         assert "deadbeef.pkl" in report
 
     def test_cli_report_subcommand(self, capsys):
         from repro.experiments import cli
 
-        assert cli.main(["report"]) == 0
+        assert cli.main(["report"]) == 1  # every result is missing
         assert "Reproduction scorecard" in capsys.readouterr().out
+
+    def test_claim_out_of_tolerance_fails_report(self, monkeypatch, capsys):
+        """One saved claim pushed past its tolerance makes `report` exit
+        1; the same table at the paper's value passes."""
+        from repro.experiments import cli
+        from repro.paper import claim
+
+        (check,) = [h for h in HEADLINES if h.source == "fig12"]
+        monkeypatch.setattr(report_module, "HEADLINES", (check,))
+        expected = claim(check.claim_key).value
+        for value, status in (
+            (expected, 0),
+            (expected + 2 * check.tolerance, 1),
+        ):
+            table = ExperimentTable("T", ("Reduction",))
+            table.add("Average", (value,))
+            table.save("fig12")
+            assert cli.main(["report"]) == status
+        assert "| NO |" in capsys.readouterr().out
 
 
 class TestMshrModel:

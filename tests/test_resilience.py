@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.controller import ProtectionMode
-from repro.experiments import resilience, runner
+from repro.experiments import runner
 from repro.experiments.common import Scale
 from repro.experiments.resilience import (
     ChaosConfig,
@@ -257,28 +257,33 @@ class TestTimeLimit:
 
 
 class TestResolve:
+    """The resilience options resolve in ``runner.resolve`` with the rest."""
+
     def test_defaults(self):
-        cfg = resilience.resolve()
-        assert cfg == ResilienceConfig()
-        assert cfg.timeout is None and cfg.retries == 0 and cfg.chaos is None
+        assert runner.resolve("timeout") is None
+        assert runner.resolve("retries") == 0
+        assert runner.resolve("fail_fast") is False
+        assert runner.resolve("chaos") is None
 
     def test_env_resolution(self, monkeypatch):
         monkeypatch.setenv("REPRO_TIMEOUT", "2.5")
         monkeypatch.setenv("REPRO_RETRIES", "3")
         monkeypatch.setenv("REPRO_CHAOS", "crash:0.5,seed:9")
-        cfg = resilience.resolve()
-        assert cfg.timeout == 2.5
-        assert cfg.retries == 3
-        assert cfg.chaos == ChaosConfig(crash=0.5, seed=9)
+        assert runner.resolve("timeout") == 2.5
+        assert runner.resolve("retries") == 3
+        assert runner.resolve("chaos") == ChaosConfig(crash=0.5, seed=9)
 
     def test_configure_beats_env_and_explicit_beats_both(self, monkeypatch):
         monkeypatch.setenv("REPRO_TIMEOUT", "2.5")
         monkeypatch.setenv("REPRO_RETRIES", "3")
-        resilience.configure(timeout=7.0, retries=1, fail_fast=True)
-        cfg = resilience.resolve()
-        assert (cfg.timeout, cfg.retries, cfg.fail_fast) == (7.0, 1, True)
-        explicit = ResilienceConfig(timeout=0.25)
-        assert resilience.resolve(explicit) is explicit
+        runner.configure(timeout=7.0, retries=1, fail_fast=True)
+        assert runner.resolve("timeout") == 7.0
+        assert runner.resolve("retries") == 1
+        assert runner.resolve("fail_fast") is True
+        assert runner.resolve("timeout", 0.25) == 0.25
+        runner.configure(retries=2)  # each call replaces the last
+        assert runner.resolve("timeout") == 2.5
+        assert runner.resolve("fail_fast") is False
 
     def test_invalid_env_warns_once_and_uses_defaults(
         self, monkeypatch, capsys
@@ -289,8 +294,8 @@ class TestResolve:
         set_obs(obs)
         try:
             for _ in range(2):
-                cfg = resilience.resolve()
-                assert cfg.timeout is None and cfg.retries == 0
+                assert runner.resolve("timeout") is None
+                assert runner.resolve("retries") == 0
         finally:
             set_obs(None)
         err = capsys.readouterr().err
@@ -300,9 +305,32 @@ class TestResolve:
         assert counters["runner.config.invalid_env.repro_timeout"] == 2
         assert counters["runner.config.invalid_env.repro_retries"] == 2
 
+    def test_overridden_invalid_env_is_never_read(self, monkeypatch, capsys):
+        """A flag that overrides a bad variable leaves it unread: no
+        warning, no count; the variable it does not override still
+        warns and counts."""
+        monkeypatch.setenv("REPRO_TIMEOUT", "abc")
+        monkeypatch.setenv("REPRO_RETRIES", "xyz")
+        runner.configure(timeout=5.0)
+        obs = Observability.create()
+        set_obs(obs)
+        try:
+            cfg_timeout = runner.resolve("timeout")
+            cfg_retries = runner.resolve("retries")
+        finally:
+            set_obs(None)
+        assert (cfg_timeout, cfg_retries) == (5.0, 0)
+        err = capsys.readouterr().err
+        assert "REPRO_TIMEOUT" not in err
+        assert err.count("REPRO_RETRIES") == 1
+        counters = obs.snapshot()["counters"]
+        assert "runner.config.invalid_env.repro_timeout" not in counters
+        assert counters["runner.config.invalid_env.repro_retries"] == 1
+
     def test_nonpositive_timeout_means_unlimited(self, monkeypatch):
         monkeypatch.setenv("REPRO_TIMEOUT", "0")
-        assert resilience.resolve().timeout is None
+        assert runner.resolve("timeout") is None
+        assert runner.resolve("timeout", -1.0) is None
 
 
 # ---------------------------------------------------------------------------

@@ -136,15 +136,15 @@ class TestResultCache:
 
 class TestWorkerResolution:
     def test_default_is_serial(self):
-        assert runner.resolve_workers() == 1
+        assert runner.resolve("workers") == 1
 
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "8")
-        assert runner.resolve_workers(2) == 2
+        assert runner.resolve("workers", 2) == 2
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
-        assert runner.resolve_workers() == 3
+        assert runner.resolve("workers") == 3
 
     def test_bad_env_warns_once_and_falls_back(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_JOBS", "many")
@@ -153,8 +153,8 @@ class TestWorkerResolution:
 
         set_obs(obs)
         try:
-            assert runner.resolve_workers() == 1
-            assert runner.resolve_workers() == 1
+            assert runner.resolve("workers") == 1
+            assert runner.resolve("workers") == 1
         finally:
             set_obs(None)
         err = capsys.readouterr().err
@@ -167,20 +167,20 @@ class TestWorkerResolution:
     def test_configure_between_explicit_and_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "5")
         runner.configure(workers=2)
-        assert runner.resolve_workers() == 2
-        assert runner.resolve_workers(4) == 4
+        assert runner.resolve("workers") == 2
+        assert runner.resolve("workers", 4) == 4
 
     def test_floor_of_one(self):
-        assert runner.resolve_workers(0) == 1
-        assert runner.resolve_workers(-3) == 1
+        assert runner.resolve("workers", 0) == 1
+        assert runner.resolve("workers", -3) == 1
 
     def test_cache_policy_precedence(self, monkeypatch):
-        assert runner.cache_enabled() is True
+        assert runner.resolve("use_cache") is True
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        assert runner.cache_enabled() is False
-        assert runner.cache_enabled(True) is True
+        assert runner.resolve("use_cache") is False
+        assert runner.resolve("use_cache", True) is True
         runner.configure(use_cache=True)
-        assert runner.cache_enabled() is True
+        assert runner.resolve("use_cache") is True
 
 
 class TestDeterminism:
@@ -284,15 +284,15 @@ class TestDeterminism:
         assert paths["parallel"].read_bytes() == paths["serial"].read_bytes()
 
     def test_harness_parallel_equals_serial(self, tmp_path, monkeypatch):
-        """End-to-end: a ported figure harness renders byte-identical
-        tables whichever way its matrix executes."""
+        """End-to-end: a figure harness renders byte-identical tables
+        whichever way the configured runner executes its matrix."""
         from repro.experiments import fig12_ecc_storage
 
-        serial = fig12_ecc_storage.run(Scale.SMOKE, workers=1, use_cache=False)
+        runner.configure(workers=1, use_cache=False)
+        serial = fig12_ecc_storage.run(Scale.SMOKE)
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("no fork; parallel path unavailable")
-        parallel = fig12_ecc_storage.run(
-            Scale.SMOKE, workers=2, use_cache=False
-        )
+        runner.configure(workers=2, use_cache=False)
+        parallel = fig12_ecc_storage.run(Scale.SMOKE)
         assert parallel.to_text() == serial.to_text()
         assert json.dumps(parallel.to_dict()) == json.dumps(serial.to_dict())

@@ -18,7 +18,9 @@ import time
 
 import pytest
 
+from repro.experiments import resilience
 from repro.experiments.resilience import ChaosConfig
+from repro.obs import Observability, set_obs
 from repro.service import (
     COPService,
     LoadgenConfig,
@@ -217,11 +219,39 @@ class TestChaosGrammar:
         assert service.delay_p == 0.1 and service.delay_ms == 5
         assert service.conn_drop == 0.03 and service.seed == 7
 
-    def test_invalid_specs_disable_service_chaos(self, capsys):
+    def test_invalid_specs_disable_service_chaos(self, capsys, monkeypatch):
+        monkeypatch.setattr(resilience, "_warned", set())
         assert ServiceChaosConfig.parse("bogus:1") is None
         assert ServiceChaosConfig.parse("worker-kill:nope") is None
         assert ServiceChaosConfig.parse("worker-kill:1.5") is None
         assert "REPRO_CHAOS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec, valid",
+        [
+            ("crash:0.1,", False),
+            ("crash:0.1, ,worker-kill:0.2", False),
+            ("crash:0.1,worker-kill:2", False),
+            ("crash:0.1,delay:0.5", False),
+            ("crash:0.1,worker-kill:0.2,delay:0.5:3,seed:4", True),
+        ],
+    )
+    def test_both_harnesses_give_one_verdict(self, spec, valid):
+        """One parser: a spec is valid or invalid for runner and
+        service alike (the first four split the two former parsers)."""
+        name = "runner.config.invalid_env.repro_chaos"
+        obs = Observability.create()
+        set_obs(obs)
+        try:
+            runner_config = ChaosConfig.parse(spec)
+            runner_invalid = obs.snapshot()["counters"].get(name, 0)
+            service_config = ServiceChaosConfig.parse(spec)
+            both_invalid = obs.snapshot()["counters"].get(name, 0)
+        finally:
+            set_obs(None)
+        assert (runner_config is not None) is valid
+        assert (service_config is not None) is valid
+        assert (runner_invalid, both_invalid) == ((0, 0) if valid else (1, 2))
 
     def test_describe_round_trips(self):
         config = ServiceChaosConfig(worker_kill=0.01, conn_drop=0.05, seed=7)
