@@ -77,18 +77,21 @@ obs-smoke:
 		--metrics /tmp/cop-obs-results/fig12.json \
 		--trace-file /tmp/cop-obs-trace.jsonl --check
 
-# Determinism gate for the parallel runner: one figure serially and with
-# --jobs 2 into separate results dirs, then byte-compare the artifacts
-# (see docs/parallel-runs.md).
+# Determinism gate for the parallel runner: the rate-mode (fig12, power)
+# and mix (mixes) experiments serially and with --jobs 2 into separate
+# results dirs, then byte-compare the artifacts (see docs/parallel-runs.md).
 par-smoke:
-	REPRO_RESULTS_DIR=/tmp/cop-par-serial PYTHONPATH=src \
-		$(PYTHON) -m repro.experiments.cli fig12 --scale smoke \
-		--jobs 1 --no-cache
-	REPRO_RESULTS_DIR=/tmp/cop-par-parallel PYTHONPATH=src \
-		$(PYTHON) -m repro.experiments.cli fig12 --scale smoke \
-		--jobs 2 --no-cache
-	diff /tmp/cop-par-serial/fig12.json /tmp/cop-par-parallel/fig12.json
-	diff /tmp/cop-par-serial/fig12.txt /tmp/cop-par-parallel/fig12.txt
+	rm -rf /tmp/cop-par-serial /tmp/cop-par-parallel
+	set -e; for name in fig12 mixes power; do \
+		REPRO_RESULTS_DIR=/tmp/cop-par-serial PYTHONPATH=src \
+			$(PYTHON) -m repro.experiments.cli $$name --scale smoke \
+			--jobs 1 --no-cache; \
+		REPRO_RESULTS_DIR=/tmp/cop-par-parallel PYTHONPATH=src \
+			$(PYTHON) -m repro.experiments.cli $$name --scale smoke \
+			--jobs 2 --no-cache; \
+		diff /tmp/cop-par-serial/$$name.json /tmp/cop-par-parallel/$$name.json; \
+		diff /tmp/cop-par-serial/$$name.txt /tmp/cop-par-parallel/$$name.txt; \
+	done
 	@echo "par-smoke: parallel output is byte-identical to serial"
 
 # Fault-tolerance gate: one figure cleanly (serial, uncached), then the

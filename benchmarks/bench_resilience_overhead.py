@@ -112,7 +112,7 @@ def test_cache_checksum_overhead_under_5_percent(tmp_path):
     assert frac < 0.05
 
 
-def test_no_fault_sweep_wall_clock_stable(tmp_path):
+def test_no_fault_sweep_wall_clock_stable():
     """A sweep under a full (idle) policy tracks an unguarded one.
 
     Generous bound: this only catches gross regressions (an accidental
@@ -122,23 +122,14 @@ def test_no_fault_sweep_wall_clock_stable(tmp_path):
     jobs = [_job()]
     guarded_cfg = ResilienceConfig(timeout=120.0, retries=3)
 
-    def run_once(cfg, root):
+    def run_once(cfg):
         start = now_ns()
-        run_jobs(
-            jobs,
-            workers=1,
-            cache=ResultCache(root=root, enabled=False),
-            resilience_config=cfg,
-        )
+        run_jobs(jobs, workers=1, use_cache=False, resilience_config=cfg)
         return (now_ns() - start) / 1e9
 
-    run_once(ResilienceConfig(), tmp_path / "warm")  # warmup, untimed
-    plain = min(
-        run_once(ResilienceConfig(), tmp_path / "a") for _ in range(2)
-    )
-    guarded = min(
-        run_once(guarded_cfg, tmp_path / "b") for _ in range(2)
-    )
+    run_once(ResilienceConfig())  # warmup, untimed
+    plain = min(run_once(ResilienceConfig()) for _ in range(2))
+    guarded = min(run_once(guarded_cfg) for _ in range(2))
     ratio = guarded / plain
     print(f"\nno-fault sweep ratio guarded/plain: {ratio:.3f}")
     assert ratio < 1.5

@@ -26,9 +26,8 @@ COP, applied against *both* geometries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.compression.base import BLOCK_BYTES, check_block
+from repro.compression.base import check_block
 from repro.core.codec import BlockKind, COPCodec, DecodedBlock, EncodedBlock
 from repro.core.config import COPConfig
 from repro.ecc.hashmask import DEFAULT_HASH_SEED

@@ -17,7 +17,7 @@ from repro.core.codec import COPCodec
 from repro.experiments.common import ExperimentTable, Scale, sample_blocks
 from repro.workloads.profiles import MEMORY_INTENSIVE
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 
 def run(scale: Scale = Scale.SMALL) -> ExperimentTable:
@@ -60,13 +60,3 @@ def run(scale: Scale = Scale.SMALL) -> ExperimentTable:
         "every protected block survives a whole-chip failure"
     )
     return table
-
-
-def main() -> None:
-    table = run(Scale.from_env())
-    print(table.to_text())
-    table.save("chipkill_ext")
-
-
-if __name__ == "__main__":
-    main()

@@ -1,5 +1,9 @@
 """Command-line entry point: regenerate any figure/table of the paper.
 
+This is the one entry point for the experiments: the harness modules
+expose ``run`` functions and no ``main`` of their own, and the CLI saves
+their artifacts under the names ``report`` reads.
+
 Examples::
 
     cop-experiments fig9                 # Fig. 9 at the default scale

@@ -14,7 +14,7 @@ from repro.compression.fpc import FPCCompressor
 from repro.experiments.common import ExperimentTable, Scale, sample_blocks
 from repro.workloads.profiles import FIG1_BENCHMARKS, SPECINT, profiles_in_suite
 
-__all__ = ["TARGET_RATIOS", "run", "main"]
+__all__ = ["TARGET_RATIOS", "run"]
 
 #: Target compression ratios on the figure's x axis.
 TARGET_RATIOS = tuple(r / 100 for r in range(0, 101, 10))
@@ -55,13 +55,3 @@ def run(scale: Scale = Scale.SMALL) -> ExperimentTable:
         f"{100 * libq[1]:.0f}% at 10% vs {100 * libq[5]:.0f}% at 50%"
     )
     return table
-
-
-def main() -> None:
-    table = run(Scale.from_env())
-    print(table.to_text())
-    table.save("fig01_fpc_targets")
-
-
-if __name__ == "__main__":
-    main()

@@ -15,7 +15,7 @@ from repro.experiments.compressibility import compressible_fraction
 
 from repro.workloads.profiles import FIG4_BENCHMARKS
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 
 def run(scale: Scale = Scale.SMALL) -> ExperimentTable:
@@ -49,13 +49,3 @@ def run(scale: Scale = Scale.SMALL) -> ExperimentTable:
         "percentage points on average (paper: ~15)"
     )
     return table
-
-
-def main() -> None:
-    table = run(Scale.from_env())
-    print(table.to_text())
-    table.save("fig04_msb_shift")
-
-
-if __name__ == "__main__":
-    main()

@@ -11,18 +11,8 @@ from __future__ import annotations
 from repro.experiments import compressibility
 from repro.experiments.common import ExperimentTable, Scale
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 
 def run(scale: Scale = Scale.SMALL) -> ExperimentTable:
     return compressibility.run(ecc_bytes=4, scale=scale)
-
-
-def main() -> None:
-    table = run(Scale.from_env())
-    print(table.to_text())
-    table.save("fig09_compress_4b")
-
-
-if __name__ == "__main__":
-    main()

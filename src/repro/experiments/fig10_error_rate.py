@@ -19,7 +19,7 @@ from repro.experiments.common import ExperimentTable, Scale
 from repro.experiments.runner import SimJob, run_jobs
 from repro.workloads.profiles import MEMORY_INTENSIVE, PROFILES
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 _COLUMNS = ("COP 8-byte", "COP 4-byte", "COP-ER 4-byte")
 
@@ -69,13 +69,3 @@ def run(scale: Scale = Scale.SMALL) -> ExperimentTable:
         f"(paper: 93%); COP-ER {100 * avg_er:.1f}% (paper: ~100%)"
     )
     return table
-
-
-def main() -> None:
-    table = run(Scale.from_env())
-    print(table.to_text())
-    table.save("fig10_error_rate")
-
-
-if __name__ == "__main__":
-    main()

@@ -16,7 +16,7 @@ from repro.experiments.runner import SimJob, run_jobs
 from repro.simulation.config import SCALED_SYSTEM
 from repro.workloads.profiles import MEMORY_INTENSIVE, PROFILES
 
-__all__ = ["MODES", "run", "main"]
+__all__ = ["MODES", "run"]
 
 MODES = (
     ("Unprot.", ProtectionMode.UNPROTECTED),
@@ -74,13 +74,3 @@ def run(scale: Scale = Scale.SMALL, cores: int = 4) -> ExperimentTable:
         f"{100 * (cop_er / ecc_reg - 1):.1f}% geomean (paper: ~8%)"
     )
     return table
-
-
-def main() -> None:
-    table = run(Scale.from_env())
-    print(table.to_text())
-    table.save("fig11_performance")
-
-
-if __name__ == "__main__":
-    main()

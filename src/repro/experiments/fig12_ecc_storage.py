@@ -17,7 +17,7 @@ from repro.experiments.common import ExperimentTable, Scale
 from repro.experiments.runner import SimJob, run_jobs
 from repro.workloads.profiles import MEMORY_INTENSIVE, PROFILES
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 _BASELINE_BYTES_PER_BLOCK = 2
 
@@ -57,13 +57,3 @@ def run(scale: Scale = Scale.SMALL) -> ExperimentTable:
         "(paper: 80%)"
     )
     return table
-
-
-def main() -> None:
-    table = run(Scale.from_env())
-    print(table.to_text())
-    table.save("fig12_ecc_storage")
-
-
-if __name__ == "__main__":
-    main()

@@ -30,7 +30,7 @@ from repro.reliability.analysis import (
     double_error_outcome_probs,
 )
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 
 def run(scale: Scale = Scale.SMALL) -> ExperimentTable:
@@ -84,13 +84,3 @@ def run(scale: Scale = Scale.SMALL) -> ExperimentTable:
         "even degenerate repeated-value data at the analytic odds"
     )
     return table
-
-
-def main() -> None:
-    table = run(Scale.from_env())
-    print(table.to_text())
-    table.save("intext_claims")
-
-
-if __name__ == "__main__":
-    main()

@@ -15,7 +15,7 @@ from repro.core.controller import ProtectionMode
 from repro.experiments.common import ExperimentTable, Scale, geomean
 from repro.experiments.runner import SimJob, run_jobs
 
-__all__ = ["MIXES", "run", "main"]
+__all__ = ["MIXES", "run"]
 
 #: Heterogeneous mixes: memory-bound, compute-mixed, text+fp, adversarial.
 MIXES = {
@@ -78,13 +78,3 @@ def run(scale: Scale = Scale.SMALL) -> ExperimentTable:
         f"baseline loses up to {100 * (1 - min(ecc)):.1f}%"
     )
     return table
-
-
-def main() -> None:
-    table = run(Scale.from_env())
-    print(table.to_text())
-    table.save("mixes")
-
-
-if __name__ == "__main__":
-    main()

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from repro.core.controller import ProtectionMode
 from repro.experiments.common import ExperimentTable, Scale
-from repro.experiments.simruns import run_benchmark
+from repro.experiments.runner import SimJob, run_jobs
 from repro.memory.dram import DRAMStats
 from repro.memory.power import PowerModel
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 _BENCHMARKS = ("mcf", "lbm", "canneal")  # one per suite
 
@@ -46,11 +46,16 @@ def run(scale: Scale = Scale.SMALL) -> ExperimentTable:
         percent=False,
     )
     sums = {label: [0.0, 0.0] for label, _, _ in _MODES}
-    for name in _BENCHMARKS:
+    jobs = [
+        SimJob(benchmark=name, mode=mode, scale=scale, cores=4, track=False)
+        for name in _BENCHMARKS
+        for _, mode, _ in _MODES
+    ]
+    results = iter(run_jobs(jobs))
+    for _ in _BENCHMARKS:
         baseline = None
-        for label, mode, ecc_chips in _MODES:
-            outcome = run_benchmark(name, mode, scale, cores=4, track=False)
-            perf = outcome.perf
+        for label, _, ecc_chips in _MODES:
+            perf = next(results).perf
             elapsed_ns = max(core.total_ns for core in perf.cores)
             model = PowerModel(ecc_chips_per_rank=ecc_chips)
             report = model.report(_stats_from_perf(perf), elapsed_ns)
@@ -76,13 +81,3 @@ def run(scale: Scale = Scale.SMALL) -> ExperimentTable:
         f"overhead); COP stays within {100 * abs(cop_power - 1):.1f}%"
     )
     return table
-
-
-def main() -> None:
-    table = run(Scale.from_env())
-    print(table.to_text())
-    table.save("power_motivation")
-
-
-if __name__ == "__main__":
-    main()

@@ -78,7 +78,7 @@ from repro.experiments.resilience import (
     JobTimeoutError,
     ResilienceConfig,
 )
-from repro.experiments.simruns import SimOutcome, run_benchmark, run_mix
+from repro.experiments.simruns import run_benchmark
 from repro.obs import (
     NULL_OBS,
     NULL_TRACER,
@@ -153,9 +153,9 @@ class MemorySummary:
 class SimJob:
     """One picklable simulation: (benchmark(s), mode, scale, config, seed).
 
-    ``benchmark`` is a single name (rate-mode / threaded run via
-    :func:`run_benchmark`) or a tuple of names (heterogeneous mix, one
-    program per core, via :func:`run_mix`).
+    ``benchmark`` is a single name (rate-mode / threaded run) or a tuple
+    of names (heterogeneous mix, one program per core); both run through
+    :func:`run_benchmark`.
     """
 
     benchmark: Union[str, tuple[str, ...]]
@@ -167,16 +167,10 @@ class SimJob:
     seed: int = 11
     track: bool = True
 
-    @property
-    def is_mix(self) -> bool:
-        return isinstance(self.benchmark, tuple)
-
     def spec(self) -> dict[str, Any]:
         """Stable, JSON-serialisable description of this job (cache key)."""
         return {
-            "benchmark": (
-                list(self.benchmark) if self.is_mix else self.benchmark
-            ),
+            "benchmark": _plain(self.benchmark),
             "mode": self.mode.value,
             "scale": self.scale.value,
             "cores": self.cores,
@@ -199,7 +193,9 @@ class SimJob:
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def label(self) -> str:
-        bench = "+".join(self.benchmark) if self.is_mix else self.benchmark
+        bench = self.benchmark
+        if isinstance(bench, tuple):
+            bench = "+".join(bench)
         return f"{bench}/{self.mode.value}/{self.scale.value}"
 
 
@@ -294,11 +290,9 @@ class ResultCache:
     def __init__(
         self,
         root: Union[str, Path, None] = None,
-        enabled: bool = True,
         obs: Observability = NULL_OBS,
     ) -> None:
         self.root = Path(root) if root is not None else results_dir() / ".cache"
-        self.enabled = enabled
         self.obs = obs
         self.hits = 0
         self.misses = 0
@@ -314,8 +308,6 @@ class ResultCache:
         return self.root / key[:2] / f"{key}.pkl"
 
     def load(self, key: str) -> Optional[SimResult]:
-        if not self.enabled:
-            return None
         path = self.path_for(key)
         try:
             blob = path.read_bytes()
@@ -371,8 +363,6 @@ class ResultCache:
             self.obs.trace.emit("cache_corrupt", path=str(path), reason=reason)
 
     def store(self, key: str, result: SimResult) -> None:
-        if not self.enabled:
-            return
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
@@ -524,28 +514,17 @@ def _execute_job(
         )
     else:
         obs = NULL_OBS
-    if job.is_mix:
-        outcome: SimOutcome = run_mix(
-            job.benchmark,
-            job.mode,
-            job.scale,
-            system=job.system,
-            seed=job.seed,
-            track=job.track,
-            obs=obs,
-        )
-    else:
-        outcome = run_benchmark(
-            job.benchmark,
-            job.mode,
-            job.scale,
-            cores=job.cores,
-            cop_config=job.cop_config,
-            system=job.system,
-            seed=job.seed,
-            track=job.track,
-            obs=obs,
-        )
+    outcome = run_benchmark(
+        job.benchmark,
+        job.mode,
+        job.scale,
+        cores=job.cores,
+        cop_config=job.cop_config,
+        system=job.system,
+        seed=job.seed,
+        track=job.track,
+        obs=obs,
+    )
     return SimResult(
         perf=outcome.perf,
         vulnerability=outcome.vulnerability,
@@ -604,6 +583,10 @@ def run_jobs(
     order, so serial, parallel and cached executions produce identical
     tables *and* identical merged metrics.
 
+    ``use_cache`` resolves like every run option (:func:`resolve`); when
+    it is off, or the run is traced, ``cache`` is neither read nor
+    written.
+
     Execution is fault-tolerant (policy from ``resilience_config``, the
     CLI flags, or ``REPRO_TIMEOUT``/``REPRO_RETRIES``/``REPRO_CHAOS``):
     attempts that time out or lose their worker are retried with
@@ -630,27 +613,27 @@ def run_jobs(
     shard_spec: Optional[TraceShardSpec] = None
     if tracing:
         # Tracing needs every job to actually execute (a cache hit has
-        # no events to contribute), so bypass the cache; execution may
-        # still be parallel — each job writes a deterministic shard file
-        # that gets merged into the sink in job order afterwards.
-        use_cache = False
+        # no events to contribute), so it bypasses the cache below;
+        # execution may still be parallel — each job writes a
+        # deterministic shard file that gets merged into the sink in job
+        # order afterwards.
         shard_spec = TraceShardSpec(
             directory=tempfile.mkdtemp(prefix="repro-trace-shards-"),
             sample_rate=obs.trace.sample_rate,
             seed=obs.trace.seed,
         )
-    if cache is None:
-        cache = ResultCache(enabled=resolve("use_cache", use_cache), obs=obs)
-    elif use_cache is not None:
-        cache = ResultCache(root=cache.root, enabled=use_cache, obs=obs)
-    if cache.obs is NULL_OBS:
+    if tracing or not resolve("use_cache", use_cache):
+        cache = None
+    elif cache is None:
+        cache = ResultCache(obs=obs)
+    elif cache.obs is NULL_OBS:
         cache.obs = obs
 
     results: list[Optional[SimResult]] = [None] * len(jobs)
     keys = [job.key(obs=collect_metrics) for job in jobs]
     pending: list[int] = []
     for index, key in enumerate(keys):
-        hit = cache.load(key)
+        hit = cache.load(key) if cache is not None else None
         if hit is not None:
             results[index] = hit
         else:
@@ -661,7 +644,8 @@ def run_jobs(
     def on_success(index: int, result: SimResult) -> None:
         """Cache a finished job the moment it completes."""
         results[index] = result
-        cache.store(keys[index], result)
+        if cache is not None:
+            cache.store(keys[index], result)
 
     def note_failed_attempt(index: int, kind: str, exc: Exception) -> float:
         """Account one transient failure; returns the backoff delay.

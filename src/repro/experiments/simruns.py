@@ -1,10 +1,10 @@
-"""Shared simulation driver for the Fig. 10/11/12 experiments."""
+"""The one simulation driver: every ``SimJob`` — rate mode or a mix — runs here."""
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.core.config import COPConfig
 from repro.core.controller import ProtectedMemory, ProtectionMode
@@ -17,7 +17,7 @@ from repro.workloads.blocks import BlockSource
 from repro.workloads.profiles import PROFILES, PARSEC, BenchmarkProfile
 from repro.workloads.tracegen import EpochArrays, TraceGenerator
 
-__all__ = ["SimOutcome", "run_benchmark", "run_mix", "epochs_for"]
+__all__ = ["SimOutcome", "run_benchmark", "epochs_for"]
 
 #: Address-space stride separating the rate-mode copies of a benchmark.
 _CORE_STRIDE = 1 << 40
@@ -60,7 +60,7 @@ def _trace_arrays(
 
 
 def run_benchmark(
-    benchmark: str | BenchmarkProfile,
+    benchmark: str | BenchmarkProfile | tuple[str, ...],
     mode: ProtectionMode,
     scale: Scale = Scale.SMALL,
     cores: int = 4,
@@ -70,36 +70,45 @@ def run_benchmark(
     track: bool = True,
     obs: Optional[Observability] = None,
 ) -> SimOutcome:
-    """Simulate one benchmark under one protection mode.
+    """Simulate one benchmark, or one mix, under one protection mode.
 
     SPEC benchmarks run in rate mode — ``cores`` copies with disjoint
     address spaces; PARSEC benchmarks run as ``cores`` threads sharing one
-    footprint (the paper's 4-threaded native runs).
+    footprint (the paper's 4-threaded native runs).  A tuple of names is
+    a heterogeneous multiprogrammed mix, one program per core (``cores``
+    is the tuple's length): each gets its own address space and content
+    stream, and they contend for the shared LLC and DRAM.
 
     ``obs`` defaults to the process-wide observability bundle (a no-op
     unless enabled via :func:`repro.obs.set_obs` or the environment).
     """
-    profile = (
-        PROFILES[benchmark] if isinstance(benchmark, str) else benchmark
-    )
     if obs is None:
         obs = get_obs()
     memory = ProtectedMemory(mode, config=cop_config, obs=obs)
-    footprint_blocks = max(
-        2048,
-        profile.footprint_mb * (1 << 20) // 64 // system.footprint_divider,
-    )
-    shared_space = profile.suite == PARSEC
+    mix = isinstance(benchmark, tuple)
+    if mix:
+        profiles = [PROFILES[name] for name in benchmark]
+        phase = f"mix.{'+'.join(benchmark)}"
+    else:
+        profile = (
+            PROFILES[benchmark] if isinstance(benchmark, str) else benchmark
+        )
+        profiles = [profile] * cores
+        phase = f"benchmark.{profile.name}"
 
     traces, sources, ipcs = [], [], []
     epoch_count = epochs_for(scale)
-    for core in range(cores):
+    for core, profile in enumerate(profiles):
+        footprint_blocks = max(
+            2048,
+            profile.footprint_mb * (1 << 20) // 64 // system.footprint_divider,
+        )
+        trace_seed = seed * (100 if mix else 1000) + core
+        shared_space = not mix and profile.suite == PARSEC
         base = 0 if shared_space else core * _CORE_STRIDE
-        content_seed = seed if shared_space else seed * 1000 + core
+        content_seed = seed if shared_space else trace_seed
         traces.append(
-            _trace_arrays(
-                profile, seed * 1000 + core, footprint_blocks, base, epoch_count
-            )
+            _trace_arrays(profile, trace_seed, footprint_blocks, base, epoch_count)
         )
         sources.append(BlockSource(profile, seed=content_seed))
         ipcs.append(profile.perfect_ipc)
@@ -108,58 +117,7 @@ def run_benchmark(
     sim = MultiCoreSystem(
         memory, traces, sources, ipcs, system, tracker=tracker, obs=obs
     )
-    with obs.profile.phase(f"benchmark.{profile.name}"):
-        perf = sim.run()
-    report = (
-        tracker.report()
-        if tracker is not None
-        else VulnerabilityReport(0.0, 0.0, 0, 0)
-    )
-    return SimOutcome(perf, report, memory, metrics=obs.snapshot())
-
-
-def run_mix(
-    benchmarks: Sequence[str],
-    mode: ProtectionMode,
-    scale: Scale = Scale.SMALL,
-    system: SystemConfig = SCALED_SYSTEM,
-    seed: int = 7,
-    track: bool = True,
-    obs: Optional[Observability] = None,
-) -> SimOutcome:
-    """Simulate a heterogeneous multiprogrammed mix, one benchmark per core.
-
-    Each program gets its own address space (rate-mode strides) and its
-    own content stream; they contend for the shared LLC and DRAM.  Used by
-    the ``mixes`` experiment and expressible as a :class:`SimJob` with a
-    tuple of benchmark names.
-    """
-    if obs is None:
-        obs = get_obs()
-    memory = ProtectedMemory(mode, obs=obs)
-    traces, sources, ipcs = [], [], []
-    for core, name in enumerate(benchmarks):
-        profile = PROFILES[name]
-        footprint = max(
-            2048,
-            profile.footprint_mb * (1 << 20) // 64 // system.footprint_divider,
-        )
-        traces.append(
-            _trace_arrays(
-                profile,
-                seed * 100 + core,
-                footprint,
-                core * _CORE_STRIDE,
-                epochs_for(scale),
-            )
-        )
-        sources.append(BlockSource(profile, seed=seed * 100 + core))
-        ipcs.append(profile.perfect_ipc)
-    tracker = VulnerabilityTracker() if track else None
-    sim = MultiCoreSystem(
-        memory, traces, sources, ipcs, system, tracker=tracker, obs=obs
-    )
-    with obs.profile.phase(f"mix.{'+'.join(benchmarks)}"):
+    with obs.profile.phase(phase):
         perf = sim.run()
     report = (
         tracker.report()

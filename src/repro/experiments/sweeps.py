@@ -19,7 +19,7 @@ from repro.experiments.common import ExperimentTable, Scale
 from repro.experiments.runner import SimJob, run_jobs
 from repro.reliability.analysis import expected_failures
 
-__all__ = ["latency_sweep", "fit_sweep", "main"]
+__all__ = ["latency_sweep", "fit_sweep"]
 
 _LATENCIES = (0, 2, 4, 8, 16)
 _FIT_RATES = (1000.0, 5000.0, 10000.0, 20000.0)
@@ -101,16 +101,3 @@ def fit_sweep(scale: Scale = Scale.SMALL) -> ExperimentTable:
         "expected failures scale linearly in the raw FIT rate"
     )
     return table
-
-
-def main() -> None:
-    scale = Scale.from_env()
-    for run, name in ((latency_sweep, "sweep_latency"), (fit_sweep, "sweep_fit")):
-        table = run(scale)
-        print(table.to_text())
-        print()
-        table.save(name)
-
-
-if __name__ == "__main__":
-    main()

@@ -18,7 +18,7 @@ from repro.core.codec import COPCodec
 from repro.experiments.common import ExperimentTable, Scale, sample_blocks
 from repro.workloads.profiles import MEMORY_INTENSIVE
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 _MEMORY_BYTES = 8 << 30
 
@@ -60,13 +60,3 @@ def run(scale: Scale = Scale.SMALL) -> ExperimentTable:
         "(paper: 2e-8 measured, one 3-code-word block)"
     )
     return table
-
-
-def main() -> None:
-    table = run(Scale.from_env())
-    print(table.to_text())
-    table.save("table3_aliases")
-
-
-if __name__ == "__main__":
-    main()

@@ -13,7 +13,7 @@ ratios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.memory.dram import DRAMStats
 

@@ -216,16 +216,43 @@ class TestCli:
         assert cli.main(["obs"]) == 2  # "nothing to show", not a crash
         assert "nothing to show" in capsys.readouterr().out
 
-    def test_parallel_run_matches_serial(self, capsys):
+    @pytest.mark.parametrize("experiment", ["fig12", "mixes", "power"])
+    def test_parallel_run_matches_serial(self, capsys, experiment):
         """Acceptance: --jobs N output is byte-identical to serial."""
-        assert cli.main(["fig12", "--scale", "smoke", "--no-cache"]) == 0
+        assert cli.main([experiment, "--scale", "smoke", "--no-cache"]) == 0
         serial = capsys.readouterr().out
         assert (
-            cli.main(["fig12", "--scale", "smoke", "--no-cache", "--jobs", "2"])
+            cli.main(
+                [experiment, "--scale", "smoke", "--no-cache", "--jobs", "2"]
+            )
             == 0
         )
         parallel = capsys.readouterr().out
         assert parallel == serial
+
+    def test_power_runs_through_the_runner(self, capsys, monkeypatch):
+        """``power`` simulates through run_jobs: a second run is served
+        entirely from the result cache, with the same output."""
+        from repro.experiments import runner
+
+        for name in ("REPRO_JOBS", "REPRO_NO_CACHE"):
+            monkeypatch.delenv(name, raising=False)
+        executed = []
+        real = runner._execute_job
+
+        def counting(job, *args, **kwargs):
+            executed.append(job)
+            return real(job, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "_execute_job", counting)
+        outputs, counts = [], []
+        for _ in range(2):
+            executed.clear()
+            assert cli.main(["power", "--scale", "smoke"]) == 0
+            outputs.append(capsys.readouterr().out)
+            counts.append(len(executed))
+        assert counts == [15, 0]
+        assert outputs[0] == outputs[1]
 
     def test_trace_composes_with_jobs(self, tmp_path, capsys):
         """--trace no longer forces serial: parallel traced runs shard

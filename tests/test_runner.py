@@ -90,7 +90,7 @@ class TestJobKeys:
 
     def test_mix_label_and_spec(self):
         job = smoke_jobs()[2]
-        assert job.is_mix
+        assert isinstance(job.benchmark, tuple)
         assert job.label().startswith("gcc+mcf/")
         assert json.dumps(job.spec())  # JSON-serialisable as-is
 
@@ -115,12 +115,6 @@ class TestResultCache:
         assert cache.corrupt == 1
         (again,) = run_jobs([job], workers=1, cache=cache)
         assert again == first
-
-    def test_disabled_cache_stores_nothing(self, tmp_path):
-        cache = ResultCache(root=tmp_path / "cache", enabled=False)
-        run_jobs(smoke_jobs()[:1], workers=1, cache=cache)
-        assert cache.stores == 0
-        assert not (tmp_path / "cache").exists()
 
     def test_use_cache_false_overrides_given_cache(self, tmp_path):
         cache = ResultCache(root=tmp_path / "cache")
