@@ -79,9 +79,13 @@ obs-smoke:
 
 # Determinism gate for the parallel runner: the rate-mode (fig12, power)
 # and mix (mixes) experiments serially and with --jobs 2 into separate
-# results dirs, then byte-compare the artifacts (see docs/parallel-runs.md).
+# results dirs, then byte-compare the artifacts; then fig12 again with
+# --obs, so the metrics snapshot embedded in fig12.json is byte-compared
+# too and no nondeterministic value can reach a job snapshot unseen (see
+# docs/parallel-runs.md).
 par-smoke:
 	rm -rf /tmp/cop-par-serial /tmp/cop-par-parallel
+	rm -rf /tmp/cop-par-serial-obs /tmp/cop-par-parallel-obs
 	set -e; for name in fig12 mixes power; do \
 		REPRO_RESULTS_DIR=/tmp/cop-par-serial PYTHONPATH=src \
 			$(PYTHON) -m repro.experiments.cli $$name --scale smoke \
@@ -92,7 +96,16 @@ par-smoke:
 		diff /tmp/cop-par-serial/$$name.json /tmp/cop-par-parallel/$$name.json; \
 		diff /tmp/cop-par-serial/$$name.txt /tmp/cop-par-parallel/$$name.txt; \
 	done
-	@echo "par-smoke: parallel output is byte-identical to serial"
+	REPRO_RESULTS_DIR=/tmp/cop-par-serial-obs PYTHONPATH=src \
+		$(PYTHON) -m repro.experiments.cli fig12 --scale smoke \
+		--jobs 1 --no-cache --obs
+	REPRO_RESULTS_DIR=/tmp/cop-par-parallel-obs PYTHONPATH=src \
+		$(PYTHON) -m repro.experiments.cli fig12 --scale smoke \
+		--jobs 2 --no-cache --obs
+	grep -q '"controller.reads"' /tmp/cop-par-serial-obs/fig12.json
+	diff /tmp/cop-par-serial-obs/fig12.json /tmp/cop-par-parallel-obs/fig12.json
+	diff /tmp/cop-par-serial-obs/fig12.txt /tmp/cop-par-parallel-obs/fig12.txt
+	@echo "par-smoke: parallel output is byte-identical to serial, metrics included"
 
 # Fault-tolerance gate: one figure cleanly (serial, uncached), then the
 # same figure under deterministic injected worker crashes and hangs

@@ -604,25 +604,31 @@ def main(argv: list[str] | None = None) -> int:
         set_obs(obs)
 
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    for name in names:
-        table = EXPERIMENTS[name](scale)
-        if obs is not None:
-            table.metrics = obs.snapshot()
-        print(table.to_text())
-        if args.chart:
-            for column in table.columns:
-                print()
-                print(table.to_ascii_chart(column))
-        print()
-        path = table.save(name)
-        print(f"[saved {path}]")
+    try:
+        for name in names:
+            table = EXPERIMENTS[name](scale)
+            if obs is not None:
+                table.metrics = obs.snapshot()
+            print(table.to_text())
+            if args.chart:
+                for column in table.columns:
+                    print()
+                    print(table.to_ascii_chart(column))
+            print()
+            path = table.save(name)
+            print(f"[saved {path}]")
 
-    if obs is not None:
-        print("== metrics")
-        print(obs.metrics.render_tree())
-        obs.close()
-        if args.trace_out:
-            print(f"[trace written to {args.trace_out}]")
+        if obs is not None:
+            print("== metrics")
+            print(obs.metrics.render_tree())
+    finally:
+        if obs is not None:
+            # Uninstall the closed bundle, so a later run in this process
+            # does not trace into a closed sink.
+            obs.close()
+            set_obs(None)
+    if args.trace_out:
+        print(f"[trace written to {args.trace_out}]")
     return 0
 
 

@@ -132,13 +132,15 @@ class ExperimentTable:
             # as its title alone rather than raising on max() of nothing.
             return title
         index = self.columns.index(column)
-        values = [values[index] for _, values in self.rows]
-        top = max(max(values, default=0.0), 1e-12)
+        # NaN marks a cell with no number (intext's "Paper" column): it
+        # stays out of the scale and draws as an empty bar.
+        values = [row[index] for _, row in self.rows]
+        top = max(max((v for v in values if not math.isnan(v)), default=0.0), 1e-12)
         label_width = max(len(label) for label, _ in self.rows)
         lines = [title]
         for label, row in self.rows:
             value = row[index]
-            bar = "#" * max(0, round(width * value / top))
+            bar = "" if math.isnan(value) else "#" * max(0, round(width * value / top))
             lines.append(
                 f"{label.ljust(label_width)} |{bar.ljust(width)}| "
                 f"{self._fmt(value).strip()}"

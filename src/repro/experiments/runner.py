@@ -20,9 +20,8 @@ Parallel runs are **bit-identical** to serial runs:
   the caller's registry **in job-list order**, so counter sums,
   gauge maxima and histogram merges are order-stable however the jobs
   were scheduled;
-* host wall-clock gauges (``profile.*.seconds``) are stripped from job
-  snapshots before merging/caching — they are the one nondeterministic
-  quantity a run produces.
+* a job snapshot holds only simulated quantities — no host wall-clock
+  value is ever published into it — so it is merged and cached as is.
 
 Cache keys hash the full job spec (benchmark/mode/scale/cores/seed/
 configs, plus whether metrics were collected) together with a
@@ -85,7 +84,6 @@ from repro.obs import (
     EventTracer,
     MetricsRegistry,
     Observability,
-    Profiler,
     TraceShardSpec,
     get_obs,
 )
@@ -483,18 +481,6 @@ def _fork_available() -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _sanitize_snapshot(snapshot: dict[str, Any]) -> dict[str, Any]:
-    """Drop host wall-clock gauges — the only nondeterministic metrics."""
-    if not snapshot:
-        return snapshot
-    gauges = {
-        name: value
-        for name, value in snapshot.get("gauges", {}).items()
-        if not (name.startswith("profile.") and name.endswith(".seconds"))
-    }
-    return {**snapshot, "gauges": gauges}
-
-
 def _execute_job(
     job: SimJob,
     collect_metrics: bool,
@@ -510,7 +496,6 @@ def _execute_job(
         obs = Observability(
             metrics=MetricsRegistry() if collect_metrics else NULL_OBS.metrics,
             trace=tracer if tracer is not None else NULL_TRACER,
-            profile=Profiler() if collect_metrics else NULL_OBS.profile,
         )
     else:
         obs = NULL_OBS
@@ -529,7 +514,7 @@ def _execute_job(
         perf=outcome.perf,
         vulnerability=outcome.vulnerability,
         memory=MemorySummary.from_memory(outcome.memory),
-        metrics=_sanitize_snapshot(outcome.metrics),
+        metrics=outcome.metrics,
     )
 
 

@@ -80,7 +80,7 @@ def run_benchmark(
     stream, and they contend for the shared LLC and DRAM.
 
     ``obs`` defaults to the process-wide observability bundle (a no-op
-    unless enabled via :func:`repro.obs.set_obs` or the environment).
+    unless one is installed with :func:`repro.obs.set_obs`).
     """
     if obs is None:
         obs = get_obs()
@@ -88,13 +88,11 @@ def run_benchmark(
     mix = isinstance(benchmark, tuple)
     if mix:
         profiles = [PROFILES[name] for name in benchmark]
-        phase = f"mix.{'+'.join(benchmark)}"
     else:
         profile = (
             PROFILES[benchmark] if isinstance(benchmark, str) else benchmark
         )
         profiles = [profile] * cores
-        phase = f"benchmark.{profile.name}"
 
     traces, sources, ipcs = [], [], []
     epoch_count = epochs_for(scale)
@@ -117,8 +115,7 @@ def run_benchmark(
     sim = MultiCoreSystem(
         memory, traces, sources, ipcs, system, tracker=tracker, obs=obs
     )
-    with obs.profile.phase(phase):
-        perf = sim.run()
+    perf = sim.run()
     report = (
         tracker.report()
         if tracker is not None

@@ -1,31 +1,27 @@
 """Unified observability for the COP simulation stack.
 
-One :class:`Observability` object bundles the three surfaces every layer
+One :class:`Observability` object bundles the two surfaces every layer
 of the simulator shares:
 
 * :mod:`repro.obs.metrics` — hierarchical Counter/Gauge/Histogram registry,
-* :mod:`repro.obs.trace` — sampled structured JSONL event tracing,
-* :mod:`repro.obs.profile` — wall-clock phase timers and call counters.
+  the one place counts live;
+* :mod:`repro.obs.trace` — sampled structured JSONL event tracing.
 
 The module-level default (:data:`NULL_OBS`) is a no-op on every surface,
 so instrumented components cost (at most) one ``enabled`` check per hot
-operation until someone opts in — via :func:`Observability.create`, the
-CLI's ``--obs``/``--trace`` flags, or the environment::
-
-    REPRO_OBS=1                  enable the metrics registry + profiler
-    REPRO_TRACE=/path/out.jsonl  also write a structured event trace
-    REPRO_TRACE_SAMPLE=0.01      keep 1% of per-access events
-    REPRO_TRACE_SEED=7           sampling PRNG seed (default 0)
+operation until someone opts in — via :func:`Observability.create` or
+the CLI's ``--obs``/``--trace`` flags.
 
 Components receive the bundle at construction; code that cannot thread it
 explicitly (the experiment harnesses) uses the process-wide current bundle
-(:func:`get_obs`/:func:`set_obs`), which initialises itself from the
-environment on first use.
+(:func:`get_obs`), which is whatever :func:`set_obs` installed, or
+:data:`NULL_OBS`.  Every metric a simulation job publishes is a simulated
+quantity, a pure function of the job, so job snapshots byte-compare
+across runs, serial or parallel.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any, Optional, Union
@@ -38,7 +34,6 @@ from repro.obs.metrics import (
     render_tree,
 )
 from repro.obs.perf import TimingStats, best_seconds, fingerprint, measure
-from repro.obs.profile import NULL_PROFILER, NullProfiler, Profiler
 from repro.obs.trace import (
     NULL_TRACER,
     EventTracer,
@@ -60,9 +55,6 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "TraceShardSpec",
-    "Profiler",
-    "NullProfiler",
-    "NULL_PROFILER",
     "TimingStats",
     "best_seconds",
     "fingerprint",
@@ -78,7 +70,6 @@ class Observability:
 
     metrics: MetricsRegistry = field(default_factory=lambda: NULL_REGISTRY)
     trace: EventTracer = field(default_factory=lambda: NULL_TRACER)
-    profile: Profiler = field(default_factory=lambda: NULL_PROFILER)
 
     @property
     def enabled(self) -> bool:
@@ -92,32 +83,18 @@ class Observability:
         sample_rate: float = 1.0,
         seed: int = 0,
     ) -> "Observability":
-        """A live bundle: real registry + profiler, tracer if a sink given."""
+        """A live bundle: real registry, tracer if a sink is given."""
         tracer = (
             EventTracer(trace_sink, sample_rate=sample_rate, seed=seed)
             if trace_sink is not None
             else NULL_TRACER
         )
-        return cls(metrics=MetricsRegistry(), trace=tracer, profile=Profiler())
-
-    @classmethod
-    def from_env(cls) -> "Observability":
-        """Build from ``REPRO_OBS``/``REPRO_TRACE*`` (NULL_OBS when unset)."""
-        trace_path = os.environ.get("REPRO_TRACE")
-        obs_on = os.environ.get("REPRO_OBS", "").lower() in ("1", "true", "yes", "on")
-        if not obs_on and not trace_path:
-            return NULL_OBS
-        return cls.create(
-            trace_sink=trace_path,
-            sample_rate=float(os.environ.get("REPRO_TRACE_SAMPLE", "1.0")),
-            seed=int(os.environ.get("REPRO_TRACE_SEED", "0")),
-        )
+        return cls(metrics=MetricsRegistry(), trace=tracer)
 
     def snapshot(self) -> dict[str, Any]:
-        """Combined metrics + profile snapshot for embedding in results."""
+        """Metrics snapshot for embedding in results."""
         if not self.metrics.enabled:
             return {}
-        self.profile.publish(self.metrics)
         return self.metrics.snapshot()
 
     def close(self) -> None:
@@ -131,14 +108,11 @@ _current: Optional[Observability] = None
 
 
 def get_obs() -> Observability:
-    """The process-wide bundle (lazily initialised from the environment)."""
-    global _current
-    if _current is None:
-        _current = Observability.from_env()
-    return _current
+    """The process-wide bundle: the one installed, or :data:`NULL_OBS`."""
+    return _current if _current is not None else NULL_OBS
 
 
 def set_obs(obs: Optional[Observability]) -> None:
-    """Install (or with None, reset to env-derived) the process-wide bundle."""
+    """Install the process-wide bundle (None uninstalls it)."""
     global _current
     _current = obs

@@ -9,7 +9,7 @@ each candidate event is kept with probability ``r``, decided by a private
 PRNG so a fixed seed reproduces the exact same kept-set run after run.
 
 Spans are never sampled out: there are few of them and they carry the
-wall-clock phase structure the profiler summarises.
+wall-clock phase structure of a run.
 
 Cross-worker sharding
 ---------------------
@@ -121,7 +121,7 @@ class EventTracer:
         """Bracket a simulator phase; emits a span event with wall time.
 
         In deterministic mode the record omits ``wall_ms`` — host time
-        attribution for sharded runs comes from the profiler/perf layer
+        attribution for sharded runs comes from perfbench's layer tracer
         instead, so the trace stream stays byte-comparable.
         """
         start = time.perf_counter()

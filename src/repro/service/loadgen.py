@@ -682,27 +682,7 @@ class LoadReport:
     parity: Optional[Dict[str, object]] = None
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "schema": 2,
-            "ops": self.ops,
-            "tenants": self.tenants,
-            "shards": self.shards,
-            "window": self.window,
-            "mode": self.mode,
-            "admission": self.admission,
-            "transport": self.transport,
-            "duration_s": self.duration_s,
-            "throughput_ops_s": self.throughput_ops_s,
-            "latency_us": self.latency_us,
-            "statuses": self.statuses,
-            "controller": self.controller,
-            "memo": self.memo,
-            "rejected_busy": self.rejected_busy,
-            "transient": self.transient,
-            "resilience": self.resilience,
-            "chaos": self.chaos,
-            "parity": self.parity,
-        }
+        return {"schema": 2, **dataclasses.asdict(self)}
 
     def save(self, path: Path) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)

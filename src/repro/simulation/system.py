@@ -207,6 +207,8 @@ class MultiCoreSystem:
         self._need_content = memory.mode is ProtectionMode.COP_ER
         self._classify = self.oracle.active
         self._obs_enabled = self.obs.enabled
+        #: Dirty (or alias-pinned) LLC victims written back so far.
+        self.writebacks = 0
 
     def _protected(self, compressed: bool) -> bool:
         mode = self.memory.mode
@@ -270,9 +272,7 @@ class MultiCoreSystem:
         follow it equals flushing it when the next miss arrives.
         """
         cores = self._cores
-        with self.obs.profile.phase("system.run"), self.obs.trace.span(
-            "system.run", cores=len(cores)
-        ):
+        with self.obs.trace.span("system.run", cores=len(cores)):
             streams = self.oracle.prefetch([core.epochs.addrs for core in cores])
             plans = [
                 (
@@ -303,7 +303,6 @@ class MultiCoreSystem:
             versions_get = versions.get
             writer = self._writer
             obs_enabled = self._obs_enabled
-            count = self.obs.profile.count
             observe = self.obs.metrics.observe
             emit = self.obs.trace.emit
             wave = _Wave(0.0)
@@ -356,7 +355,6 @@ class MultiCoreSystem:
 
                         payload: Optional[dict] = None
                         if obs_enabled:
-                            count("misses")
                             payload = {
                                 "t_ns": round(now_ns, 3),
                                 "core": index,
@@ -475,8 +473,8 @@ class MultiCoreSystem:
         version = self._versions.get(addr, 0)
         writer = self._writer.get(addr, core_index)
         result = self._store(writer, addr, version, wave)
+        self.writebacks += 1
         if self._obs_enabled:
-            self.obs.profile.count("writebacks")
             wave.events.append(
                 (
                     "writeback",
@@ -550,8 +548,8 @@ class MultiCoreSystem:
             ecc_region.*   COP-ER entry allocation (live via ECCRegion)
             llc.*          shared-LLC hits/misses/pins/overflow
             dram.*         traffic, row hits, per-bank detail
-            system.*       instructions, per-core stall/compute time
-            profile.*      host wall-clock phases and hot-path counts
+            system.*       instructions, epochs, writebacks, per-core
+                           stall/compute time, makespan
         """
         registry = self.obs.metrics
         if not registry.enabled:
@@ -570,7 +568,11 @@ class MultiCoreSystem:
             registry.set_gauge(f"system.core{index}.stall_ns", result.stall_ns)
             registry.set_gauge(f"system.core{index}.compute_ns", result.compute_ns)
         registry.update_counters(
-            "system", {"instructions": instructions, "epochs": epochs}
+            "system",
+            {
+                "instructions": instructions,
+                "epochs": epochs,
+                "writebacks": self.writebacks,
+            },
         )
         registry.set_gauge("system.makespan_ns", makespan_ns)
-        self.obs.profile.publish(registry)

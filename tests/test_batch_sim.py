@@ -40,17 +40,6 @@ from repro.workloads.profiles import PROFILES
 from repro.workloads.tracegen import Access, Epoch, EpochArrays, TraceGenerator
 
 
-def _strip_wall(obj):
-    """Drop wall-clock keys (``*.seconds`` gauges) from a snapshot."""
-    if isinstance(obj, dict):
-        return {
-            k: _strip_wall(v)
-            for k, v in obj.items()
-            if not (isinstance(k, str) and "seconds" in k)
-        }
-    return obj
-
-
 def _events(text: str) -> list[str]:
     """Trace events normalised: wall-clock span durations removed."""
     out = []
@@ -176,10 +165,9 @@ class TestBenchmarkParity:
         ProtectionMode.MEMZIP: "fe430d296f591bc34cc5671eb9b1afff4dca952716719c1ad74de81a24fbca56",
     }
     MIX_DIGEST = "0622866740891b3ea416a699cc24f0c3f070a5414ed315d7ec5bd50bfe980bb1"
-    #: mcf, COP, 2 cores: the metrics snapshot (wall-clock gauges
-    #: stripped) as sorted JSON, and the trace events (``wall_ms``
-    #: stripped), one sorted-JSON event per line.
-    METRICS_DIGEST = "acfe3207dc704641b31bc4e3f754de117fdbf3cba8eadb6a51e5fb7f5b61e895"
+    #: mcf, COP, 2 cores: the metrics snapshot as sorted JSON, and the
+    #: trace events (``wall_ms`` stripped), one sorted-JSON event per line.
+    METRICS_DIGEST = "1cd2b6f1380c77c15ae9edba8bec9700ef2bf396c9a76ae100a11958f11eeeea"
     EVENTS_DIGEST = "6ad49b0ab9d907c713659b5498e2aec7672b220e047bdbce0a13173aab2b20f3"
 
     #: lbm at SMALL scale on 2 cores in the four Fig. 11 modes, recorded
@@ -222,6 +210,22 @@ class TestBenchmarkParity:
         outcome = run_benchmark("lbm", mode, scale=Scale.SMALL, cores=2)
         assert (_outcome_digest(outcome), len(writebacks)) == self.WRITEBACK_DIGESTS[mode]
 
+    def test_published_writebacks_count_writeback_calls(self, monkeypatch):
+        """``system.writebacks`` counts ``MultiCoreSystem._writeback`` calls."""
+        calls = []
+        real = MultiCoreSystem._writeback
+
+        def counting(system, *args):
+            calls.append(args[1])
+            return real(system, *args)
+
+        monkeypatch.setattr(MultiCoreSystem, "_writeback", counting)
+        mode = ProtectionMode.ECC_REGION
+        obs = Observability.create()
+        run_benchmark("lbm", mode, scale=Scale.SMALL, cores=2, obs=obs)
+        published = obs.snapshot()["counters"]["system.writebacks"]
+        assert published == len(calls) == self.WRITEBACK_DIGESTS[mode][1]
+
     def test_mix_parity(self):
         outcome = run_benchmark(
             ("gcc", "lbm"), ProtectionMode.COP_ER, scale=Scale.SMOKE, seed=7
@@ -235,7 +239,7 @@ class TestBenchmarkParity:
         obs = Observability.create(trace_sink=sink)
         run_benchmark("mcf", ProtectionMode.COP, scale=Scale.SMOKE, cores=2, obs=obs)
         obs.trace.flush()
-        metrics = json.dumps(_strip_wall(obs.snapshot()), sort_keys=True)
+        metrics = json.dumps(obs.snapshot(), sort_keys=True)
         events = _events(sink.getvalue())
         assert len(events) == 398
         assert _sha256(metrics) == self.METRICS_DIGEST

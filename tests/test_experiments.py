@@ -160,11 +160,15 @@ class TestHarnesses:
         table = ExperimentTable("T", ("v",))
         table.add("aa", (0.5,))
         table.add("b", (1.0,))
+        table.add("c", (float("nan"),))
         chart = table.to_ascii_chart(width=10)
         lines = chart.splitlines()
         assert "T — v" in lines[0]
         assert lines[1].count("#") == 5
         assert lines[2].count("#") == 10
+        # A NaN cell (no number) is left out of the scale and drawn empty.
+        assert lines[3].count("#") == 0
+        assert "nan" in lines[3].split("|")[-1]
 
     def test_ascii_chart_unknown_column(self):
         table = ExperimentTable("T", ("v",))
@@ -278,3 +282,21 @@ class TestCli:
         )
         capsys.readouterr()
         assert serial.read_bytes() == trace.read_bytes()
+
+    def test_untraced_run_after_traced_run(self, tmp_path, capsys):
+        """A traced run uninstalls its bundle when it ends, so a later
+        untraced run in the same process does not write to the closed
+        trace sink."""
+        from repro.obs import NULL_OBS, get_obs
+
+        trace = tmp_path / "t.jsonl"
+        assert (
+            cli.main(
+                ["fig12", "--scale", "smoke", "--no-cache", "--trace", str(trace)]
+            )
+            == 0
+        )
+        assert cli.main(["fig12", "--scale", "smoke", "--no-cache"]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "fig12.json").exists()
+        assert get_obs() is NULL_OBS

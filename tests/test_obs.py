@@ -18,7 +18,6 @@ from repro.obs import (
     summarize_trace,
 )
 from repro.obs.metrics import DEFAULT_PERCENTILES, Histogram
-from repro.obs.profile import NullProfiler, Profiler
 from repro.obs.trace import TraceShardSpec, derive_shard_seed
 
 
@@ -308,39 +307,6 @@ class TestTraceSharding:
         assert NullTracer().absorb([tmp_path / "missing.jsonl"]) == 0
 
 
-class TestProfiler:
-    def test_phase_timing_and_counts(self):
-        profiler = Profiler()
-        with profiler.phase("run"):
-            pass
-        with profiler.phase("run"):
-            pass
-        profiler.count("misses", 5)
-        summary = profiler.summary()
-        assert summary["phases"]["run"]["calls"] == 2
-        assert summary["phases"]["run"]["seconds"] >= 0.0
-        assert summary["counts"]["misses"] == 5
-        assert "run" in profiler.report()
-
-    def test_publish_into_registry(self):
-        profiler = Profiler()
-        with profiler.phase("run"):
-            pass
-        profiler.count("misses", 3)
-        registry = MetricsRegistry()
-        profiler.publish(registry)
-        snap = registry.snapshot()
-        assert snap["counters"]["profile.misses"] == 3
-        assert "profile.run.seconds" in snap["gauges"]
-
-    def test_null_profiler_noop(self):
-        profiler = NullProfiler()
-        with profiler.phase("x"):
-            pass
-        profiler.count("x")
-        assert profiler.summary() == {"phases": {}, "counts": {}}
-
-
 class TestObservabilityBundle:
     def test_null_obs_disabled_and_empty(self):
         assert not NULL_OBS.enabled
@@ -354,27 +320,14 @@ class TestObservabilityBundle:
         obs.metrics.inc("x")
         assert obs.snapshot()["counters"]["x"] == 1
 
-    def test_from_env_default_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OBS", raising=False)
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
-        assert Observability.from_env() is NULL_OBS
-
-    def test_from_env_enabled(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_OBS", "1")
-        monkeypatch.setenv("REPRO_TRACE", str(tmp_path / "t.jsonl"))
-        monkeypatch.setenv("REPRO_TRACE_SAMPLE", "0.5")
-        obs = Observability.from_env()
-        assert obs.enabled
-        assert obs.trace.sample_rate == 0.5
-        obs.close()
-
     def test_get_set_obs(self):
         try:
             obs = Observability.create()
             set_obs(obs)
             assert get_obs() is obs
         finally:
-            set_obs(NULL_OBS)
+            set_obs(None)
+        assert get_obs() is NULL_OBS
 
 
 class TestStatsViews:

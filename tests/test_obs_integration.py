@@ -110,13 +110,6 @@ class TestInstrumentedRun:
         accesses = [r for r in first if r["kind"] == "access"]
         assert 0 < len(accesses) < 400  # sampled well below the full count
 
-    def test_profile_phases_published(self, tmp_path):
-        obs, outcome = _smoke_run(tmp_path)
-        gauges = outcome.metrics["gauges"]
-        assert gauges["profile.system.run.seconds"] > 0
-        assert gauges["profile.benchmark.lbm.calls"] == 1
-        assert outcome.metrics["counters"]["profile.misses"] > 0
-
     def test_default_run_has_no_metrics(self):
         outcome = run_benchmark(
             "lbm", ProtectionMode.COP, Scale.SMOKE, cores=1, obs=NULL_OBS
